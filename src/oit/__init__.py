@@ -34,7 +34,6 @@ from .model import (
 )
 from .measures import (
     MeasureSpec,
-    MetricReport,
     UncoveredElement,
     counting,
     granularity,

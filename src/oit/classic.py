@@ -33,6 +33,8 @@ class Distribution:
         object.__setattr__(self, "probabilities", probs)
         if not probs:
             raise DistributionError("distribution is empty")
+        if not all(math.isfinite(p) for p in probs):
+            raise DistributionError("probabilities must be finite numbers: %s" % (probs,))
         bad = [p for p in probs if p < 0]
         if bad:
             raise DistributionError("negative probabilities: %s" % bad)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from fractions import Fraction
@@ -31,6 +30,7 @@ from .measures import (
 from .model import OitError, ValidationError, combine, compose, is_sub_information
 from .semantics import EQUAL_WEIGHTS, suitability, validity
 from .serialize import (
+    document_to_text,
     emit_instance,
     instance_digest,
     parse_decoder,
@@ -70,19 +70,17 @@ def _file_digest(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
-def _guard(args) -> int:
+def _guard(parser, args) -> int:
+    """The enumeration guard: ``--guard``, else ``OIT_GUARD``, else the default."""
+    if args.guard is not None:
+        return args.guard
     env = os.environ.get("OIT_GUARD")
-    if env is not None:
+    if env is None:
+        return DEFAULT_GUARD
+    try:
         return int(env)
-    return getattr(args, "guard", None) or DEFAULT_GUARD
-
-
-def _exact(value) -> str:
-    return str(value)
-
-
-def _approx(value) -> float:
-    return float(value)
+    except ValueError:
+        parser.error("OIT_GUARD must be an integer, got %r" % env)
 
 
 def _emit_report(entries, digest, out_format):
@@ -99,7 +97,7 @@ def _emit_report(entries, digest, out_format):
         "instance": digest,
         "metrics": entries,
     }
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(document_to_text(doc))
 
 
 def cmd_validate(args) -> int:
@@ -128,8 +126,8 @@ def cmd_metrics(args) -> int:
         entries.append(
             {
                 "name": name,
-                "value": _exact(value),
-                "approx": _approx(value),
+                "value": str(value),
+                "approx": float(value),
                 "provenance": provenance,
             }
         )
@@ -154,7 +152,7 @@ def cmd_metrics(args) -> int:
                 target_info,
                 mode=args.coverage_mode,
                 brute_force=args.brute_force,
-                guard=_guard(args),
+                guard=args.guard,
             )
             add(
                 "coverage",
@@ -209,7 +207,7 @@ def cmd_atoms(args) -> int:
         "instance": instance_digest(info),
         "atoms": [{"from": a, "to": b} for a, b in sorted(info.links)],
     }
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(document_to_text(doc))
     return 0
 
 
@@ -232,7 +230,7 @@ def cmd_coverage(args) -> int:
     info, _ = parse_document(_read(args.file))
     target, _ = parse_document(_read(args.target))
     value = coverage(
-        info, target, mode=args.mode, brute_force=args.brute_force, guard=_guard(args)
+        info, target, mode=args.mode, brute_force=args.brute_force, guard=args.guard
     )
     doc = {
         "version": 1,
@@ -240,10 +238,10 @@ def cmd_coverage(args) -> int:
         "target": instance_digest(target),
         "mode": args.mode,
         "brute_force": args.brute_force,
-        "value": _exact(value),
-        "approx": _approx(value),
+        "value": str(value),
+        "approx": float(value),
     }
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(document_to_text(doc))
     return 0
 
 
@@ -276,7 +274,7 @@ def cmd_demo_shannon(args) -> int:
         "entropy_bound": demo.entropy_bound,
         "instance": instance_digest(demo.info),
     }
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(document_to_text(doc))
     return 0
 
 
@@ -379,6 +377,8 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "guard"):
+            args.guard = _guard(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -16,7 +16,6 @@ set of link subsets whose induced state set equals the target's.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -34,21 +33,10 @@ class CoverageMode(str, Enum):
     REPLICA = "replica"
 
 
-def tick_lag(occurrence, reflection):
-    """Reflection tick minus occurrence tick for one link.
-
-    An unbounded occurrence tick contributes zero by convention; finite
-    instances never produce one, so the branch exists for completeness.
-    """
-    if occurrence == math.inf:
-        return 0
-    return reflection - occurrence
-
-
 def delay(info: Information) -> int:
     """Worst lag over all atoms; negative values mean prediction."""
     return max(
-        tick_lag(info.state_by_id[a].tick, info.reflection_by_id[b].tick)
+        info.reflection_by_id[b].tick - info.state_by_id[a].tick
         for a, b in info.relation
     )
 

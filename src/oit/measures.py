@@ -7,7 +7,7 @@ be checked without tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -120,13 +120,3 @@ def richness(info: Information, rho: MeasureSpec | None = None) -> Fraction:
 def volume(info: Information, sigma: MeasureSpec | None = None) -> Fraction:
     """Measure of the carrier media set."""
     return _expect(sigma, "media").measure(info.carrier)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """One computed metric value plus everything needed to reproduce it."""
-
-    name: str
-    value: Fraction | int
-    provenance: dict = field(default_factory=dict)
-    instance_digest: str = ""

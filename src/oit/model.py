@@ -220,10 +220,6 @@ class Information:
         return {rec.identity: rec.id for rec in self.states}
 
     @cached_property
-    def reflection_id_by_identity(self) -> dict:
-        return {rec.identity: rec.id for rec in self.reflections}
-
-    @cached_property
     def state_identities(self) -> frozenset:
         return frozenset(rec.identity for rec in self.states)
 
@@ -302,6 +298,31 @@ def _check_records(records, token_field: str, label: str, diags: list) -> None:
             by_identity[rec.identity] = rec.id
 
 
+def _check_links(links, state_ids, reflection_ids, diags: list) -> set:
+    """Report every link endpoint that names no declared record; return the good links."""
+    good_links = set()
+    for a, b in links:
+        if a not in state_ids:
+            diags.append(
+                Diagnostic(
+                    DANGLING_LINK_SOURCE,
+                    "dangling link source: %s is not a declared state record" % a,
+                    (a,),
+                )
+            )
+        if b not in reflection_ids:
+            diags.append(
+                Diagnostic(
+                    DANGLING_LINK_TARGET,
+                    "dangling link target: %s is not a declared reflection record" % b,
+                    (b,),
+                )
+            )
+        if a in state_ids and b in reflection_ids:
+            good_links.add((a, b))
+    return good_links
+
+
 def validate(raw: RawSextuple) -> list:
     """Check every instance invariant; an empty list means the input is valid.
 
@@ -329,29 +350,7 @@ def validate(raw: RawSextuple) -> list:
 
     state_ids = {rec.id for rec in raw.states}
     reflection_ids = {rec.id for rec in raw.reflections}
-    good_links = set()
-    for a, b in raw.links:
-        ok = True
-        if a not in state_ids:
-            diags.append(
-                Diagnostic(
-                    DANGLING_LINK_SOURCE,
-                    "dangling link source: %s is not a declared state record" % a,
-                    (a,),
-                )
-            )
-            ok = False
-        if b not in reflection_ids:
-            diags.append(
-                Diagnostic(
-                    DANGLING_LINK_TARGET,
-                    "dangling link target: %s is not a declared reflection record" % b,
-                    (b,),
-                )
-            )
-            ok = False
-        if ok:
-            good_links.add((a, b))
+    good_links = _check_links(raw.links, state_ids, reflection_ids, diags)
 
     linked_sources = {a for a, _ in good_links}
     linked_targets = {b for _, b in good_links}
@@ -394,7 +393,11 @@ def validate(raw: RawSextuple) -> list:
 
 
 def build(raw: RawSextuple) -> Information:
-    """Validate ``raw`` and return the canonical instance, else raise."""
+    """Validate ``raw`` and return the canonical instance, else raise.
+
+    This is the one validation boundary.  The algebra below builds its
+    results directly: its operations keep every invariant of valid operands.
+    """
     diags = validate(raw)
     if diags:
         raise ValidationError(diags)
@@ -449,7 +452,7 @@ def is_proper_sub_information(candidate: Information, parent: Information) -> bo
 def _induced(parent: Information, selected) -> Information:
     states = {parent.state_by_id[a] for a, _ in selected}
     reflections = {parent.reflection_by_id[b] for _, b in selected}
-    return assemble(states, reflections, selected)
+    return Information(states, reflections, LinkRelation(selected))
 
 
 def restrict(parent: Information, keep: Callable) -> Information:
@@ -524,7 +527,7 @@ def combine(a: Information, b: Information, mode: str = "strict") -> Information
             if merged != links_of(links_a, sid) and merged != links_of(links_b, sid):
                 raise InconsistentOverlap("inconsistent overlap at %s" % sid)
 
-    return assemble(states.values(), reflections.values(), union)
+    return Information(states.values(), reflections.values(), LinkRelation(union))
 
 
 def compose(first: Information, second: Information) -> Information:
@@ -558,7 +561,7 @@ def compose(first: Information, second: Information) -> Information:
         for a, b in first.relation
         for c in by_source[match[b]]
     }
-    return assemble(first.states, second.reflections, links)
+    return Information(first.states, second.reflections, LinkRelation(links))
 
 
 @dataclass(frozen=True)

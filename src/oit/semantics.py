@@ -19,6 +19,7 @@ from .model import (
     Information,
     OitError,
     ValidationError,
+    _check_links,
     _check_records,
 )
 
@@ -32,14 +33,6 @@ class PartialDecoder(OitError):
 
 class WeightVectorError(OitError):
     """Suitability weights must be six nonnegative rationals summing to one."""
-
-
-def state_triples(info: Information) -> frozenset:
-    return info.state_identities
-
-
-def reflection_triples(info: Information) -> frozenset:
-    return info.reflection_identities
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,7 @@ class SemanticMapping:
 def decode(info: Information, mapping: SemanticMapping) -> frozenset:
     """Claimed state triples for all reflections of the instance."""
     if mapping.kind == "preimage":
-        sources = {a for a, _ in info.relation}
-        return frozenset(info.state_by_id[a].identity for a in sources)
+        return frozenset(info.state_by_id[a].identity for a in info.relation.sources)
     claimed = set()
     for rec in info.reflections:
         try:
@@ -157,7 +149,7 @@ def validity(
 ) -> Fraction:
     """Distance between the actual state triples and the decoded ones."""
     distance = distance or DistanceSpec()
-    return distance.between(state_triples(info), decode(info, mapping))
+    return distance.between(info.state_identities, decode(info, mapping))
 
 
 @dataclass(frozen=True)
@@ -191,13 +183,7 @@ class TargetSextuple:
         _check_records(self.reflections, "media", "reflection", diags)
         state_ids = {rec.id for rec in self.states}
         reflection_ids = {rec.id for rec in self.reflections}
-        for a, b in self.links:
-            if a not in state_ids or b not in reflection_ids:
-                diags.append(Diagnostic(
-                    "dangling-link-source" if a not in state_ids else "dangling-link-target",
-                    "target link (%s, %s) references an undeclared record" % (a, b),
-                    (a, b),
-                ))
+        _check_links(self.links, state_ids, reflection_ids, diags)
         if diags:
             raise ValidationError(diags)
 
@@ -244,9 +230,9 @@ def suitability(
     components = (
         jaccard_distance(info.ontology, target.ontology),
         jaccard_distance(info.occurrence_ticks, target.occurrence_ticks),
-        distance.between(state_triples(info), target.state_identities),
+        distance.between(info.state_identities, target.state_identities),
         jaccard_distance(info.carrier, target.carrier),
         jaccard_distance(info.reflection_ticks, target.reflection_ticks),
-        distance.between(reflection_triples(info), target.reflection_identities),
+        distance.between(info.reflection_identities, target.reflection_identities),
     )
     return sum(w * d for w, d in zip(ws, components))

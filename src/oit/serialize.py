@@ -114,12 +114,11 @@ def _weight_from_json(raw, path, diags) -> Fraction | None:
         return None
     if isinstance(raw, int):
         w = Fraction(raw)
-    elif isinstance(raw, float):
-        w = Fraction(str(raw))
-    elif isinstance(raw, str):
+    elif isinstance(raw, (float, str)):
+        # NaN and Infinity have no exact reading and fail like any bad literal.
         try:
-            w = Fraction(raw)
-        except Exception:
+            w = Fraction(str(raw))
+        except (ValueError, ZeroDivisionError):
             _diag(diags, path, "invalid weight literal %r" % raw)
             return None
     else:
@@ -164,18 +163,23 @@ def _weights_from_json(raw, diags) -> dict:
     return specs
 
 
-def _document_from_text(text: str, diags) -> dict | None:
+def _load_json(text: str):
+    """Decode JSON text; malformed or too deeply nested input is a diagnostic."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        diags.append(Diagnostic(MALFORMED, "malformed JSON: %s" % exc, ()))
-        return None
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError([Diagnostic(MALFORMED, "malformed JSON: %s" % exc, ())]) from None
+
+
+def _document_from_text(text: str) -> dict:
+    doc = _load_json(text)
+    diags: list = []
     if not isinstance(doc, dict):
         _diag(diags, "$", "top level must be an object")
-        return None
-    if doc.get("version") != SCHEMA_VERSION:
+    elif doc.get("version") != SCHEMA_VERSION:
         _diag(diags, "version", "unsupported document version %r" % doc.get("version"))
-        return None
+    if diags:
+        raise ValidationError(diags)
     return doc
 
 
@@ -217,17 +221,21 @@ def _raw_from_document(doc: dict, diags) -> RawSextuple:
 
 
 def parse_document(text: str):
-    """Parse an instance document; returns the instance and its weight specs."""
+    """Parse an instance document; returns the instance and its weight specs.
+
+    Schema diagnostics come first, then the model's, from its one validation.
+    """
+    doc = _document_from_text(text)
     diags: list = []
-    doc = _document_from_text(text, diags)
-    if doc is None:
-        raise ValidationError(diags)
     raw = _raw_from_document(doc, diags)
     weights = _weights_from_json(doc.get("weights"), diags)
-    diags.extend(model.validate(raw))
+    try:
+        info = model.build(raw)
+    except ValidationError as exc:
+        diags.extend(exc.diagnostics)
     if diags:
         raise ValidationError(diags)
-    return model.build(raw), weights
+    return info, weights
 
 
 def parse_instance(text: str) -> Information:
@@ -284,10 +292,8 @@ def instance_digest(info: Information) -> str:
 
 def parse_target(text: str) -> TargetSextuple:
     """Parse a document as a demand sextuple (no totality/surjectivity/closure)."""
+    doc = _document_from_text(text)
     diags: list = []
-    doc = _document_from_text(text, diags)
-    if doc is None:
-        raise ValidationError(diags)
     raw = _raw_from_document(doc, diags)
     if diags:
         raise ValidationError(diags)
@@ -305,10 +311,7 @@ def parse_target(text: str) -> TargetSextuple:
 def parse_decoder(text: str):
     """Parse a decoder document; returns the mapping and its distance spec."""
     diags: list = []
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError([Diagnostic(MALFORMED, "malformed JSON: %s" % exc, ())])
+    doc = _load_json(text)
     if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
         raise ValidationError([Diagnostic(SCHEMA, "version: unsupported decoder version", ())])
     kind = doc.get("kind")
@@ -330,6 +333,11 @@ def parse_decoder(text: str):
         path = "entries[%d]" % i
         if not isinstance(raw, dict) or "reflection" not in raw or "state" not in raw:
             _diag(diags, path, "expected {reflection, state} objects")
+            continue
+        not_objects = [side for side in ("reflection", "state") if not isinstance(raw[side], dict)]
+        for side in not_objects:
+            _diag(diags, "%s.%s" % (path, side), "expected an object")
+        if not_objects:
             continue
         refl = raw["reflection"]
         st = raw["state"]
@@ -353,10 +361,7 @@ def parse_decoder(text: str):
 def parse_weights_file(text: str) -> dict:
     """Parse a standalone weights document into per-universe measure specs."""
     diags: list = []
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError([Diagnostic(MALFORMED, "malformed JSON: %s" % exc, ())])
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ValidationError([Diagnostic(SCHEMA, "$: top level must be an object", ())])
     body = doc.get("weights", doc)

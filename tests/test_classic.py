@@ -36,6 +36,10 @@ class TestDistribution:
     def test_accepts_fractions(self):
         Distribution((Fraction(1, 3), Fraction(2, 3)))
 
+    def test_rejects_nan(self):
+        with pytest.raises(DistributionError, match="finite"):
+            Distribution((float("nan"),))
+
 
 class TestShannonEntropy:
     def test_fair_coin(self):

@@ -43,6 +43,14 @@ class TestValidate:
         assert run(capsys, "validate")[0] == 2
         assert run(capsys, "frobnicate")[0] == 2
 
+    def test_deeply_nested_json_is_malformed(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "validate", str(deep))
+        assert code == 1
+        assert "malformed JSON" in err
+        assert out == ""
+
 
 class TestMetrics:
     def test_counting_vector(self, capsys, ex1_path):
@@ -134,6 +142,30 @@ class TestMetrics:
             brute_cov = {m["name"]: m["value"] for m in json.loads(brute)["metrics"]}
             assert fast_cov == brute_cov
 
+    def test_decoder_entry_not_object(self, capsys, ex1_path, tmp_path):
+        decoder = tmp_path / "decoder.json"
+        decoder.write_text(json.dumps({
+            "version": 1, "kind": "table",
+            "entries": [{"reflection": "m1",
+                         "state": {"entities": ["a"], "tick": 1, "value": "v1"}}],
+        }))
+        code, out, err = run(capsys, "metrics", ex1_path, "--decoder", str(decoder))
+        assert code == 1
+        assert err == "schema: entries[0].reflection: expected an object\n"
+        assert out == ""
+
+    def test_dangling_target_link_reports_each_endpoint(self, capsys, ex1_path, tmp_path):
+        target = tmp_path / "target.json"
+        doc = json.loads(emit_instance(example_instance()))
+        doc["links"].append({"from": "s9", "to": "r9"})
+        target.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "metrics", ex1_path, "--target", str(target))
+        assert code == 1
+        assert err.splitlines()[1:] == [
+            "dangling-link-source: dangling link source: s9 is not a declared state record",
+            "dangling-link-target: dangling link target: r9 is not a declared reflection record",
+        ]
+
     def test_non_sub_target_skips_coverage(self, capsys, ex1_path, tmp_path):
         foreign = tmp_path / "foreign.json"
         doc = json.loads(emit_instance(example_instance()))
@@ -184,6 +216,34 @@ class TestCoverage:
         )
         assert code == 1
         assert "too large for exhaustive" in err
+
+    def brute_union(self, capsys, ex1_path, fixtures_dir, *extra):
+        return run(
+            capsys, "coverage", ex1_path,
+            "--target", str(fixtures_dir / "ex1_s1r1.json"),
+            "--mode", "union", "--brute-force", *extra,
+        )
+
+    def test_guard_zero_is_kept(self, capsys, ex1_path, fixtures_dir, monkeypatch):
+        monkeypatch.delenv("OIT_GUARD", raising=False)
+        code, _, err = self.brute_union(capsys, ex1_path, fixtures_dir, "--guard", "0")
+        assert code == 1
+        assert "over guard 0" in err
+
+    def test_guard_flag_beats_env(self, capsys, ex1_path, fixtures_dir, monkeypatch):
+        monkeypatch.setenv("OIT_GUARD", "1")
+        code, out, _ = self.brute_union(capsys, ex1_path, fixtures_dir, "--guard", "15")
+        assert code == 0
+        assert json.loads(out)["value"] == "2/3"
+
+    def test_non_integer_guard_env_is_usage_error(
+        self, capsys, ex1_path, fixtures_dir, monkeypatch
+    ):
+        monkeypatch.setenv("OIT_GUARD", "many")
+        code, out, err = self.brute_union(capsys, ex1_path, fixtures_dir)
+        assert code == 2
+        assert "OIT_GUARD" in err
+        assert out == ""
 
 
 class TestAlgebraCommands:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from oit import (
     restrict_links,
     synonymy_class,
 )
-from oit.flow import tick_lag
 
 from .strategies import informations_with_sublinks
 
@@ -38,11 +36,6 @@ class TestDelay:
             [("s", "r")],
         )
         assert delay(info) == -2
-
-    def test_unbounded_occurrence_contributes_zero(self):
-        # unreachable through the integer-tick model; the convention is
-        # pinned on the per-link helper
-        assert tick_lag(math.inf, 12) == 0
 
     @given(informations_with_sublinks())
     def test_monotone_under_atom_containment(self, case):

@@ -16,15 +16,18 @@ from oit import (
     ReflectionRecord,
     StateRecord,
     UnknownRecord,
+    ValidationError,
     assemble,
     atoms,
     combine,
     compose,
+    emit_instance,
     identity_relay,
     image,
     is_proper_sub_information,
     is_reducible,
     is_sub_information,
+    parse_document,
     preimage,
     restrict,
     restrict_links,
@@ -33,6 +36,15 @@ from oit import (
 from oit import model
 
 from .strategies import informations, informations_with_sublinks
+
+
+def renamed(info: Information, prefix: str) -> Information:
+    """The same instance with every record id prefixed."""
+    return assemble(
+        [StateRecord(prefix + r.id, r.entities, r.tick, r.value) for r in info.states],
+        [ReflectionRecord(prefix + r.id, r.media, r.tick, r.value) for r in info.reflections],
+        [(prefix + a, prefix + b) for a, b in info.links],
+    )
 
 
 def raw_of(info: Information) -> RawSextuple:
@@ -342,6 +354,54 @@ class TestProperties:
             assert rec.id in preimage(info, image(info, {rec.id}))
         for rec in info.reflections:
             assert rec.id in image(info, preimage(info, {rec.id}))
+
+    @given(informations_with_sublinks(), st.integers(0, 2**16))
+    @settings(max_examples=50)
+    def test_algebra_results_are_valid_by_construction(self, case, salt):
+        info, l1 = case
+        rng = random.Random(salt)
+        l2 = frozenset(rng.sample(sorted(info.links), rng.randint(1, len(info.links))))
+        a = restrict_links(info, l1)
+        b = renamed(restrict_links(info, l2), "a_")  # equal content under smaller ids
+        results = [
+            a,
+            restrict(info, lambda s, r: s.tick <= r.tick or (s.id, r.id) in l1),
+            combine(a, info, "strict"),
+            combine(a, b, "lax"),
+            compose(info, identity_relay(info, {m: m + "'" for m in info.carrier})),
+        ]
+        try:
+            results.append(combine(a, b, "strict"))
+        except InconsistentOverlap:
+            pass
+        results += [atom.info for atom in atoms(info)]
+        for result in results:
+            assert validate(raw_of(result)) == []
+
+    def test_validate_runs_once_per_parse_and_never_in_the_algebra(self, ex1, monkeypatch):
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return real_validate(raw)
+
+        real_validate = model.validate
+        relay = identity_relay(ex1, {"m1": "m4", "m2": "m5", "m3": "m6"})
+        monkeypatch.setattr(model, "validate", counted)
+        text = emit_instance(ex1)
+        parse_document(text)
+        assert len(calls) == 1
+        with pytest.raises(ValidationError):
+            parse_document(text.replace('"tick": 1', '"tick": "one"'))
+        assert len(calls) == 2
+
+        sub = restrict_links(ex1, [("s1", "r1"), ("s2", "r2")])
+        restrict(ex1, lambda s, r: s.tick > 1)
+        combine(sub, ex1, "strict")
+        combine(sub, ex1, "lax")
+        compose(ex1, relay)
+        atoms(ex1)
+        assert len(calls) == 2
 
     @given(informations())
     def test_valid_instances_support_every_operation(self, info):

@@ -19,7 +19,6 @@ from oit import (
     suitability,
     validity,
 )
-from oit.semantics import state_triples
 
 from .strategies import informations, triple_sets
 
@@ -33,7 +32,7 @@ def constant_decoder(info, triple):
 
 class TestDecode:
     def test_preimage_recovers_all_states(self, ex1):
-        assert decode(ex1, SemanticMapping.preimage()) == state_triples(ex1)
+        assert decode(ex1, SemanticMapping.preimage()) == ex1.state_identities
 
     def test_constant_table(self, ex1):
         assert decode(ex1, constant_decoder(ex1, S1)) == {S1}
@@ -172,6 +171,17 @@ class TestTargetSextuple:
                 frozenset(), frozenset({1}), frozenset(), frozenset({"m"}),
                 frozenset({2}), frozenset(),
             )
+
+    def test_dangling_link_uses_model_wording(self, ex1):
+        with pytest.raises(ValidationError) as exc:
+            TargetSextuple(
+                ex1.ontology, ex1.occurrence_ticks, ex1.states, ex1.carrier,
+                ex1.reflection_ticks, ex1.reflections, {("s9", "r9")},
+            )
+        assert [d.message for d in exc.value.diagnostics] == [
+            "dangling link source: s9 is not a declared state record",
+            "dangling link target: r9 is not a declared reflection record",
+        ]
 
     def test_demand_may_name_unused_media(self, ex1):
         target = TargetSextuple(

@@ -149,6 +149,14 @@ class TestWeights:
         with pytest.raises(ValidationError):
             parse_document(json.dumps(doc))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_weight_rejected_with_path(self, ex1, literal):
+        text = emit_instance(ex1)[:-2] + ', "weights": {"media": {"m1": %s}}}' % literal
+        with pytest.raises(ValidationError) as exc:
+            parse_document(text)
+        assert codes(exc) == {SCHEMA}
+        assert exc.value.diagnostics[0].subjects == ("weights.media.m1",)
+
     def test_standalone_weights_file(self, fixtures_dir):
         specs = parse_weights_file((fixtures_dir / "weights_ex1.json").read_text())
         assert specs["media"].measure({"m1", "m2", "m3"}) == 250
@@ -167,6 +175,23 @@ class TestSideDocuments:
         assert validity(ex1, mapping, distance) == Fraction(2, 3)
         mapping, distance = parse_decoder((fixtures_dir / "decoder_preimage.json").read_text())
         assert validity(ex1, mapping, distance) == 0
+
+    @pytest.mark.parametrize("side", ["reflection", "state"])
+    def test_decoder_entry_side_must_be_an_object(self, side):
+        entry = {"reflection": {"media": ["m1"], "tick": 4, "value": "v1"},
+                 "state": {"entities": ["a"], "tick": 1, "value": "v1"}}
+        entry[side] = "m1"
+        with pytest.raises(ValidationError) as exc:
+            parse_decoder(json.dumps({"version": 1, "kind": "table", "entries": [entry]}))
+        assert [d.subjects for d in exc.value.diagnostics] == [("entries[0].%s" % side,)]
+        assert codes(exc) == {SCHEMA}
+
+    @pytest.mark.parametrize("parse", [parse_document, parse_target, parse_decoder,
+                                       parse_weights_file])
+    def test_deeply_nested_json_is_malformed(self, parse):
+        with pytest.raises(ValidationError) as exc:
+            parse("[" * 100_000 + "]" * 100_000)
+        assert codes(exc) == {MALFORMED}
 
     def test_decoder_requires_known_kind(self):
         with pytest.raises(ValidationError):
