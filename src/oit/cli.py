@@ -9,7 +9,6 @@ version and content digests but never timestamps.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from fractions import Fraction
@@ -27,16 +26,17 @@ from .measures import (
     sustainability,
     volume,
 )
-from .model import OitError, ValidationError, combine, compose, is_sub_information
+from .model import OitError, ValidationError, brief_repr, combine, compose, is_sub_information
 from .semantics import EQUAL_WEIGHTS, suitability, validity
 from .serialize import (
     document_to_text,
     emit_instance,
     instance_digest,
     parse_decoder,
+    parse_demand,
     parse_document,
-    parse_target,
     parse_weights_file,
+    text_digest,
 )
 
 METRIC_ORDER = (
@@ -53,7 +53,8 @@ METRIC_ORDER = (
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The file's exact text, newlines untranslated, so that its digest names its bytes."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -63,11 +64,6 @@ def _write_output(text: str, path: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
 def _guard(parser, args) -> int:
@@ -80,7 +76,7 @@ def _guard(parser, args) -> int:
     try:
         return int(env)
     except ValueError:
-        parser.error("OIT_GUARD must be an integer, got %r" % env)
+        parser.error("OIT_GUARD must be an integer, got %s" % brief_repr(env))
 
 
 def _emit_report(entries, digest, out_format):
@@ -141,11 +137,8 @@ def cmd_metrics(args) -> int:
 
     if args.target:
         target_text = _read(args.target)
-        target_info = None
-        try:
-            target_info = parse_document(target_text)[0]
-        except ValidationError:
-            pass
+        target, target_info = parse_demand(target_text)
+        target_digest = text_digest(target_text)
         if target_info is not None and is_sub_information(target_info, info):
             value = coverage(
                 info,
@@ -160,14 +153,13 @@ def cmd_metrics(args) -> int:
                 {
                     "mode": args.coverage_mode,
                     "brute_force": args.brute_force,
-                    "target": _file_digest(args.target),
+                    "target": target_digest,
                 },
             )
         else:
             sys.stderr.write(
                 "note: target is not a sub-information; coverage skipped\n"
             )
-        target = parse_target(target_text)
         suit_weights = (
             tuple(Fraction(w) for w in args.suit_weights)
             if args.suit_weights
@@ -179,19 +171,20 @@ def cmd_metrics(args) -> int:
             {
                 "weights": [str(w) for w in suit_weights],
                 "distance": "jaccard",
-                "target": _file_digest(args.target),
+                "target": target_digest,
             },
         )
 
     if args.decoder:
-        mapping, distance = parse_decoder(_read(args.decoder))
+        decoder_text = _read(args.decoder)
+        mapping, distance = parse_decoder(decoder_text)
         add(
             "validity",
             validity(info, mapping, distance),
             {
                 "decoder": mapping.kind,
                 "distance": distance.kind,
-                "source": _file_digest(args.decoder),
+                "source": text_digest(decoder_text),
             },
         )
 
@@ -387,10 +380,7 @@ def run_cli(argv=None) -> int:
         for diag in exc.diagnostics:
             sys.stderr.write("%s: %s\n" % (diag.code, diag.message))
         return 1
-    except OitError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (OitError, OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -79,9 +79,8 @@ def synonymy_class(
 
 
 def _union_media_fast(info: Information, wanted: frozenset) -> frozenset:
-    reachable = {b for a, b in info.relation if a in wanted}
     return frozenset(
-        t for rid in reachable for t in info.reflection_by_id[rid].media
+        t for rid in info.relation.image_of(wanted) for t in info.reflection_by_id[rid].media
     )
 
 

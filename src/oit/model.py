@@ -14,6 +14,7 @@ they carry no meaning of their own.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,6 +76,12 @@ class Diagnostic:
     code: str
     message: str
     subjects: tuple[str, ...] = ()
+
+
+def brief_repr(value) -> str:
+    """``repr`` of untrusted input for a diagnostic: bounded nesting, at most 40 characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 EMPTY_COMPONENT = "empty-component"
@@ -256,7 +263,8 @@ class RawSextuple:
         )
 
 
-def _check_records(records, token_field: str, label: str, diags: list) -> None:
+def _check_records(records, token_field: str, label: str, diags: list):
+    """Report empty token sets and id or content clashes; return the declared ids."""
     by_id: dict = {}
     by_identity: dict = {}
     for rec in records:
@@ -296,10 +304,20 @@ def _check_records(records, token_field: str, label: str, diags: list) -> None:
             )
         else:
             by_identity[rec.identity] = rec.id
+    return by_id.keys()
 
 
-def _check_links(links, state_ids, reflection_ids, diags: list) -> set:
-    """Report every link endpoint that names no declared record; return the good links."""
+def _check_well_formed(components, states, reflections, links, diags: list):
+    """The checks instances and demand sextuples share: each named component
+    is nonvoid, then the two record sets, then every link endpoint names a
+    declared record.  Returns the declared state and reflection ids and the
+    links whose two endpoints are declared.
+    """
+    for name, component in components:
+        if not component:
+            diags.append(Diagnostic(EMPTY_COMPONENT, "component %r is empty" % name, (name,)))
+    state_ids = _check_records(states, "entities", "state", diags)
+    reflection_ids = _check_records(reflections, "media", "reflection", diags)
     good_links = set()
     for a, b in links:
         if a not in state_ids:
@@ -320,7 +338,7 @@ def _check_links(links, state_ids, reflection_ids, diags: list) -> set:
             )
         if a in state_ids and b in reflection_ids:
             good_links.add((a, b))
-    return good_links
+    return state_ids, reflection_ids, good_links
 
 
 def validate(raw: RawSextuple) -> list:
@@ -332,25 +350,11 @@ def validate(raw: RawSextuple) -> list:
     this module.
     """
     diags: list = []
-
-    for name, component in (
-        ("entities", raw.entities),
-        ("media", raw.media),
-        ("state records", raw.states),
-        ("reflection records", raw.reflections),
-        ("links", raw.links),
-    ):
-        if not component:
-            diags.append(
-                Diagnostic(EMPTY_COMPONENT, "component %r is empty" % name, (name,))
-            )
-
-    _check_records(raw.states, "entities", "state", diags)
-    _check_records(raw.reflections, "media", "reflection", diags)
-
-    state_ids = {rec.id for rec in raw.states}
-    reflection_ids = {rec.id for rec in raw.reflections}
-    good_links = _check_links(raw.links, state_ids, reflection_ids, diags)
+    state_ids, reflection_ids, good_links = _check_well_formed(
+        (("entities", raw.entities), ("media", raw.media), ("state records", raw.states),
+         ("reflection records", raw.reflections), ("links", raw.links)),
+        raw.states, raw.reflections, raw.links, diags,
+    )
 
     linked_sources = {a for a, _ in good_links}
     linked_targets = {b for _, b in good_links}

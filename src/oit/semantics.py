@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .model import (
-    Diagnostic,
-    EMPTY_COMPONENT,
-    Information,
-    OitError,
-    ValidationError,
-    _check_links,
-    _check_records,
-)
+from .model import Information, OitError, ValidationError, _check_well_formed
 
 JACCARD = "jaccard"
 NUMERIC_L1 = "numeric-l1"
@@ -170,20 +162,14 @@ class TargetSextuple:
     links: frozenset = frozenset()
 
     def __post_init__(self):
-        for name in ("ontology", "occurrence_ticks", "states", "carrier",
-                     "reflection_ticks", "reflections"):
+        names = ("ontology", "occurrence_ticks", "states", "carrier",
+                 "reflection_ticks", "reflections")
+        for name in names:
             object.__setattr__(self, name, frozenset(getattr(self, name)))
         object.__setattr__(self, "links", frozenset(tuple(p) for p in self.links))
         diags: list = []
-        for name in ("ontology", "occurrence_ticks", "states", "carrier",
-                     "reflection_ticks", "reflections"):
-            if not getattr(self, name):
-                diags.append(Diagnostic(EMPTY_COMPONENT, "component %r is empty" % name, (name,)))
-        _check_records(self.states, "entities", "state", diags)
-        _check_records(self.reflections, "media", "reflection", diags)
-        state_ids = {rec.id for rec in self.states}
-        reflection_ids = {rec.id for rec in self.reflections}
-        _check_links(self.links, state_ids, reflection_ids, diags)
+        _check_well_formed([(name, getattr(self, name)) for name in names],
+                           self.states, self.reflections, self.links, diags)
         if diags:
             raise ValidationError(diags)
 

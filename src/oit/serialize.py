@@ -30,6 +30,7 @@ from .model import (
     ReflectionRecord,
     StateRecord,
     ValidationError,
+    brief_repr,
 )
 from .semantics import (
     JACCARD,
@@ -45,8 +46,12 @@ MALFORMED = "malformed-json"
 SCHEMA = "schema"
 
 
+def _schema(path, message) -> Diagnostic:
+    return Diagnostic(SCHEMA, "%s: %s" % (path, message), (path,))
+
+
 def _diag(diags, path, message):
-    diags.append(Diagnostic(SCHEMA, "%s: %s" % (path, message), (path,)))
+    diags.append(_schema(path, message))
 
 
 def _is_int(v) -> bool:
@@ -68,7 +73,7 @@ def value_from_json(raw, path, diags):
         try:
             return Fraction(raw["rational"])
         except Exception:
-            _diag(diags, path, "invalid rational literal %r" % raw["rational"])
+            _diag(diags, path, "invalid rational literal %s" % brief_repr(raw["rational"]))
             return None
     _diag(diags, path, "value must be text, integer, {\"b64\": ...} or {\"rational\": ...}")
     return None
@@ -89,14 +94,8 @@ def _token_list(raw, path, diags):
     return raw
 
 
-def _record_from_json(raw, path, token_field, cls, diags):
-    if not isinstance(raw, dict):
-        _diag(diags, path, "expected a record object")
-        return None
-    rid = raw.get("id")
-    if not isinstance(rid, str) or not rid:
-        _diag(diags, path + ".id", "record id must be a nonempty string")
-        return None
+def _triple_from_json(raw: dict, path, token_field, diags):
+    """Read a record object's (token set, tick, value) content triple, else None."""
     tokens = _token_list(raw.get(token_field, []), "%s.%s" % (path, token_field), diags)
     tick = raw.get("tick")
     if not _is_int(tick):
@@ -105,7 +104,19 @@ def _record_from_json(raw, path, token_field, cls, diags):
     value = value_from_json(raw.get("value"), path + ".value", diags)
     if value is None:
         return None
-    return cls(rid, frozenset(tokens), tick, value)
+    return frozenset(tokens), tick, value
+
+
+def _record_from_json(raw, path, token_field, cls, diags):
+    if not isinstance(raw, dict):
+        _diag(diags, path, "expected a record object")
+        return None
+    rid = raw.get("id")
+    if not isinstance(rid, str) or not rid:
+        _diag(diags, path + ".id", "record id must be a nonempty string")
+        return None
+    triple = _triple_from_json(raw, path, token_field, diags)
+    return None if triple is None else cls(rid, *triple)
 
 
 def _weight_from_json(raw, path, diags) -> Fraction | None:
@@ -119,7 +130,7 @@ def _weight_from_json(raw, path, diags) -> Fraction | None:
         try:
             w = Fraction(str(raw))
         except (ValueError, ZeroDivisionError):
-            _diag(diags, path, "invalid weight literal %r" % raw)
+            _diag(diags, path, "invalid weight literal %s" % brief_repr(raw))
             return None
     else:
         _diag(diags, path, "weight must be a number or numeric string")
@@ -163,23 +174,25 @@ def _weights_from_json(raw, diags) -> dict:
     return specs
 
 
-def _load_json(text: str):
-    """Decode JSON text; malformed or too deeply nested input is a diagnostic."""
+def _object_from_text(text: str) -> dict:
+    """Decode JSON whose top level must be an object; malformed or too deep is a diagnostic."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError([Diagnostic(MALFORMED, "malformed JSON: %s" % exc, ())]) from None
+    if not isinstance(doc, dict):
+        raise ValidationError([_schema("$", "top level must be an object")])
+    return doc
 
 
 def _document_from_text(text: str) -> dict:
-    doc = _load_json(text)
-    diags: list = []
-    if not isinstance(doc, dict):
-        _diag(diags, "$", "top level must be an object")
-    elif doc.get("version") != SCHEMA_VERSION:
-        _diag(diags, "version", "unsupported document version %r" % doc.get("version"))
-    if diags:
-        raise ValidationError(diags)
+    """The reader front of instance, target and decoder documents."""
+    doc = _object_from_text(text)
+    version = doc.get("version")
+    if version != SCHEMA_VERSION:
+        raise ValidationError(
+            [_schema("version", "unsupported document version %s" % brief_repr(version))]
+        )
     return doc
 
 
@@ -285,19 +298,23 @@ def emit_instance(info: Information, weights: Mapping | None = None) -> str:
     return document_to_text(instance_to_document(info, weights))
 
 
+def text_digest(text: str) -> str:
+    """The ``sha256:`` digest reports give a text: the hash of its UTF-8 bytes."""
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def instance_digest(info: Information) -> str:
     """Content digest of the canonical serialization."""
-    return "sha256:" + hashlib.sha256(emit_instance(info).encode("utf-8")).hexdigest()
+    return text_digest(emit_instance(info))
 
 
-def parse_target(text: str) -> TargetSextuple:
-    """Parse a document as a demand sextuple (no totality/surjectivity/closure)."""
-    doc = _document_from_text(text)
+def _target_from_text(text: str):
+    """A target document's raw records and the demand they make; ``weights`` is not read."""
     diags: list = []
-    raw = _raw_from_document(doc, diags)
+    raw = _raw_from_document(_document_from_text(text), diags)
     if diags:
         raise ValidationError(diags)
-    return TargetSextuple(
+    return raw, TargetSextuple(
         frozenset(raw.entities),
         frozenset(rec.tick for rec in raw.states),
         frozenset(raw.states),
@@ -308,26 +325,41 @@ def parse_target(text: str) -> TargetSextuple:
     )
 
 
+def parse_target(text: str) -> TargetSextuple:
+    """Parse a document as a demand sextuple (no totality/surjectivity/closure)."""
+    return _target_from_text(text)[1]
+
+
+def parse_demand(text: str):
+    """Parse a target document once: its demand sextuple, and the instance its
+    records make, or None when they break an instance invariant.
+
+    An invalid demand raises.  The instance check sees the raw records, so
+    it also rejects a record declared twice, which the demand's sets absorb.
+    """
+    raw, demand = _target_from_text(text)
+    try:
+        return demand, model.build(raw)
+    except ValidationError:
+        return demand, None
+
+
 def parse_decoder(text: str):
     """Parse a decoder document; returns the mapping and its distance spec."""
     diags: list = []
-    doc = _load_json(text)
-    if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
-        raise ValidationError([Diagnostic(SCHEMA, "version: unsupported decoder version", ())])
+    doc = _document_from_text(text)
     kind = doc.get("kind")
     distance_kind = doc.get("distance", JACCARD)
     if distance_kind not in (JACCARD, NUMERIC_L1):
-        raise ValidationError(
-            [Diagnostic(SCHEMA, "distance: must be %r or %r" % (JACCARD, NUMERIC_L1), ())]
-        )
+        raise ValidationError([_schema("distance", "must be %r or %r" % (JACCARD, NUMERIC_L1))])
     distance = DistanceSpec(distance_kind)
     if kind == "preimage":
         return SemanticMapping.preimage(), distance
     if kind != "table":
-        raise ValidationError([Diagnostic(SCHEMA, "kind: must be 'preimage' or 'table'", ())])
+        raise ValidationError([_schema("kind", "must be 'preimage' or 'table'")])
     entries = doc.get("entries")
     if not isinstance(entries, list):
-        raise ValidationError([Diagnostic(SCHEMA, "entries: expected a list", ())])
+        raise ValidationError([_schema("entries", "expected a list")])
     table = {}
     for i, raw in enumerate(entries):
         path = "entries[%d]" % i
@@ -339,20 +371,10 @@ def parse_decoder(text: str):
             _diag(diags, "%s.%s" % (path, side), "expected an object")
         if not_objects:
             continue
-        refl = raw["reflection"]
-        st = raw["state"]
-        key_tokens = _token_list(refl.get("media", []), path + ".reflection.media", diags)
-        val_tokens = _token_list(st.get("entities", []), path + ".state.entities", diags)
-        if not _is_int(refl.get("tick")) or not _is_int(st.get("tick")):
-            _diag(diags, path, "ticks must be JSON integers")
-            continue
-        key_value = value_from_json(refl.get("value"), path + ".reflection.value", diags)
-        val_value = value_from_json(st.get("value"), path + ".state.value", diags)
-        if key_value is None or val_value is None:
-            continue
-        key = (frozenset(key_tokens), refl["tick"], key_value)
-        val = (frozenset(val_tokens), st["tick"], val_value)
-        table[key] = val
+        key = _triple_from_json(raw["reflection"], path + ".reflection", "media", diags)
+        value = _triple_from_json(raw["state"], path + ".state", "entities", diags)
+        if key is not None and value is not None:
+            table[key] = value
     if diags:
         raise ValidationError(diags)
     return SemanticMapping.from_table(table), distance
@@ -361,11 +383,8 @@ def parse_decoder(text: str):
 def parse_weights_file(text: str) -> dict:
     """Parse a standalone weights document into per-universe measure specs."""
     diags: list = []
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise ValidationError([Diagnostic(SCHEMA, "$: top level must be an object", ())])
-    body = doc.get("weights", doc)
-    specs = _weights_from_json(body, diags)
+    doc = _object_from_text(text)
+    specs = _weights_from_json(doc.get("weights", doc), diags)
     if diags:
         raise ValidationError(diags)
     return specs

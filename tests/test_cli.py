@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import builtins
+import hashlib
 import json
+import types
+from collections import Counter
 
 import pytest
 
+import oit
 from oit import emit_instance, example_instance, parse_instance, restrict_links, run_cli
 
 
@@ -50,6 +55,27 @@ class TestValidate:
         assert code == 1
         assert "malformed JSON" in err
         assert out == ""
+
+
+    def test_deeply_nested_version_is_echoed_briefly(self, capsys, tmp_path):
+        version = 1
+        for _ in range(900):
+            version = [version]
+        doc = tmp_path / "deep_version.json"
+        doc.write_text(json.dumps({"version": version}))
+        code, out, err = run(capsys, "validate", str(doc))
+        assert code == 1
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("schema: version: unsupported document version [[[")
+        assert len(line) < 80
+
+
+def _accented_crlf(path, doc):
+    """Write ``doc`` with CRLF line ends and non-ASCII text; return its bytes."""
+    data = json.dumps(doc, indent=2, ensure_ascii=False).replace("\n", "\r\n").encode("utf-8")
+    path.write_bytes(data)
+    return data
 
 
 class TestMetrics:
@@ -161,7 +187,7 @@ class TestMetrics:
         target.write_text(json.dumps(doc))
         code, _, err = run(capsys, "metrics", ex1_path, "--target", str(target))
         assert code == 1
-        assert err.splitlines()[1:] == [
+        assert err.splitlines() == [
             "dangling-link-source: dangling link source: s9 is not a declared state record",
             "dangling-link-target: dangling link target: r9 is not a declared reflection record",
         ]
@@ -177,6 +203,90 @@ class TestMetrics:
         assert "coverage" not in names
         assert "suitability" in names
         assert "coverage skipped" in err
+
+    def test_valid_demand_that_is_no_instance_gets_only_the_note(
+        self, capsys, ex1_path, tmp_path
+    ):
+        target = tmp_path / "target.json"
+        doc = json.loads(emit_instance(example_instance()))
+        doc["links"] = [link for link in doc["links"] if link["from"] != "s3"]
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "metrics", ex1_path, "--target", str(target))
+        assert code == 0
+        assert "suitability" in {m["name"] for m in json.loads(out)["metrics"]}
+        assert err == "note: target is not a sub-information; coverage skipped\n"
+
+    def test_unread_target_weights_do_not_skip_coverage(self, capsys, ex1_path, tmp_path):
+        target = tmp_path / "target.json"
+        doc = json.loads(emit_instance(restrict_links(example_instance(), [("s1", "r1")])))
+        doc["weights"] = {"no-such-universe": {"x": "-1"}}
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "metrics", ex1_path, "--target", str(target))
+        assert (code, err) == (0, "")
+        values = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
+        assert values["coverage"] == "2/3"
+
+    def test_digests_name_the_bytes_read(self, capsys, tmp_path):
+        doc = json.loads(emit_instance(example_instance()))
+        for rec in doc["state_records"] + doc["reflection_records"]:
+            rec["value"] += "\u00e9t\u00e9"
+        instance, target, decoder = (tmp_path / n for n in ("i.json", "t.json", "d.json"))
+        _accented_crlf(instance, doc)
+        target_bytes = _accented_crlf(target, doc)
+        decoder_bytes = _accented_crlf(decoder, {"version": 1, "kind": "preimage"})
+        code, out, _ = run(capsys, "metrics", str(instance), "--target", str(target),
+                           "--decoder", str(decoder))
+        assert code == 0
+        provenance = {m["name"]: m["provenance"] for m in json.loads(out)["metrics"]}
+        target_digest = "sha256:" + hashlib.sha256(target_bytes).hexdigest()
+        assert provenance["coverage"]["target"] == target_digest
+        assert provenance["suitability"]["target"] == target_digest
+        assert provenance["validity"]["source"] == (
+            "sha256:" + hashlib.sha256(decoder_bytes).hexdigest())
+
+    def test_each_input_is_read_decoded_and_validated_once(
+        self, capsys, monkeypatch, ex1_path, fixtures_dir
+    ):
+        target_path = str(fixtures_dir / "ex1_s1r1.json")
+        decoder_path = str(fixtures_dir / "decoder_const_s1.json")
+        paths = (ex1_path, target_path, decoder_path)
+        opened, decoded, validated = Counter(), Counter(), Counter()
+
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        def counting_loads(text, *args, **kwargs):
+            decoded[text] += 1
+            return json.loads(text, *args, **kwargs)
+
+        real_validate = oit.model.validate
+
+        def counting_validate(raw):
+            validated[frozenset(raw.links)] += 1
+            return real_validate(raw)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(oit.serialize, "json", types.SimpleNamespace(
+            loads=counting_loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+        monkeypatch.setattr(oit.model, "validate", counting_validate)
+        code, out, _ = run(capsys, "metrics", ex1_path, "--target", target_path,
+                           "--decoder", decoder_path)
+        monkeypatch.undo()
+
+        assert code == 0
+        assert {m["name"] for m in json.loads(out)["metrics"]} >= {
+            "coverage", "suitability", "validity"}
+        assert {p: opened[p] for p in paths} == {p: 1 for p in paths}
+        texts = [open(p, encoding="utf-8", newline="").read() for p in paths]
+        assert decoded == Counter(texts)
+        instance_links = frozenset(parse_instance(texts[0]).links)
+        target_links = frozenset(parse_instance(texts[1]).links)
+        assert validated[instance_links] == 1
+        assert validated[target_links] <= 1
+        assert set(validated) <= {instance_links, target_links}
 
 
 class TestCoverage:
@@ -235,6 +345,13 @@ class TestCoverage:
         code, out, _ = self.brute_union(capsys, ex1_path, fixtures_dir, "--guard", "15")
         assert code == 0
         assert json.loads(out)["value"] == "2/3"
+
+    def test_long_guard_env_is_echoed_briefly(self, capsys, ex1_path, fixtures_dir, monkeypatch):
+        monkeypatch.setenv("OIT_GUARD", "x" * 5000)
+        code, _, err = self.brute_union(capsys, ex1_path, fixtures_dir)
+        assert code == 2
+        assert "OIT_GUARD must be an integer, got 'xxx" in err
+        assert len(err.splitlines()[-1]) < 120
 
     def test_non_integer_guard_env_is_usage_error(
         self, capsys, ex1_path, fixtures_dir, monkeypatch

@@ -1,0 +1,152 @@
+"""Golden CLI outputs: the stdout bytes and exit code of a fixed corpus of calls.
+
+``tests/golden_cli.json`` maps each call, written with fixture paths relative
+to the repository root and generated inputs under ``$WORK/``, to its exit
+code and the sha256 of its stdout.  Reports must stay byte-identical, so any
+difference fails.  To pin the corpus again, run from the repository root::
+
+    PYTHONPATH=src python -m tests.test_golden_cli
+
+against the commit whose outputs are the reference.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from oit import emit_instance, example_instance, identity_relay, run_cli
+
+from .conftest import FIXTURES, REPO_ROOT
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+INSTANCES = ("ex1", "ex1_s1", "ex1_s1r1", "ex1_s1r1_s2r2")
+DECODERS = ("decoder_const_s1", "decoder_preimage")
+
+
+def _fixture(name: str) -> str:
+    return "fixtures/%s.json" % name
+
+
+def write_generated(work: Path) -> None:
+    """Inputs that no fixture covers, written byte-for-byte the same every time."""
+    ex1 = example_instance()
+    doc = json.loads(emit_instance(ex1))
+
+    def dump(name, value, newline="\n"):
+        text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        (work / name).write_bytes(text.replace("\n", newline).encode("utf-8"))
+
+    (work / "relay.json").write_text(
+        emit_instance(identity_relay(ex1, {"m1": "m4", "m2": "m5", "m3": "m6"})))
+    foreign = json.loads(json.dumps(doc))
+    foreign["state_records"][0]["value"] = "changed"
+    dump("foreign.json", foreign)
+    unlinked = json.loads(json.dumps(doc))
+    del unlinked["links"][0]
+    dump("unlinked.json", unlinked)
+    dangling = json.loads(json.dumps(doc))
+    dangling["links"].append({"from": "s9", "to": "r9"})
+    dump("dangling.json", dangling)
+    accented = json.loads(json.dumps(doc))
+    for rec in accented["state_records"] + accented["reflection_records"]:
+        rec["value"] = rec["value"] + "é"
+    dump("crlf_accented.json", accented, newline="\r\n")
+    dump("decoder_l1.json", {"version": 1, "kind": "preimage", "distance": "numeric-l1"})
+    dump("decoder_bad_tick.json", {"version": 1, "kind": "table", "entries": [
+        {"reflection": {"media": ["m1"], "tick": "4", "value": "v1"},
+         "state": {"entities": ["a"], "tick": 1, "value": "v1"}}]})
+
+
+def corpus() -> list:
+    """Every call of the golden corpus, as argv lists."""
+    fixtures = sorted(p.stem for p in FIXTURES.glob("*.json"))
+    instances = [_fixture(n) for n in INSTANCES]
+    generated = ["$WORK/%s.json" % n for n in ("foreign", "unlinked", "dangling", "crlf_accented")]
+    decoders = [_fixture(n) for n in DECODERS] + ["$WORK/decoder_l1.json",
+                                                  "$WORK/decoder_bad_tick.json"]
+    weights = _fixture("weights_ex1")
+    calls = []
+    for name in fixtures:
+        path = _fixture(name)
+        calls += [["validate", path], ["metrics", path], ["metrics", path, "--out", "table"],
+                  ["atoms", path]]
+    for path in generated:
+        calls += [["validate", path], ["metrics", path]]
+    calls.append(["validate", "$WORK/missing.json"])
+    for inst in instances:
+        calls.append(["metrics", inst, "--weights", weights])
+        for dec in decoders:
+            calls.append(["metrics", inst, "--decoder", dec])
+        for target in instances + generated:
+            for mode in ("replica", "union"):
+                calls.append(["metrics", inst, "--target", target, "--coverage-mode", mode])
+        for target in instances:
+            for mode, brute in itertools.product(("replica", "union"), ((), ("--brute-force",))):
+                calls.append(["coverage", inst, "--target", target, "--mode", mode, *brute])
+    for target in instances + generated:
+        for dec in decoders:
+            calls.append(["metrics", _fixture("ex1"), "--target", target, "--decoder", dec,
+                          "--weights", weights, "--out", "table"])
+    calls += [
+        ["metrics", _fixture("ex1"), "--target", _fixture("ex1_s1r1"), "--coverage-mode",
+         "union", "--brute-force"],
+        ["metrics", _fixture("ex1"), "--target", _fixture("ex1_s1r1"), "--brute-force"],
+        ["metrics", _fixture("ex1"), "--target", _fixture("ex1_s1"),
+         "--suit-weights", "0", "0", "0", "1", "0", "0"],
+        ["coverage", _fixture("ex1"), "--target", "$WORK/foreign.json"],
+    ]
+    for first, second in itertools.product(instances + ["$WORK/relay.json"], repeat=2):
+        calls += [["combine", first, second, "-o", "-"],
+                  ["combine", first, second, "--lax", "-o", "-"],
+                  ["compose", first, second, "-o", "-"]]
+    calls += [["gen", "--seed", str(seed), "-o", "-"] for seed in range(10)]
+    calls += [
+        ["entropy", "--probs", "0.5,0.25,0.25"],
+        ["hartley", "--n", "4", "--s", "10"],
+        ["demo", "shannon", "--probs", "0.5,0.5", "--n", "8", "--seed", "7"],
+    ]
+    return calls
+
+
+def run_corpus(work: Path) -> dict:
+    """Run every corpus call in-process; map each call to [exit code, stdout sha256]."""
+    write_generated(work)
+    results = {}
+    for argv in corpus():
+        real = [str(REPO_ROOT / a) if a.startswith("fixtures/")
+                else a.replace("$WORK", str(work)) for a in argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(real)
+        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        results[" ".join(argv)] = [code, digest]
+    return results
+
+
+def test_cli_outputs_match_the_golden_corpus(tmp_path, monkeypatch):
+    monkeypatch.delenv("OIT_GUARD", raising=False)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    results = run_corpus(tmp_path)
+    assert sorted(results) == sorted(golden)
+    changed = [call for call in golden if results[call] != golden[call]]
+    assert changed == []
+
+
+def main() -> None:
+    os.environ.pop("OIT_GUARD", None)
+    with tempfile.TemporaryDirectory() as work:
+        results = run_corpus(Path(work))
+    GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    sys.stdout.write("pinned %d calls in %s\n" % (len(results), GOLDEN))
+
+
+if __name__ == "__main__":
+    main()

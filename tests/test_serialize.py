@@ -91,6 +91,23 @@ class TestDiagnostics:
             parse_instance(json.dumps({"version": 2}))
         assert codes(exc) == {SCHEMA}
 
+    @pytest.mark.parametrize("where", ["version", "rational", "weight"])
+    def test_echoed_input_is_bounded(self, ex1, where):
+        nested = "x"
+        for _ in range(900):
+            nested = [nested]
+        doc = json.loads(emit_instance(ex1))
+        if where == "version":
+            doc = {"version": nested}
+        elif where == "rational":
+            doc["state_records"][0]["value"] = {"rational": "9" * 2000 + "/x"}
+        else:
+            doc["weights"] = {"media": {"m1": "1/" + "x" * 2000}}
+        with pytest.raises(ValidationError) as exc:
+            parse_document(json.dumps(doc))
+        assert exc.value.diagnostics[0].code == SCHEMA
+        assert max(len(d.message) for d in exc.value.diagnostics) < 120
+
     def test_empty_links_reports_nonvoid(self, ex1):
         doc = json.loads(emit_instance(ex1))
         doc["links"] = []
@@ -192,6 +209,32 @@ class TestSideDocuments:
         with pytest.raises(ValidationError) as exc:
             parse("[" * 100_000 + "]" * 100_000)
         assert codes(exc) == {MALFORMED}
+
+    @pytest.mark.parametrize("side", ["reflection", "state"])
+    @pytest.mark.parametrize("field, bad", [("tick", "4"), ("value", 1.5)])
+    def test_decoder_entry_reports_the_bad_part(self, side, field, bad):
+        entry = {"reflection": {"media": ["m1"], "tick": 4, "value": "v1"},
+                 "state": {"entities": ["a"], "tick": 1, "value": "v1"}}
+        entry[side][field] = bad
+        with pytest.raises(ValidationError) as exc:
+            parse_decoder(json.dumps({"version": 1, "kind": "table", "entries": [entry]}))
+        assert [d.subjects for d in exc.value.diagnostics] == [
+            ("entries[0].%s.%s" % (side, field),)
+        ]
+
+    @pytest.mark.parametrize("parse", [parse_document, parse_target, parse_decoder,
+                                       parse_weights_file])
+    def test_top_level_must_be_an_object(self, parse):
+        with pytest.raises(ValidationError) as exc:
+            parse("[]")
+        assert [d.message for d in exc.value.diagnostics] == ["$: top level must be an object"]
+
+    def test_decoder_version_uses_the_document_wording(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_decoder(json.dumps({"version": 2, "kind": "preimage"}))
+        assert [d.message for d in exc.value.diagnostics] == [
+            "version: unsupported document version 2"
+        ]
 
     def test_decoder_requires_known_kind(self):
         with pytest.raises(ValidationError):
