@@ -65,7 +65,7 @@ def synonymy_class(
     itself is always a member.
     """
     wanted = _target_state_ids(info, target)
-    relevant = sorted(p for p in info.links if p[0] in wanted)
+    relevant = [(a, b) for a in sorted(wanted) for b in info.relation.successors[a]]
     if len(relevant) > guard:
         raise EnumerationGuardExceeded(
             "instance too large for exhaustive synonymy (%d links over guard %d)"
@@ -92,9 +92,7 @@ def _union_media_brute(info: Information, target: Information, guard: int) -> fr
 
 
 def _replica_media(info: Information, wanted: frozenset, brute_force: bool, guard: int) -> set:
-    preimages = {}
-    for a, b in info.relation:
-        preimages.setdefault(b, set()).add(a)
+    preimages = info.relation.predecessors
     hosted: dict = {}
     for rec in info.reflections:
         for medium in rec.media:
@@ -115,8 +113,8 @@ def _replica_media(info: Information, wanted: frozenset, brute_force: bool, guar
         else:
             covered: set = set()
             for rid in records:
-                if preimages[rid] <= wanted:
-                    covered |= preimages[rid]
+                if wanted.issuperset(preimages[rid]):
+                    covered.update(preimages[rid])
             if covered == wanted:
                 good.add(medium)
     return good

@@ -78,10 +78,14 @@ class Diagnostic:
     subjects: tuple[str, ...] = ()
 
 
+def brief(text: str) -> str:
+    """Untrusted text for a diagnostic: at most 40 characters."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def brief_repr(value) -> str:
     """``repr`` of untrusted input for a diagnostic: bounded nesting, at most 40 characters."""
-    text = reprlib.repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
+    return brief(reprlib.repr(value))
 
 
 EMPTY_COMPONENT = "empty-component"
@@ -154,20 +158,35 @@ class LinkRelation:
         return tuple(pair) in self.links
 
     @cached_property
+    def successors(self) -> dict:
+        """State id -> sorted tuple of the reflection ids it links to."""
+        return _grouped(self.links)
+
+    @cached_property
+    def predecessors(self) -> dict:
+        """Reflection id -> sorted tuple of the state ids linked to it."""
+        return _grouped((b, a) for a, b in self.links)
+
+    @cached_property
     def sources(self) -> frozenset:
-        return frozenset(a for a, _ in self.links)
+        return frozenset(self.successors)
 
     @cached_property
     def targets(self) -> frozenset:
-        return frozenset(b for _, b in self.links)
+        return frozenset(self.predecessors)
 
     def image_of(self, state_ids: Iterable[str]) -> frozenset:
-        wanted = set(state_ids)
-        return frozenset(b for a, b in self.links if a in wanted)
+        return frozenset(b for a in state_ids for b in self.successors.get(a, ()))
 
     def preimage_of(self, reflection_ids: Iterable[str]) -> frozenset:
-        wanted = set(reflection_ids)
-        return frozenset(a for a, b in self.links if b in wanted)
+        return frozenset(a for b in reflection_ids for a in self.predecessors.get(b, ()))
+
+
+def _grouped(pairs) -> dict:
+    out: dict = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return {key: tuple(sorted(values)) for key, values in out.items()}
 
 
 @dataclass(frozen=True)
@@ -509,29 +528,18 @@ def combine(a: Information, b: Information, mode: str = "strict") -> Information
     states = _merge_record_class(a.states, b.states, "state")
     reflections = _merge_record_class(a.reflections, b.reflections, "reflection")
 
-    def rewritten(info: Information) -> frozenset:
-        return frozenset(
-            (
-                states[info.state_by_id[x].identity].id,
-                reflections[info.reflection_by_id[y].identity].id,
-            )
-            for x, y in info.relation
-        )
+    def rewritten(info: Information) -> LinkRelation:
+        return LinkRelation((states[s].id, reflections[r].id) for s, r in info.link_identities)
 
-    links_a = rewritten(a)
-    links_b = rewritten(b)
-    union = links_a | links_b
+    parts = (rewritten(a), rewritten(b))
+    union = LinkRelation(parts[0].links | parts[1].links)
 
     if mode == "strict":
-        def links_of(pool, sid):
-            return frozenset(p for p in pool if p[0] == sid)
-
-        for sid in sorted({x for x, _ in union}):
-            merged = links_of(union, sid)
-            if merged != links_of(links_a, sid) and merged != links_of(links_b, sid):
+        for sid, merged in sorted(union.successors.items()):
+            if all(part.successors.get(sid) != merged for part in parts):
                 raise InconsistentOverlap("inconsistent overlap at %s" % sid)
 
-    return Information(states.values(), reflections.values(), LinkRelation(union))
+    return Information(states.values(), reflections.values(), union)
 
 
 def compose(first: Information, second: Information) -> Information:
@@ -543,11 +551,10 @@ def compose(first: Information, second: Information) -> Information:
     stage's state side and the second stage's reflection side, with the
     relational composition of the two link sets.
     """
-    second_state_by_identity = {rec.identity: rec.id for rec in second.states}
     match: dict = {}
     unmatched_reflections = []
     for rec in sorted(first.reflections, key=lambda r: r.id):
-        sid = second_state_by_identity.get(rec.identity)
+        sid = second.state_id_by_identity.get(rec.identity)
         if sid is None:
             unmatched_reflections.append(rec.id)
         else:
@@ -557,14 +564,8 @@ def compose(first: Information, second: Information) -> Information:
     if unmatched_reflections or unmatched_states:
         raise InterfaceMismatch(unmatched_reflections, unmatched_states)
 
-    by_source: dict = {}
-    for x, y in second.relation:
-        by_source.setdefault(x, set()).add(y)
-    links = {
-        (a, c)
-        for a, b in first.relation
-        for c in by_source[match[b]]
-    }
+    successors = second.relation.successors
+    links = {(a, c) for a, b in first.relation for c in successors[match[b]]}
     return Information(first.states, second.reflections, LinkRelation(links))
 
 
@@ -633,13 +634,8 @@ def is_reducible(info: Information) -> ReducibilityReport:
     Exact lossless reduction (preimage after image is the identity on
     singletons) holds iff the relation is both functional and injective.
     """
-    out_degree: dict = {}
-    in_degree: dict = {}
-    for a, b in info.relation:
-        out_degree.setdefault(a, set()).add(b)
-        in_degree.setdefault(b, set()).add(a)
-    multi_target = tuple(sorted(a for a, bs in out_degree.items() if len(bs) > 1))
-    multi_source = tuple(sorted(b for b, xs in in_degree.items() if len(xs) > 1))
+    multi_target = tuple(sorted(a for a, bs in info.relation.successors.items() if len(bs) > 1))
+    multi_source = tuple(sorted(b for b, xs in info.relation.predecessors.items() if len(xs) > 1))
     functional = not multi_target
     injective = not multi_source
     return ReducibilityReport(

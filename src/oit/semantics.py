@@ -58,7 +58,8 @@ class SemanticMapping:
 def decode(info: Information, mapping: SemanticMapping) -> frozenset:
     """Claimed state triples for all reflections of the instance."""
     if mapping.kind == "preimage":
-        return frozenset(info.state_by_id[a].identity for a in info.relation.sources)
+        # The preimage of all reflections is every state, since the relation is total.
+        return info.state_identities
     claimed = set()
     for rec in info.reflections:
         try:
@@ -164,14 +165,16 @@ class TargetSextuple:
     def __post_init__(self):
         names = ("ontology", "occurrence_ticks", "states", "carrier",
                  "reflection_ticks", "reflections")
-        for name in names:
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-        object.__setattr__(self, "links", frozenset(tuple(p) for p in self.links))
+        # Checked before freezing, so that a record declared twice is reported.
+        given = {name: tuple(getattr(self, name)) for name in names}
+        given["links"] = tuple(tuple(p) for p in self.links)
         diags: list = []
-        _check_well_formed([(name, getattr(self, name)) for name in names],
-                           self.states, self.reflections, self.links, diags)
+        _check_well_formed([(name, given[name]) for name in names],
+                           given["states"], given["reflections"], given["links"], diags)
         if diags:
             raise ValidationError(diags)
+        for name, values in given.items():
+            object.__setattr__(self, name, frozenset(values))
 
     @classmethod
     def from_information(cls, info: Information) -> TargetSextuple:

@@ -30,6 +30,7 @@ from .model import (
     ReflectionRecord,
     StateRecord,
     ValidationError,
+    brief,
     brief_repr,
 )
 from .semantics import (
@@ -150,14 +151,14 @@ def _weights_from_json(raw, diags) -> dict:
         return specs
     for universe, table in raw.items():
         if universe not in UNIVERSES:
-            _diag(diags, "weights.%s" % universe, "unknown universe")
+            _diag(diags, "weights.%s" % brief(universe), "unknown universe")
             continue
         if not isinstance(table, dict):
             _diag(diags, "weights.%s" % universe, "expected a token-to-weight object")
             continue
         parsed = {}
         for token, value in table.items():
-            path = "weights.%s.%s" % (universe, token)
+            path = "weights.%s.%s" % (universe, brief(token))
             w = _weight_from_json(value, path, diags)
             if w is None:
                 continue
@@ -315,13 +316,13 @@ def _target_from_text(text: str):
     if diags:
         raise ValidationError(diags)
     return raw, TargetSextuple(
-        frozenset(raw.entities),
-        frozenset(rec.tick for rec in raw.states),
-        frozenset(raw.states),
-        frozenset(raw.media),
-        frozenset(rec.tick for rec in raw.reflections),
-        frozenset(raw.reflections),
-        frozenset(raw.links),
+        raw.entities,
+        tuple(rec.tick for rec in raw.states),
+        raw.states,
+        raw.media,
+        tuple(rec.tick for rec in raw.reflections),
+        raw.reflections,
+        raw.links,
     )
 
 
@@ -334,8 +335,7 @@ def parse_demand(text: str):
     """Parse a target document once: its demand sextuple, and the instance its
     records make, or None when they break an instance invariant.
 
-    An invalid demand raises.  The instance check sees the raw records, so
-    it also rejects a record declared twice, which the demand's sets absorb.
+    An invalid demand raises.
     """
     raw, demand = _target_from_text(text)
     try:

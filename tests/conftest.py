@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 
 import pytest
@@ -8,6 +9,15 @@ from oit import example_instance
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
+SCRIPTS = REPO_ROOT / "scripts"
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module without running its ``main``."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / (name + ".py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from oit import (
     SemanticMapping,
     combine,
     compose,
-    counting,
     coverage,
     delay,
     emit_instance,
@@ -42,30 +41,16 @@ from oit import (
     validity,
     volume,
     volume_entropy_demo,
-    weighted,
 )
 
+from .conftest import load_script
+
 TOL = 1e-9
+sweep = load_script("proposition_sweep")
 
 
 def ok(criterion: int, text: str) -> None:
     print("ACCEPTANCE %d PASS - %s" % (criterion, text))
-
-
-def random_measures(info, rng):
-    def table(keys):
-        return {k: Fraction(rng.randint(0, 12), rng.randint(1, 6)) for k in keys}
-
-    return {
-        "entities": weighted("entities", table(info.ontology)),
-        "ticks": weighted("ticks", table(info.occurrence_ticks)),
-        "state_records": weighted("state_records", table(r.id for r in info.states)),
-        "media": weighted("media", table(info.carrier)),
-    }
-
-
-def counting_measures():
-    return {u: counting(u) for u in ("entities", "ticks", "state_records", "media")}
 
 
 def test_criterion_1_monotone_propositions():
@@ -75,7 +60,7 @@ def test_criterion_1_monotone_propositions():
         info = generate_synthetic(seed, Profile())
         rng = random.Random(seed ^ 0xA5A5)
         sub = restrict_links(info, random_link_subset(info, rng))
-        for specs in (counting_measures(), random_measures(info, rng)):
+        for specs in (sweep.counting_measures(), sweep.random_measures(info, rng)):
             assert scope(sub, specs["entities"]) <= scope(info, specs["entities"])
             assert granularity(sub, specs["entities"]) <= granularity(info, specs["entities"])
             assert sustainability(sub, specs["ticks"]) <= sustainability(info, specs["ticks"])

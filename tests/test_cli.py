@@ -192,6 +192,20 @@ class TestMetrics:
             "dangling-link-target: dangling link target: r9 is not a declared reflection record",
         ]
 
+    def test_target_declaring_a_record_twice_is_rejected_like_validate(
+        self, capsys, ex1_path, tmp_path
+    ):
+        target = tmp_path / "target.json"
+        doc = json.loads(emit_instance(example_instance()))
+        doc["state_records"].append(doc["state_records"][0])
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "metrics", ex1_path, "--target", str(target))
+        assert (code, out) == (1, "")
+        assert run(capsys, "validate", str(target)) == (1, "", err)
+        assert err == (
+            "duplicate-record-content: record identity clash: state record id s1 declared twice\n"
+        )
+
     def test_non_sub_target_skips_coverage(self, capsys, ex1_path, tmp_path):
         foreign = tmp_path / "foreign.json"
         doc = json.loads(emit_instance(example_instance()))

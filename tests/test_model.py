@@ -411,3 +411,98 @@ class TestProperties:
         assert image(info, {s.id for s in info.states}) == {
             r.id for r in info.reflections
         }
+
+
+def scanned_successors(links) -> dict:
+    """State id -> sorted reflection ids, by one scan of the links per state."""
+    return {a: tuple(sorted(y for x, y in links if x == a)) for a, _ in links}
+
+
+def scanned_predecessors(links) -> dict:
+    """Reflection id -> sorted state ids, by one scan of the links per reflection."""
+    return {b: tuple(sorted(x for x, y in links if y == b)) for _, b in links}
+
+
+def rescanned_overlap(a: Information, b: Information, merged: Information):
+    """The first state id, in sorted order, whose links in the union match neither
+    operand's, found by rescanning the whole union once per state; None if none."""
+    state_id = merged.state_id_by_identity
+    reflection_id = {rec.identity: rec.id for rec in merged.reflections}
+
+    def rewritten(info):
+        return frozenset(
+            (state_id[info.state_by_id[x].identity], reflection_id[info.reflection_by_id[y].identity])
+            for x, y in info.links
+        )
+
+    def links_of(pool, sid):
+        return frozenset(p for p in pool if p[0] == sid)
+
+    links_a, links_b = rewritten(a), rewritten(b)
+    union = links_a | links_b
+    for sid in sorted({x for x, _ in union}):
+        mixed = links_of(union, sid)
+        if mixed != links_of(links_a, sid) and mixed != links_of(links_b, sid):
+            return sid
+    return None
+
+
+class TestEndpointIndex:
+    """The link relation's endpoint index against plain scans of ``info.links``."""
+
+    @given(informations(), st.integers(0, 2**16))
+    def test_lookups_match_a_scan_of_the_links(self, info, salt):
+        relation = info.relation
+        assert relation.successors == scanned_successors(info.links)
+        assert relation.predecessors == scanned_predecessors(info.links)
+        rng = random.Random(salt)
+        state_ids = {s.id for s in info.states if rng.random() < 0.5}
+        reflection_ids = {r.id for r in info.reflections if rng.random() < 0.5}
+        assert image(info, state_ids) == {b for a, b in info.links if a in state_ids}
+        assert preimage(info, reflection_ids) == {a for a, b in info.links if b in reflection_ids}
+        report = is_reducible(info)
+        assert report.multi_target_states == tuple(
+            sorted(a for a, bs in scanned_successors(info.links).items() if len(bs) > 1)
+        )
+        assert report.multi_source_reflections == tuple(
+            sorted(b for b, xs in scanned_predecessors(info.links).items() if len(xs) > 1)
+        )
+        assert report.reducible == (not report.multi_target_states
+                                    and not report.multi_source_reflections)
+
+    @given(informations_with_sublinks(), st.integers(0, 2**16), st.sampled_from(["", "a_", "z_"]))
+    @settings(max_examples=200)
+    def test_combine_matches_the_rescan(self, case, salt, prefix):
+        info, l1 = case
+        rng = random.Random(salt)
+        l2 = frozenset(rng.sample(sorted(info.links), rng.randint(1, len(info.links))))
+        a = restrict_links(info, l1)
+        b = restrict_links(info, l2)
+        if prefix:
+            b = renamed(b, prefix)
+        lax = combine(a, b, "lax")
+        assert lax.link_identities == a.link_identities | b.link_identities
+        for rec in lax.states | lax.reflections:
+            assert rec.id == min(
+                r.id
+                for r in a.states | a.reflections | b.states | b.reflections
+                if r.identity == rec.identity and type(r) is type(rec)
+            )
+        overlap = rescanned_overlap(a, b, lax)
+        if overlap is None:
+            assert combine(a, b, "strict") == lax
+        else:
+            with pytest.raises(InconsistentOverlap, match="^inconsistent overlap at %s$" % overlap):
+                combine(a, b, "strict")
+
+    def test_the_first_split_state_is_named(self):
+        info = assemble(
+            [StateRecord("s%d" % i, {"e"}, i, "v") for i in (1, 2)],
+            [ReflectionRecord("r%d" % i, {"m"}, i, "v") for i in (1, 2, 3, 4)],
+            [("s1", "r1"), ("s1", "r2"), ("s2", "r3"), ("s2", "r4")],
+        )
+        a = restrict_links(info, [("s1", "r1"), ("s2", "r3")])
+        b = restrict_links(info, [("s1", "r2"), ("s2", "r4")])
+        assert rescanned_overlap(a, b, combine(a, b, "lax")) == "s1"
+        with pytest.raises(InconsistentOverlap, match="^inconsistent overlap at s1$"):
+            combine(a, b, "strict")

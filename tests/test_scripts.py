@@ -1,18 +1,13 @@
 from __future__ import annotations
 
-import importlib.util
 import subprocess
 import sys
 
-from .conftest import FIXTURES, REPO_ROOT
-
-SCRIPTS = REPO_ROOT / "scripts"
+from .conftest import FIXTURES, SCRIPTS, load_script
 
 
 def test_make_fixtures_reproduces_the_shipped_fixtures(tmp_path):
-    spec = importlib.util.spec_from_file_location("make_fixtures", SCRIPTS / "make_fixtures.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("make_fixtures")
     script.FIXTURES = tmp_path
     script.main()
     written = sorted(p.name for p in tmp_path.iterdir())

@@ -174,6 +174,25 @@ class TestWeights:
         assert codes(exc) == {SCHEMA}
         assert exc.value.diagnostics[0].subjects == ("weights.media.m1",)
 
+    @pytest.mark.parametrize(
+        "weights, subject",
+        [
+            ({"u" * 5000: {}}, "weights." + "u" * 37 + "..."),
+            ({"media": {"m" * 5000: "-1"}}, "weights.media." + "m" * 37 + "..."),
+            ({"ticks": {"t" * 40: "1"}}, "weights.ticks." + "t" * 40),
+        ],
+        ids=["long-universe", "long-token", "token-at-the-limit"],
+    )
+    def test_weight_keys_are_echoed_briefly(self, ex1, weights, subject):
+        doc = json.loads(emit_instance(ex1))
+        doc["weights"] = weights
+        with pytest.raises(ValidationError) as exc:
+            parse_document(json.dumps(doc))
+        (diag,) = exc.value.diagnostics
+        assert diag.subjects == (subject,)
+        assert diag.message.startswith(subject + ": ")
+        assert len(diag.message) < 100
+
     def test_standalone_weights_file(self, fixtures_dir):
         specs = parse_weights_file((fixtures_dir / "weights_ex1.json").read_text())
         assert specs["media"].measure({"m1", "m2", "m3"}) == 250
@@ -186,6 +205,15 @@ class TestSideDocuments:
         del doc["links"][0]  # no totality requirement either
         target = parse_target(json.dumps(doc))
         assert "m-future" in target.carrier
+
+    def test_parse_target_rejects_a_record_declared_twice(self, ex1):
+        doc = json.loads(emit_instance(ex1))
+        doc["reflection_records"].append(doc["reflection_records"][1])
+        with pytest.raises(ValidationError) as exc:
+            parse_target(json.dumps(doc))
+        assert [d.message for d in exc.value.diagnostics] == [
+            "record identity clash: reflection record id r2 declared twice"
+        ]
 
     def test_parse_decoder_fixtures(self, ex1, fixtures_dir):
         mapping, distance = parse_decoder((fixtures_dir / "decoder_const_s1.json").read_text())
