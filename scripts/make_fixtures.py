@@ -7,13 +7,13 @@ tree unchanged unless the builders themselves changed.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from oit import emit_instance, example_instance, restrict_links  # noqa: E402
+from oit.serialize import document_to_text  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -49,11 +49,9 @@ def main() -> None:
             for rec in sorted(ex1.reflections, key=lambda r: r.id)
         ],
     }
-    (FIXTURES / "decoder_const_s1.json").write_text(
-        json.dumps(const_decoder, indent=2, sort_keys=True) + "\n"
-    )
+    (FIXTURES / "decoder_const_s1.json").write_text(document_to_text(const_decoder))
     (FIXTURES / "decoder_preimage.json").write_text(
-        json.dumps({"version": 1, "kind": "preimage"}, indent=2, sort_keys=True) + "\n"
+        document_to_text({"version": 1, "kind": "preimage"})
     )
 
     weights = {
@@ -64,9 +62,7 @@ def main() -> None:
             "ticks": {"1": "1", "2": "1", "3": "10"},
         }
     }
-    (FIXTURES / "weights_ex1.json").write_text(
-        json.dumps(weights, indent=2, sort_keys=True) + "\n"
-    )
+    (FIXTURES / "weights_ex1.json").write_text(document_to_text(weights))
 
     print("wrote fixtures to", FIXTURES)
 

@@ -18,7 +18,6 @@ from .classic import volume_entropy_demo, hartley_information, shannon_entropy
 from .flow import DEFAULT_GUARD, coverage, delay
 from .generate import Profile, generate_synthetic
 from .measures import (
-    MeasureSpec,
     counting,
     granularity,
     richness,
@@ -26,29 +25,35 @@ from .measures import (
     sustainability,
     volume,
 )
-from .model import OitError, ValidationError, brief_repr, combine, compose, is_sub_information
+from .model import (
+    OitError,
+    RawSextuple,
+    ValidationError,
+    brief_repr,
+    build,
+    combine,
+    compose,
+    is_sub_information,
+)
 from .semantics import EQUAL_WEIGHTS, suitability, validity
 from .serialize import (
     document_to_text,
     emit_instance,
     instance_digest,
     parse_decoder,
-    parse_demand,
     parse_document,
+    parse_target,
     parse_weights_file,
     text_digest,
 )
 
-METRIC_ORDER = (
-    "scope",
-    "granularity",
-    "sustainability",
-    "richness",
-    "volume",
-    "delay",
-    "coverage",
-    "validity",
-    "suitability",
+# The five measure metrics in report order: (name, metric, measured universe).
+MEASURE_METRICS = (
+    ("scope", scope, "entities"),
+    ("granularity", granularity, "entities"),
+    ("sustainability", sustainability, "ticks"),
+    ("richness", richness, "state_records"),
+    ("volume", volume, "media"),
 )
 
 
@@ -101,44 +106,39 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _entry(name: str, value, provenance: dict) -> dict:
+    """One report entry; ``value`` is the metric's exact int or Fraction."""
+    return {"name": name, "value": str(value), "approx": float(value), "provenance": provenance}
+
+
 def cmd_metrics(args) -> int:
     info, weights = parse_document(_read(args.file))
     if args.weights:
         weights = parse_weights_file(_read(args.weights))
 
-    def spec_for(universe: str) -> MeasureSpec:
-        return weights.get(universe) or counting(universe)
-
-    def prov(universe: str) -> dict:
-        spec = spec_for(universe)
-        p = {"universe": universe, "measure": spec.kind}
-        if spec.kind == "weighted":
-            p["weights"] = {str(k): str(w) for k, w in sorted(spec.weights.items(), key=lambda kv: str(kv[0]))}
-        return p
-
     entries = []
-
-    def add(name, value, provenance):
-        entries.append(
-            {
-                "name": name,
-                "value": str(value),
-                "approx": float(value),
-                "provenance": provenance,
+    for name, metric, universe in MEASURE_METRICS:
+        spec = weights.get(universe) or counting(universe)
+        provenance = {"universe": universe, "measure": spec.kind}
+        if spec.kind == "weighted":
+            provenance["weights"] = {
+                str(k): str(w) for k, w in sorted(spec.weights.items(), key=lambda kv: str(kv[0]))
             }
-        )
+        entries.append(_entry(name, metric(info, spec), provenance))
+    entries.append(_entry("delay", delay(info), {"basis": "atom-max"}))
 
-    add("scope", scope(info, spec_for("entities")), prov("entities"))
-    add("granularity", granularity(info, spec_for("entities")), prov("entities"))
-    add("sustainability", sustainability(info, spec_for("ticks")), prov("ticks"))
-    add("richness", richness(info, spec_for("state_records")), prov("state_records"))
-    add("volume", volume(info, spec_for("media")), prov("media"))
-    add("delay", delay(info), {"basis": "atom-max"})
-
+    # Suitability is reported last but computed before the decoder is read, so that
+    # a bad target's error wins over a bad decoder's.
+    last = []
     if args.target:
         target_text = _read(args.target)
-        target, target_info = parse_demand(target_text)
+        target = parse_target(target_text)
         target_digest = text_digest(target_text)
+        try:
+            target_info = build(RawSextuple.of(
+                target.ontology, target.carrier, target.states, target.reflections, target.links))
+        except ValidationError:
+            target_info = None
         if target_info is not None and is_sub_information(target_info, info):
             value = coverage(
                 info,
@@ -147,15 +147,11 @@ def cmd_metrics(args) -> int:
                 brute_force=args.brute_force,
                 guard=args.guard,
             )
-            add(
-                "coverage",
-                value,
-                {
-                    "mode": args.coverage_mode,
-                    "brute_force": args.brute_force,
-                    "target": target_digest,
-                },
-            )
+            entries.append(_entry("coverage", value, {
+                "mode": args.coverage_mode,
+                "brute_force": args.brute_force,
+                "target": target_digest,
+            }))
         else:
             sys.stderr.write(
                 "note: target is not a sub-information; coverage skipped\n"
@@ -165,31 +161,22 @@ def cmd_metrics(args) -> int:
             if args.suit_weights
             else EQUAL_WEIGHTS
         )
-        add(
-            "suitability",
-            suitability(info, target, suit_weights),
-            {
-                "weights": [str(w) for w in suit_weights],
-                "distance": "jaccard",
-                "target": target_digest,
-            },
-        )
+        last.append(_entry("suitability", suitability(info, target, suit_weights), {
+            "weights": [str(w) for w in suit_weights],
+            "distance": "jaccard",
+            "target": target_digest,
+        }))
 
     if args.decoder:
         decoder_text = _read(args.decoder)
         mapping, distance = parse_decoder(decoder_text)
-        add(
-            "validity",
-            validity(info, mapping, distance),
-            {
-                "decoder": mapping.kind,
-                "distance": distance.kind,
-                "source": text_digest(decoder_text),
-            },
-        )
+        entries.append(_entry("validity", validity(info, mapping, distance), {
+            "decoder": mapping.kind,
+            "distance": distance.kind,
+            "source": text_digest(decoder_text),
+        }))
 
-    entries.sort(key=lambda e: METRIC_ORDER.index(e["name"]))
-    _emit_report(entries, instance_digest(info), args.out)
+    _emit_report(entries + last, instance_digest(info), args.out)
     return 0
 
 

@@ -292,7 +292,7 @@ def _check_records(records, token_field: str, label: str, diags: list):
             diags.append(
                 Diagnostic(
                     EMPTY_RECORD_TOKENS,
-                    "%s record %s has an empty %s set" % (label, rec.id, token_field),
+                    "%s record %s has an empty %s set" % (label, brief(rec.id), token_field),
                     (rec.id,),
                 )
             )
@@ -306,7 +306,7 @@ def _check_records(records, token_field: str, label: str, diags: list):
             diags.append(
                 Diagnostic(
                     code,
-                    "record identity clash: %s record id %s declared twice" % (label, rec.id),
+                    "record identity clash: %s record id %s declared twice" % (label, brief(rec.id)),
                     (rec.id,),
                 )
             )
@@ -317,7 +317,8 @@ def _check_records(records, token_field: str, label: str, diags: list):
             diags.append(
                 Diagnostic(
                     DUPLICATE_RECORD_CONTENT,
-                    "%s records %s and %s share one content triple" % (label, prev_id, rec.id),
+                    "%s records %s and %s share one content triple"
+                    % (label, brief(prev_id), brief(rec.id)),
                     (prev_id, rec.id),
                 )
             )
@@ -343,7 +344,7 @@ def _check_well_formed(components, states, reflections, links, diags: list):
             diags.append(
                 Diagnostic(
                     DANGLING_LINK_SOURCE,
-                    "dangling link source: %s is not a declared state record" % a,
+                    "dangling link source: %s is not a declared state record" % brief(a),
                     (a,),
                 )
             )
@@ -351,7 +352,7 @@ def _check_well_formed(components, states, reflections, links, diags: list):
             diags.append(
                 Diagnostic(
                     DANGLING_LINK_TARGET,
-                    "dangling link target: %s is not a declared reflection record" % b,
+                    "dangling link target: %s is not a declared reflection record" % brief(b),
                     (b,),
                 )
             )
@@ -381,7 +382,7 @@ def validate(raw: RawSextuple) -> list:
         diags.append(
             Diagnostic(
                 UNLINKED_STATE,
-                "totality violation: state record %s has no link" % rec_id,
+                "totality violation: state record %s has no link" % brief(rec_id),
                 (rec_id,),
             )
         )
@@ -389,7 +390,7 @@ def validate(raw: RawSextuple) -> list:
         diags.append(
             Diagnostic(
                 UNLINKED_REFLECTION,
-                "surjectivity violation: reflection record %s has no link" % rec_id,
+                "surjectivity violation: reflection record %s has no link" % brief(rec_id),
                 (rec_id,),
             )
         )
@@ -502,14 +503,13 @@ def restrict_links(parent: Information, link_ids: Iterable[LinkPair]) -> Informa
 
 
 def _merge_record_class(recs_a, recs_b, label: str) -> dict:
+    """Content triple -> merged record, the smallest id winning; the smallest
+    id bound to two triples raises."""
     by_id: dict = {}
-    for rec in list(recs_a) + list(recs_b):
-        prev = by_id.get(rec.id)
-        if prev is not None and prev.identity != rec.identity:
-            raise RecordIdentityClash("record identity clash: %s record %s" % (label, rec.id))
-        by_id.setdefault(rec.id, rec)
     by_identity: dict = {}
-    for rec in sorted(list(recs_a) + list(recs_b), key=lambda r: r.id):
+    for rec in sorted((*recs_a, *recs_b), key=lambda r: r.id):
+        if by_id.setdefault(rec.id, rec).identity != rec.identity:
+            raise RecordIdentityClash("record identity clash: %s record %s" % (label, rec.id))
         by_identity.setdefault(rec.identity, rec)
     return by_identity
 

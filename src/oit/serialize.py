@@ -309,13 +309,14 @@ def instance_digest(info: Information) -> str:
     return text_digest(emit_instance(info))
 
 
-def _target_from_text(text: str):
-    """A target document's raw records and the demand they make; ``weights`` is not read."""
+def parse_target(text: str) -> TargetSextuple:
+    """Parse a document as a demand sextuple (no totality/surjectivity/closure);
+    its ``weights`` member is not read."""
     diags: list = []
     raw = _raw_from_document(_document_from_text(text), diags)
     if diags:
         raise ValidationError(diags)
-    return raw, TargetSextuple(
+    return TargetSextuple(
         raw.entities,
         tuple(rec.tick for rec in raw.states),
         raw.states,
@@ -324,24 +325,6 @@ def _target_from_text(text: str):
         raw.reflections,
         raw.links,
     )
-
-
-def parse_target(text: str) -> TargetSextuple:
-    """Parse a document as a demand sextuple (no totality/surjectivity/closure)."""
-    return _target_from_text(text)[1]
-
-
-def parse_demand(text: str):
-    """Parse a target document once: its demand sextuple, and the instance its
-    records make, or None when they break an instance invariant.
-
-    An invalid demand raises.
-    """
-    raw, demand = _target_from_text(text)
-    try:
-        return demand, model.build(raw)
-    except ValidationError:
-        return demand, None
 
 
 def parse_decoder(text: str):

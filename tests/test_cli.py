@@ -3,6 +3,9 @@ from __future__ import annotations
 import builtins
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 
@@ -10,6 +13,8 @@ import pytest
 
 import oit
 from oit import emit_instance, example_instance, parse_instance, restrict_links, run_cli
+
+from .conftest import REPO_ROOT
 
 
 def run(capsys, *argv):
@@ -69,6 +74,38 @@ class TestValidate:
         [line] = err.splitlines()
         assert line.startswith("schema: version: unsupported document version [[[")
         assert len(line) < 80
+
+    @pytest.mark.parametrize("length", [40, 5000])
+    def test_record_ids_in_diagnostics_are_echoed_briefly(self, capsys, tmp_path, length):
+        sid, rid, src, dst = (c * length for c in "srty")
+        doc = json.loads(emit_instance(example_instance()))
+        state = {"id": sid, "entities": [], "tick": 9, "value": "x"}
+        doc["state_records"] += [state, state]
+        doc["reflection_records"].append(dict(doc["reflection_records"][0], id=rid))
+        doc["links"].append({"from": src, "to": dst})
+        path = tmp_path / "long_ids.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+
+        def shown(rec_id):
+            return rec_id if len(rec_id) <= 40 else rec_id[:37] + "..."
+
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "empty-record-tokens: state record %s has an empty entities set" % shown(sid),
+            "empty-record-tokens: state record %s has an empty entities set" % shown(sid),
+            "duplicate-record-content: record identity clash: state record id %s declared twice"
+            % shown(sid),
+            "duplicate-record-content: reflection records r1 and %s share one content triple"
+            % shown(rid),
+            "dangling-link-source: dangling link source: %s is not a declared state record"
+            % shown(src),
+            "dangling-link-target: dangling link target: %s is not a declared reflection record"
+            % shown(dst),
+            "unlinked-state: totality violation: state record %s has no link" % shown(sid),
+            "unlinked-reflection: surjectivity violation: reflection record %s has no link"
+            % shown(rid),
+        ]
 
 
 def _accented_crlf(path, doc):
@@ -285,7 +322,15 @@ class TestMetrics:
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(oit.serialize, "json", types.SimpleNamespace(
             loads=counting_loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+        real_parse_target = oit.cli.parse_target
+        targets_parsed = []
+
+        def counting_parse_target(text):
+            targets_parsed.append(text)
+            return real_parse_target(text)
+
         monkeypatch.setattr(oit.model, "validate", counting_validate)
+        monkeypatch.setattr(oit.cli, "parse_target", counting_parse_target)
         code, out, _ = run(capsys, "metrics", ex1_path, "--target", target_path,
                            "--decoder", decoder_path)
         monkeypatch.undo()
@@ -301,6 +346,7 @@ class TestMetrics:
         assert validated[instance_links] == 1
         assert validated[target_links] <= 1
         assert set(validated) <= {instance_links, target_links}
+        assert targets_parsed == [texts[1]]
 
 
 class TestCoverage:
@@ -394,6 +440,23 @@ class TestAlgebraCommands:
         assert code == 0
         merged = parse_instance(out_path.read_text())
         assert merged == restrict_links(ex1, [("s1", "r1"), ("s1", "r3")])
+
+    def test_combine_clash_names_the_smallest_id_under_any_hash_seed(self, ex1_path, tmp_path):
+        doc = json.loads(emit_instance(example_instance()))
+        for rec in doc["state_records"]:
+            rec["value"] += "-changed"
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        for seed in ("0", "1", "2", "3"):
+            result = subprocess.run(
+                [sys.executable, "-c", "import oit.cli; oit.cli.main()",
+                 "combine", ex1_path, str(other), "-o", "-"],
+                capture_output=True, text=True, timeout=60, env=dict(env, PYTHONHASHSEED=seed),
+            )
+            assert (result.returncode, result.stdout, result.stderr) == (
+                1, "", "error: record identity clash: state record s1\n"), seed
 
     def test_compose_writes_valid_document(self, capsys, ex1_path, tmp_path):
         from oit import identity_relay

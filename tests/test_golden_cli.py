@@ -1,9 +1,11 @@
-"""Golden CLI outputs: the stdout bytes and exit code of a fixed corpus of calls.
+"""Golden CLI outputs: the exit code, stdout and stderr of a fixed corpus of calls.
 
 ``tests/golden_cli.json`` maps each call, written with fixture paths relative
 to the repository root and generated inputs under ``$WORK/``, to its exit
-code and the sha256 of its stdout.  Reports must stay byte-identical, so any
-difference fails.  To pin the corpus again, run from the repository root::
+code, the sha256 of its stdout and the sha256 of its stderr, in which the
+work directory is written as ``$WORK``.  Reports and diagnostics must stay
+byte-identical, so any difference fails.  To pin the corpus again, run from
+the repository root::
 
     PYTHONPATH=src python -m tests.test_golden_cli
 
@@ -116,18 +118,23 @@ def corpus() -> list:
     return calls
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def run_corpus(work: Path) -> dict:
-    """Run every corpus call in-process; map each call to [exit code, stdout sha256]."""
+    """Run every corpus call in-process; map each call to
+    [exit code, stdout sha256, stderr sha256]."""
     write_generated(work)
     results = {}
     for argv in corpus():
         real = [str(REPO_ROOT / a) if a.startswith("fixtures/")
                 else a.replace("$WORK", str(work)) for a in argv]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_cli(real)
-        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-        results[" ".join(argv)] = [code, digest]
+        results[" ".join(argv)] = [
+            code, _sha256(out.getvalue()), _sha256(err.getvalue().replace(str(work), "$WORK"))]
     return results
 
 
