@@ -157,7 +157,7 @@ def cmd_metrics(args) -> int:
                 "note: target is not a sub-information; coverage skipped\n"
             )
         suit_weights = (
-            tuple(Fraction(w) for w in args.suit_weights)
+            tuple(_fraction(w) for w in args.suit_weights)
             if args.suit_weights
             else EQUAL_WEIGHTS
         )
@@ -225,8 +225,16 @@ def cmd_coverage(args) -> int:
     return 0
 
 
+def _fraction(text: str) -> Fraction:
+    """A number given on the command line, read exactly."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("invalid number %s" % brief_repr(text)) from None
+
+
 def _parse_probs(text: str):
-    return tuple(float(Fraction(tok)) for tok in text.split(",") if tok)
+    return tuple(float(_fraction(tok)) for tok in text.split(",") if tok)
 
 
 def cmd_entropy(args) -> int:
@@ -367,7 +375,7 @@ def run_cli(argv=None) -> int:
         for diag in exc.diagnostics:
             sys.stderr.write("%s: %s\n" % (diag.code, diag.message))
         return 1
-    except (OitError, OSError, ValueError) as exc:
+    except (OitError, OSError, ValueError, ArithmeticError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

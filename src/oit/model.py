@@ -59,9 +59,9 @@ class InterfaceMismatch(OitError):
         self.unmatched_states = tuple(unmatched_states)
         parts = []
         if self.unmatched_reflections:
-            parts.append("unmatched first-stage reflections: %s" % ", ".join(self.unmatched_reflections))
+            parts.append("unmatched first-stage reflections: %s" % brief_ids(self.unmatched_reflections))
         if self.unmatched_states:
-            parts.append("unmatched second-stage states: %s" % ", ".join(self.unmatched_states))
+            parts.append("unmatched second-stage states: %s" % brief_ids(self.unmatched_states))
         super().__init__("composition interface mismatch: " + "; ".join(parts))
 
 
@@ -86,6 +86,17 @@ def brief(text: str) -> str:
 def brief_repr(value) -> str:
     """``repr`` of untrusted input for a diagnostic: bounded nesting, at most 40 characters."""
     return brief(reprlib.repr(value))
+
+
+LISTED_IDS = 10
+
+
+def brief_ids(ids, quote=str) -> str:
+    """Untrusted ids for a diagnostic: the first ``LISTED_IDS``, each through ``brief``
+    and then ``quote``, joined by commas, then how many more there are."""
+    shown = ", ".join(quote(brief(i)) for i in ids[:LISTED_IDS])
+    more = len(ids) - LISTED_IDS
+    return shown + (", ... and %d more" % more if more > 0 else "")
 
 
 EMPTY_COMPONENT = "empty-component"
@@ -361,6 +372,10 @@ def _check_well_formed(components, states, reflections, links, diags: list):
     return state_ids, reflection_ids, good_links
 
 
+def _listed_tokens(tokens: list) -> str:
+    return "[%s]" % brief_ids(tokens, repr) if tokens else "none"
+
+
 def validate(raw: RawSextuple) -> list:
     """Check every instance invariant; an empty list means the input is valid.
 
@@ -408,7 +423,7 @@ def validate(raw: RawSextuple) -> list:
                 Diagnostic(
                     CLOSURE_MISMATCH,
                     "canonical closure violated for %s (declared-only: %s; record-only: %s)"
-                    % (name, extra or "none", missing or "none"),
+                    % (name, _listed_tokens(extra), _listed_tokens(missing)),
                     tuple(extra + missing),
                 )
             )
@@ -509,7 +524,9 @@ def _merge_record_class(recs_a, recs_b, label: str) -> dict:
     by_identity: dict = {}
     for rec in sorted((*recs_a, *recs_b), key=lambda r: r.id):
         if by_id.setdefault(rec.id, rec).identity != rec.identity:
-            raise RecordIdentityClash("record identity clash: %s record %s" % (label, rec.id))
+            raise RecordIdentityClash(
+                "record identity clash: %s record %s" % (label, brief(rec.id))
+            )
         by_identity.setdefault(rec.identity, rec)
     return by_identity
 
@@ -537,7 +554,7 @@ def combine(a: Information, b: Information, mode: str = "strict") -> Information
     if mode == "strict":
         for sid, merged in sorted(union.successors.items()):
             if all(part.successors.get(sid) != merged for part in parts):
-                raise InconsistentOverlap("inconsistent overlap at %s" % sid)
+                raise InconsistentOverlap("inconsistent overlap at %s" % brief(sid))
 
     return Information(states.values(), reflections.values(), union)
 

@@ -6,6 +6,13 @@ optional ``weights`` section.  Emission is canonical: tokens, record ids and
 links are sorted and object keys are emitted in sorted order, so equal
 instances serialize to identical bytes and the digest is well defined.
 
+One small writer produces every document and report: sorted keys, a
+two-space indent, and strings quoted by json's C ``encode_basestring_ascii``,
+byte for byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes
+(whose indented form runs json's pure-Python encoder).  The digest streams:
+``instance_digest`` hashes the writer's chunks, one per element of each
+top-level list, as they are written, and never holds the whole text.
+
 Record values are JSON strings (text), JSON integers, ``{"b64": ...}`` for
 byte strings, or ``{"rational": "p/q"}`` for exact rationals.  Floats are
 rejected: they have no exact rational reading.  Weights are written as
@@ -18,7 +25,9 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 from . import model
@@ -227,11 +236,11 @@ def _raw_from_document(doc: dict, diags) -> RawSextuple:
         ):
             _diag(diags, "links[%d]" % i, "expected {\"from\": state id, \"to\": reflection id}")
             continue
-        pair = (raw["from"], raw["to"])
-        if pair not in links:
-            links.append(pair)
+        links.append((raw["from"], raw["to"]))
 
-    return RawSextuple.of(dict.fromkeys(entities), dict.fromkeys(media), states, reflections, links)
+    return RawSextuple.of(
+        dict.fromkeys(entities), dict.fromkeys(media), states, reflections, dict.fromkeys(links)
+    )
 
 
 def parse_document(text: str):
@@ -290,8 +299,68 @@ def instance_to_document(info: Information, weights: Mapping | None = None) -> d
     return doc
 
 
+def _float_text(value: float) -> str:
+    """A float as json writes it: its repr, with JavaScript's NaN and Infinity."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at ``indent``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        members = [_quote(k) + ": " + _text(v, inner) for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        members = [_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError("%s is not a JSON value" % type(value).__name__)
+
+
+def _chunks(doc: dict):
+    """The canonical text of ``doc`` in pieces, one per element of each top-level
+    list, so that a digest never holds the whole text."""
+    if not doc:
+        yield "{}\n"
+        return
+    sep = "{"
+    for key, value in sorted(doc.items()):
+        yield sep + "\n  " + _quote(key) + ": "
+        sep = ","
+        if isinstance(value, list) and value:
+            item_sep = "["
+            for item in value:
+                yield item_sep + "\n    " + _text(item, "    ")
+                item_sep = ","
+            yield "\n  ]"
+        else:
+            yield _text(value, "  ")
+    yield "\n}\n"
+
+
 def document_to_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The canonical text of a document: sorted keys, two-space indent, one final newline."""
+    return "".join(_chunks(doc))
 
 
 def emit_instance(info: Information, weights: Mapping | None = None) -> str:
@@ -305,8 +374,11 @@ def text_digest(text: str) -> str:
 
 
 def instance_digest(info: Information) -> str:
-    """Content digest of the canonical serialization."""
-    return text_digest(emit_instance(info))
+    """``text_digest(emit_instance(info))``, hashed chunk by chunk as it is written."""
+    digest = hashlib.sha256()
+    for chunk in _chunks(instance_to_document(info)):
+        digest.update(chunk.encode("ascii"))
+    return "sha256:" + digest.hexdigest()
 
 
 def parse_target(text: str) -> TargetSextuple:

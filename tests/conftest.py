@@ -12,9 +12,9 @@ FIXTURES = REPO_ROOT / "fixtures"
 SCRIPTS = REPO_ROOT / "scripts"
 
 
-def load_script(name: str):
-    """Import ``scripts/<name>.py`` as a module without running its ``main``."""
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / (name + ".py"))
+def load_script(name: str, directory: pathlib.Path = SCRIPTS):
+    """Import ``<directory>/<name>.py`` as a module without running its ``main``."""
+    spec = importlib.util.spec_from_file_location(name, directory / (name + ".py"))
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script

@@ -6,34 +6,41 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from oit import ReflectionRecord, StateRecord, assemble
+from oit import ReflectionRecord, StateRecord, assemble, weighted
 
 ENTITY_POOL = ["ea", "eb", "ec"]
 MEDIA_POOL = ["ma", "mb", "mc"]
 VALUES = ["x", "y", "z"]
+# Every kind of record value: text (non-ASCII too), integer, bytes and rational.
+ANY_VALUES = st.one_of(
+    st.text(max_size=3),
+    st.integers(-(10**30), 10**30),
+    st.binary(max_size=3),
+    st.fractions(max_denominator=9),
+)
 
 
 def _identity_key(identity):
     tokens, tick, value = identity
-    return (tuple(sorted(tokens)), tick, str(value))
+    return (tuple(sorted(tokens)), tick, repr(value))
 
 
 def _token_sets(pool):
     return st.sets(st.sampled_from(pool), min_size=1, max_size=2).map(frozenset)
 
 
-def _identities(pool, max_size):
+def _identities(pool, max_size, values):
     return st.sets(
-        st.tuples(_token_sets(pool), st.integers(0, 5), st.sampled_from(VALUES)),
+        st.tuples(_token_sets(pool), st.integers(0, 5), values),
         min_size=1,
         max_size=max_size,
     )
 
 
 @st.composite
-def informations(draw, max_states=4, max_reflections=4):
-    state_ids = sorted(draw(_identities(ENTITY_POOL, max_states)), key=_identity_key)
-    refl_ids = sorted(draw(_identities(MEDIA_POOL, max_reflections)), key=_identity_key)
+def informations(draw, max_states=4, max_reflections=4, values=st.sampled_from(VALUES)):
+    state_ids = sorted(draw(_identities(ENTITY_POOL, max_states, values)), key=_identity_key)
+    refl_ids = sorted(draw(_identities(MEDIA_POOL, max_reflections, values)), key=_identity_key)
     states = [
         StateRecord("s%d" % i, tokens, tick, value)
         for i, (tokens, tick, value) in enumerate(state_ids, start=1)
@@ -54,6 +61,23 @@ def informations(draw, max_states=4, max_reflections=4):
             source = draw(st.sampled_from([s.id for s in states]))
             links.add((source, rec.id))
     return assemble(states, reflections, links)
+
+
+@st.composite
+def weight_specs(draw, info):
+    """Weighted measures over some of the instance's universes, some elements left out."""
+    elements = {
+        "entities": sorted(info.ontology),
+        "ticks": sorted(info.occurrence_ticks),
+        "state_records": sorted(rec.id for rec in info.states),
+        "media": sorted(info.carrier),
+    }
+    specs = {}
+    for universe in draw(st.sets(st.sampled_from(sorted(elements)))):
+        keys = draw(st.sets(st.sampled_from(elements[universe])))
+        specs[universe] = weighted(universe, {
+            key: draw(st.fractions(min_value=0, max_denominator=9)) for key in sorted(keys)})
+    return specs
 
 
 @st.composite

@@ -12,9 +12,23 @@ from collections import Counter
 import pytest
 
 import oit
-from oit import emit_instance, example_instance, parse_instance, restrict_links, run_cli
+from oit import (
+    Profile,
+    emit_instance,
+    example_instance,
+    generate_synthetic,
+    parse_instance,
+    restrict_links,
+    run_cli,
+)
+from oit.model import LISTED_IDS
 
 from .conftest import REPO_ROOT
+
+
+# A diagnostic line lists at most two groups of LISTED_IDS ids, each cut to 40
+# characters, so no line needs more than this, however large the input.
+LINE_BOUND = 1000
 
 
 def run(capsys, *argv):
@@ -106,6 +120,22 @@ class TestValidate:
             "unlinked-reflection: surjectivity violation: reflection record %s has no link"
             % shown(rid),
         ]
+
+
+    def test_closure_mismatch_lists_a_bounded_number_of_brief_tokens(self, capsys, tmp_path):
+        doc = json.loads(emit_instance(generate_synthetic(1, Profile(entities=200))))
+        induced = {t for rec in doc["state_records"] for t in rec["entities"]}
+        doc["entities"] = ["x" * 5000]
+        path = tmp_path / "long_token.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith(
+            "closure-mismatch: canonical closure violated for entities (declared-only: ['%s...']"
+            % ("x" * 37))
+        assert line.endswith(", ... and %d more])" % (len(induced) - LISTED_IDS))
+        assert len(line) < LINE_BOUND
 
 
 def _accented_crlf(path, doc):
@@ -458,6 +488,35 @@ class TestAlgebraCommands:
             assert (result.returncode, result.stdout, result.stderr) == (
                 1, "", "error: record identity clash: state record s1\n"), seed
 
+    def test_interface_mismatch_lists_a_bounded_number_of_ids(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(emit_instance(generate_synthetic(1, Profile(entities=200))))
+        code, out, err = run(capsys, "compose", str(path), str(path), "-o", "-")
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: composition interface mismatch: ")
+        assert line.count("more") == 2
+        assert len(line) < LINE_BOUND
+
+    @pytest.mark.parametrize("lax, message", [
+        (False, "error: inconsistent overlap at %s\n"),
+        (True, "error: record identity clash: state record %s\n"),
+    ])
+    def test_combine_errors_quote_ids_briefly(self, capsys, tmp_path, lax, message):
+        long_id = "s" * 5000
+        ex1 = example_instance()
+        paths = []
+        for i, kept in enumerate([("s1", "r1"), ("s1", "r3")]):
+            doc = json.loads(emit_instance(restrict_links(ex1, [kept])))
+            doc["state_records"][0]["id"] = doc["links"][0]["from"] = long_id
+            if lax:
+                doc["state_records"][0]["value"] += str(i)
+            paths.append(tmp_path / ("part%d.json" % i))
+            paths[-1].write_text(json.dumps(doc))
+        argv = ["combine", *map(str, paths), "-o", "-"] + (["--lax"] if lax else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", message % (long_id[:37] + "..."))
+
     def test_compose_writes_valid_document(self, capsys, ex1_path, tmp_path):
         from oit import identity_relay
 
@@ -507,6 +566,27 @@ class TestClassicCommands:
         assert doc["volume"] == 8
         assert doc["hartley"] == pytest.approx(8.0)
         assert doc["entropy_bound"] == pytest.approx(8.0)
+
+
+class TestArithmeticErrors:
+    """A number with no exact or no float reading ends in one diagnostic, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--probs", "1/0"],
+        ["entropy", "--probs", "1e400"],
+        ["metrics", "{ex1}", "--target", "{ex1}", "--suit-weights", "1/0", "1", "1", "1", "1", "1"],
+        ["metrics", "{ex1}", "--weights", "{weights}"],
+    ])
+    def test_ends_in_one_diagnostic(self, capsys, tmp_path, ex1_path, argv):
+        weights = tmp_path / "huge_weight.json"
+        weights.write_text(json.dumps({"weights": {"entities": {"a": "1e400", "b": "1"}}}))
+        argv = [arg.format(ex1=ex1_path, weights=weights) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code in (1, 2)
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
+        assert len(line) < 80
 
 
 class TestGen:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oit import (
     ReflectionRecord,
@@ -12,6 +13,7 @@ from oit import (
     ValidationError,
     assemble,
     emit_instance,
+    generate_synthetic,
     instance_digest,
     parse_decoder,
     parse_document,
@@ -20,9 +22,38 @@ from oit import (
     parse_weights_file,
     validity,
 )
-from oit.serialize import MALFORMED, SCHEMA
+from oit.serialize import (
+    MALFORMED,
+    SCHEMA,
+    document_to_text,
+    instance_to_document,
+    text_digest,
+)
 
-from .strategies import informations
+from .conftest import FIXTURES, REPO_ROOT, load_script
+from .strategies import ANY_VALUES, informations, weight_specs
+
+oracle = load_script("oracle", REPO_ROOT / "bench")
+
+# Text that json writes in every way it has: plain, non-ASCII, control characters
+# and lone surrogates, each escaped by the C quoting the writer uses.
+JSON_TEXT = st.text(st.one_of(
+    st.characters(),
+    st.characters(max_codepoint=0x1F),
+    st.characters(categories=["Cs"]),
+), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(-(10**80), 10**80),
+        st.floats(),
+        JSON_TEXT,
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=16,
+)
 
 
 def codes(excinfo):
@@ -55,6 +86,64 @@ class TestRoundTrip:
         text = emit_instance(info)
         assert parse_instance(text) == info
         assert emit_instance(parse_instance(text)) == text
+
+
+class TestCanonicalWriter:
+    @given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+    @settings(max_examples=200)
+    def test_writes_what_json_dumps_writes(self, doc):
+        assert document_to_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+    def test_non_finite_and_extreme_floats(self, value):
+        doc = {"approx": value, "list": [value]}
+        assert document_to_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_emit_and_digest_match_the_benchmark_oracle(self, data):
+        info = data.draw(informations(values=ANY_VALUES))
+        weights = data.draw(weight_specs(info))
+        text = emit_instance(info, weights)
+        assert text == oracle.canonical_text(instance_to_document(info, weights))
+        assert parse_document(text) == (info, weights)
+        assert instance_digest(info) == text_digest(emit_instance(info))
+
+    def test_documents_round_trip_byte_for_byte(self):
+        texts = [path.read_text() for path in sorted(FIXTURES.glob("ex1*.json"))]
+        texts += [emit_instance(generate_synthetic(seed)) for seed in range(100)]
+        for text in texts:
+            assert emit_instance(*parse_document(text)) == text
+            assert oracle.canonical_text(json.loads(text)) == text
+
+
+class TestRepeatedLinks:
+    """A link listed more than once is read as listed once, where it first appears."""
+
+    @staticmethod
+    def _with_links(info, links) -> str:
+        doc = json.loads(emit_instance(info))
+        doc["links"] = [{"from": a, "to": b} for a, b in links]
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("parse", [parse_document, parse_target])
+    def test_repeats_parse_like_the_links_listed_once(self, ex1, parse):
+        links = sorted(ex1.links)
+        first, second = links[:2]
+        repeated = [first, first, *links, second, first]
+        assert parse(self._with_links(ex1, repeated)) == parse(emit_instance(ex1))
+
+    @pytest.mark.parametrize("parse", [parse_document, parse_target])
+    def test_repeated_dangling_links_are_reported_once_in_first_seen_order(self, ex1, parse):
+        links = sorted(ex1.links)
+        late, early = ("s9", "r1"), ("s8", "r1")
+        repeated = [*links[:2], late, *links[2:], early, late, early, late]
+        with pytest.raises(ValidationError) as exc:
+            parse(self._with_links(ex1, repeated))
+        assert [d.message for d in exc.value.diagnostics] == [
+            "dangling link source: s9 is not a declared state record",
+            "dangling link source: s8 is not a declared state record",
+        ]
 
 
 class TestValues:
