@@ -45,14 +45,12 @@ from .measures import (
 )
 from .flow import (
     DEFAULT_GUARD,
-    CoverageMode,
     EnumerationGuardExceeded,
     coverage,
     delay,
     synonymy_class,
 )
 from .semantics import (
-    DistanceSpec,
     PartialDecoder,
     SemanticMapping,
     TargetSextuple,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .classic import volume_entropy_demo, hartley_information, shannon_entropy
-from .flow import DEFAULT_GUARD, coverage, delay
+from .flow import COVERAGE_MODES, DEFAULT_GUARD, REPLICA, coverage, delay
 from .generate import Profile, generate_synthetic
 from .measures import (
     counting,
@@ -35,7 +35,7 @@ from .model import (
     compose,
     is_sub_information,
 )
-from .semantics import EQUAL_WEIGHTS, suitability, validity
+from .semantics import EQUAL_WEIGHTS, JACCARD, suitability, validity
 from .serialize import (
     document_to_text,
     emit_instance,
@@ -84,21 +84,17 @@ def _guard(parser, args) -> int:
         parser.error("OIT_GUARD must be an integer, got %s" % brief_repr(env))
 
 
-def _emit_report(entries, digest, out_format):
-    if out_format == "table":
-        width = max(len(e["name"]) for e in entries) + 2
-        for e in entries:
-            sys.stdout.write(
-                "%-*s %-12s %s\n" % (width, e["name"], e["value"], e["approx"])
-            )
-        return
-    doc = {
-        "version": 1,
-        "tool": "oit %s" % __version__,
-        "instance": digest,
-        "metrics": entries,
-    }
-    sys.stdout.write(document_to_text(doc))
+def _report(**members) -> None:
+    """Write a version 1 report with ``members`` to stdout."""
+    sys.stdout.write(document_to_text({"version": 1, **members}))
+
+
+def _exact(name: str, value) -> dict:
+    """The ``value`` and ``approx`` members for ``name``'s exact int or Fraction."""
+    try:
+        return {"value": str(value), "approx": float(value)}
+    except OverflowError:
+        raise OverflowError("%s is too large for a float approximation" % name) from None
 
 
 def cmd_validate(args) -> int:
@@ -108,7 +104,7 @@ def cmd_validate(args) -> int:
 
 def _entry(name: str, value, provenance: dict) -> dict:
     """One report entry; ``value`` is the metric's exact int or Fraction."""
-    return {"name": name, "value": str(value), "approx": float(value), "provenance": provenance}
+    return {"name": name, "provenance": provenance, **_exact(name, value)}
 
 
 def cmd_metrics(args) -> int:
@@ -121,9 +117,7 @@ def cmd_metrics(args) -> int:
         spec = weights.get(universe) or counting(universe)
         provenance = {"universe": universe, "measure": spec.kind}
         if spec.kind == "weighted":
-            provenance["weights"] = {
-                str(k): str(w) for k, w in sorted(spec.weights.items(), key=lambda kv: str(kv[0]))
-            }
+            provenance["weights"] = {str(k): str(w) for k, w in spec.weights.items()}
         entries.append(_entry(name, metric(info, spec), provenance))
     entries.append(_entry("delay", delay(info), {"basis": "atom-max"}))
 
@@ -163,31 +157,33 @@ def cmd_metrics(args) -> int:
         )
         last.append(_entry("suitability", suitability(info, target, suit_weights), {
             "weights": [str(w) for w in suit_weights],
-            "distance": "jaccard",
+            "distance": JACCARD,
             "target": target_digest,
         }))
 
     if args.decoder:
         decoder_text = _read(args.decoder)
-        mapping, distance = parse_decoder(decoder_text)
-        entries.append(_entry("validity", validity(info, mapping, distance), {
+        mapping = parse_decoder(decoder_text)
+        entries.append(_entry("validity", validity(info, mapping), {
             "decoder": mapping.kind,
-            "distance": distance.kind,
+            "distance": mapping.distance,
             "source": text_digest(decoder_text),
         }))
 
-    _emit_report(entries + last, instance_digest(info), args.out)
+    entries += last
+    if args.out == "table":
+        width = max(len(e["name"]) for e in entries) + 2
+        for e in entries:
+            sys.stdout.write("%-*s %-12s %s\n" % (width, e["name"], e["value"], e["approx"]))
+    else:
+        _report(tool="oit %s" % __version__, instance=instance_digest(info), metrics=entries)
     return 0
 
 
 def cmd_atoms(args) -> int:
     info, _ = parse_document(_read(args.file))
-    doc = {
-        "version": 1,
-        "instance": instance_digest(info),
-        "atoms": [{"from": a, "to": b} for a, b in sorted(info.links)],
-    }
-    sys.stdout.write(document_to_text(doc))
+    _report(instance=instance_digest(info),
+            atoms=[{"from": a, "to": b} for a, b in sorted(info.links)])
     return 0
 
 
@@ -212,16 +208,8 @@ def cmd_coverage(args) -> int:
     value = coverage(
         info, target, mode=args.mode, brute_force=args.brute_force, guard=args.guard
     )
-    doc = {
-        "version": 1,
-        "instance": instance_digest(info),
-        "target": instance_digest(target),
-        "mode": args.mode,
-        "brute_force": args.brute_force,
-        "value": str(value),
-        "approx": float(value),
-    }
-    sys.stdout.write(document_to_text(doc))
+    _report(instance=instance_digest(info), target=instance_digest(target), mode=args.mode,
+            brute_force=args.brute_force, **_exact("coverage", value))
     return 0
 
 
@@ -251,18 +239,9 @@ def cmd_hartley(args) -> int:
 
 def cmd_demo_shannon(args) -> int:
     demo = volume_entropy_demo(_parse_probs(args.probs), args.n, args.seed)
-    doc = {
-        "version": 1,
-        "alphabet": demo.alphabet_size,
-        "n": demo.length,
-        "seed": demo.seed,
-        "message": list(demo.message),
-        "volume": demo.volume,
-        "hartley": demo.hartley,
-        "entropy_bound": demo.entropy_bound,
-        "instance": instance_digest(demo.info),
-    }
-    sys.stdout.write(document_to_text(doc))
+    _report(alphabet=demo.alphabet_size, n=demo.length, seed=demo.seed,
+            message=list(demo.message), volume=demo.volume, hartley=demo.hartley,
+            entropy_bound=demo.entropy_bound, instance=instance_digest(demo.info))
     return 0
 
 
@@ -297,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target instance for coverage and suitability")
     p.add_argument("--decoder", help="decoder document for validity")
     p.add_argument("--suit-weights", nargs=6, metavar="W", help="six suitability weights")
-    p.add_argument("--coverage-mode", choices=["union", "replica"], default="replica")
+    p.add_argument("--coverage-mode", choices=COVERAGE_MODES, default=REPLICA)
     p.add_argument("--brute-force", action="store_true")
     p.add_argument("--guard", type=int, default=None)
     p.add_argument("--out", choices=["json", "table"], default="json")
@@ -323,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="carrier coverage of a target sub-information")
     p.add_argument("file")
     p.add_argument("--target", required=True)
-    p.add_argument("--mode", choices=["union", "replica"], default="replica")
+    p.add_argument("--mode", choices=COVERAGE_MODES, default=REPLICA)
     p.add_argument("--brute-force", action="store_true")
     p.add_argument("--guard", type=int, default=None)
     p.set_defaults(func=cmd_coverage)
@@ -382,3 +361,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

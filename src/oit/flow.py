@@ -16,10 +16,9 @@ set of link subsets whose induced state set equals the target's.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from .model import Information, OitError, is_sub_information, restrict_links
+from .model import Information, OitError, brief_repr, is_sub_information, restrict_links
 
 DEFAULT_GUARD = 15
 
@@ -28,9 +27,9 @@ class EnumerationGuardExceeded(OitError):
     """An exhaustive enumeration would exceed the configured guard."""
 
 
-class CoverageMode(str, Enum):
-    UNION = "union"
-    REPLICA = "replica"
+UNION = "union"
+REPLICA = "replica"
+COVERAGE_MODES = (UNION, REPLICA)
 
 
 def delay(info: Information) -> int:
@@ -123,7 +122,7 @@ def _replica_media(info: Information, wanted: frozenset, brute_force: bool, guar
 def coverage(
     info: Information,
     target: Information,
-    mode: CoverageMode | str = CoverageMode.REPLICA,
+    mode: str = REPLICA,
     brute_force: bool = False,
     guard: int = DEFAULT_GUARD,
 ) -> Fraction:
@@ -135,10 +134,11 @@ def coverage(
     of each target state's links, so a reflection record joins some member
     exactly when one of its links leaves a target state.
     """
-    mode = CoverageMode(mode)
+    if mode not in COVERAGE_MODES:
+        raise ValueError("coverage mode must be 'union' or 'replica', got %s" % brief_repr(mode))
     wanted = _target_state_ids(info, target)
     denominator = len(info.carrier)
-    if mode is CoverageMode.UNION:
+    if mode == UNION:
         if brute_force:
             media = _union_media_brute(info, target, guard)
         else:

@@ -18,9 +18,12 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable
 
 Value = str | int | bytes | Fraction
+VALUE_TYPES = frozenset(Value.__args__)
 LinkPair = tuple[str, str]
 Identity = tuple[frozenset, int, Value]
 
@@ -34,9 +37,7 @@ class ValidationError(OitError):
 
     def __init__(self, diagnostics: Iterable[Diagnostic]):
         self.diagnostics = tuple(diagnostics)
-        super().__init__(
-            "invalid instance: " + "; ".join(d.message for d in self.diagnostics)
-        )
+        super().__init__("invalid instance: " + brief_ids([d.message for d in self.diagnostics]))
 
 
 class EmptySelectionError(OitError):
@@ -78,14 +79,22 @@ class Diagnostic:
     subjects: tuple[str, ...] = ()
 
 
-def brief(text: str) -> str:
-    """Untrusted text for a diagnostic: at most 40 characters."""
+def brief(text) -> str:
+    """Untrusted text for a diagnostic: at most 40 characters; anything but a
+    string is shown by its bounded ``repr``."""
+    if not isinstance(text, str):
+        text = reprlib.repr(text)
     return text if len(text) <= 40 else text[:37] + "..."
 
 
 def brief_repr(value) -> str:
     """``repr`` of untrusted input for a diagnostic: bounded nesting, at most 40 characters."""
     return brief(reprlib.repr(value))
+
+
+def _id_order(i):
+    """Sort key for ids that need not all be strings: strings first, in their own order."""
+    return (0, i) if isinstance(i, str) else (1, repr(i))
 
 
 LISTED_IDS = 10
@@ -108,10 +117,7 @@ DANGLING_LINK_TARGET = "dangling-link-target"
 UNLINKED_STATE = "unlinked-state"
 UNLINKED_REFLECTION = "unlinked-reflection"
 CLOSURE_MISMATCH = "closure-mismatch"
-
-
-def _tokens(raw: Iterable[str]) -> frozenset:
-    return raw if isinstance(raw, frozenset) else frozenset(raw)
+UNWRITABLE_RECORD = "unwritable-record"
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,7 @@ class StateRecord:
     value: Value
 
     def __post_init__(self):
-        object.__setattr__(self, "entities", _tokens(self.entities))
+        object.__setattr__(self, "entities", frozenset(self.entities))
 
     @property
     def identity(self) -> Identity:
@@ -141,7 +147,7 @@ class ReflectionRecord:
     value: Value
 
     def __post_init__(self):
-        object.__setattr__(self, "media", _tokens(self.media))
+        object.__setattr__(self, "media", frozenset(self.media))
 
     @property
     def identity(self) -> Identity:
@@ -155,9 +161,7 @@ class LinkRelation:
     links: frozenset
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "links", frozenset((str(a), str(b)) for a, b in self.links)
-        )
+        object.__setattr__(self, "links", frozenset(self.links))
 
     def __iter__(self):
         return iter(self.links)
@@ -372,6 +376,13 @@ def _check_well_formed(components, states, reflections, links, diags: list):
     return state_ids, reflection_ids, good_links
 
 
+def _writable(ids, tokens, ticks, values) -> bool:
+    """Whether an instance document can hold records with these parts: nonempty
+    string ids, string tokens, integer ticks, and text, integer, byte or rational values."""
+    return ("" not in ids and set(map(type, chain(ids, tokens))) <= {str}
+            and set(map(type, ticks)) <= {int} and set(map(type, values)) <= VALUE_TYPES)
+
+
 def _listed_tokens(tokens: list) -> str:
     return "[%s]" % brief_ids(tokens, repr) if tokens else "none"
 
@@ -393,7 +404,7 @@ def validate(raw: RawSextuple) -> list:
 
     linked_sources = {a for a, _ in good_links}
     linked_targets = {b for _, b in good_links}
-    for rec_id in sorted(state_ids - linked_sources):
+    for rec_id in sorted(state_ids - linked_sources, key=_id_order):
         diags.append(
             Diagnostic(
                 UNLINKED_STATE,
@@ -401,7 +412,7 @@ def validate(raw: RawSextuple) -> list:
                 (rec_id,),
             )
         )
-    for rec_id in sorted(reflection_ids - linked_targets):
+    for rec_id in sorted(reflection_ids - linked_targets, key=_id_order):
         diags.append(
             Diagnostic(
                 UNLINKED_REFLECTION,
@@ -412,13 +423,30 @@ def validate(raw: RawSextuple) -> list:
 
     induced_entities = frozenset(t for rec in raw.states for t in rec.entities)
     induced_media = frozenset(t for rec in raw.reflections for t in rec.media)
+    # Whole parts are checked first, so that valid records are not walked one by one.
+    for label, records, ids, tokens in (
+        ("state", raw.states, state_ids, induced_entities),
+        ("reflection", raw.reflections, reflection_ids, induced_media),
+    ):
+        ticks, values = map(attrgetter("tick"), records), map(attrgetter("value"), records)
+        if not _writable(ids, tokens, ticks, values):
+            diags.extend(
+                Diagnostic(
+                    UNWRITABLE_RECORD,
+                    "%s record %s has an id, token, tick or value that no instance "
+                    "document can hold" % (label, brief(rec.id)),
+                    (rec.id,),
+                )
+                for rec in records
+                if not _writable([rec.id], rec.identity[0], [rec.tick], [rec.value])
+            )
     for name, declared, induced in (
         ("entities", frozenset(raw.entities), induced_entities),
         ("media", frozenset(raw.media), induced_media),
     ):
         if declared != induced:
-            extra = sorted(declared - induced)
-            missing = sorted(induced - declared)
+            extra = sorted(declared - induced, key=_id_order)
+            missing = sorted(induced - declared, key=_id_order)
             diags.append(
                 Diagnostic(
                     CLOSURE_MISMATCH,
@@ -506,12 +534,17 @@ def restrict(parent: Information, keep: Callable) -> Information:
     return _induced(parent, selected)
 
 
+def _check_known(kind: str, wanted: set, known) -> None:
+    """Raise :class:`UnknownRecord` listing, briefly, the ``wanted`` ids not in ``known``."""
+    unknown = wanted - known
+    if unknown:
+        raise UnknownRecord("unknown %s: %s" % (kind, brief_ids(sorted(unknown, key=_id_order))))
+
+
 def restrict_links(parent: Information, link_ids: Iterable[LinkPair]) -> Information:
     """Sub-information induced by an explicit set of parent link pairs."""
     selected = {tuple(p) for p in link_ids}
-    unknown = selected - parent.links
-    if unknown:
-        raise UnknownRecord("unknown links: %s" % sorted(unknown))
+    _check_known("links", selected, parent.links)
     if not selected:
         raise EmptySelectionError("empty sub-information")
     return _induced(parent, selected)
@@ -540,7 +573,7 @@ def combine(a: Information, b: Information, mode: str = "strict") -> Information
     split across the operands is rejected; lax mode keeps every link.
     """
     if mode not in ("strict", "lax"):
-        raise ValueError("combine mode must be 'strict' or 'lax', got %r" % mode)
+        raise ValueError("combine mode must be 'strict' or 'lax', got %s" % brief_repr(mode))
 
     states = _merge_record_class(a.states, b.states, "state")
     reflections = _merge_record_class(a.reflections, b.reflections, "reflection")
@@ -612,9 +645,7 @@ def atoms(info: Information) -> tuple:
 def image(info: Information, state_ids: Iterable[str]) -> frozenset:
     """Reflection record ids linked from any of the given state records."""
     wanted = set(state_ids)
-    unknown = wanted - set(info.state_by_id)
-    if unknown:
-        raise UnknownRecord("unknown state records: %s" % sorted(unknown))
+    _check_known("state records", wanted, info.state_by_id.keys())
     return info.relation.image_of(wanted)
 
 
@@ -625,9 +656,7 @@ def preimage(info: Information, reflection_ids: Iterable[str]) -> frozenset:
     exactly when the instance is reducible (see :func:`is_reducible`).
     """
     wanted = set(reflection_ids)
-    unknown = wanted - set(info.reflection_by_id)
-    if unknown:
-        raise UnknownRecord("unknown reflection records: %s" % sorted(unknown))
+    _check_known("reflection records", wanted, info.reflection_by_id.keys())
     return info.relation.preimage_of(wanted)
 
 

@@ -34,25 +34,29 @@ class SemanticMapping:
     The ``preimage`` kind replays the instance's own relation and is
     therefore perfect by construction; the ``table`` kind looks reflection
     content triples up in a finite table and must cover every reflection
-    record it is applied to.
+    record it is applied to.  ``distance`` names the distance that
+    :func:`validity` scores the decoded states with.
     """
 
     kind: str
     table: Mapping | None = None
+    distance: str = JACCARD
 
     def __post_init__(self):
         if self.kind not in ("preimage", "table"):
             raise ValueError("decoder kind must be 'preimage' or 'table'")
         if self.kind == "table" and self.table is None:
             raise ValueError("table decoder needs a table")
+        if self.distance not in (JACCARD, NUMERIC_L1):
+            raise ValueError("decoder distance must be %r or %r" % (JACCARD, NUMERIC_L1))
 
     @classmethod
-    def preimage(cls) -> SemanticMapping:
-        return cls("preimage")
+    def preimage(cls, distance: str = JACCARD) -> SemanticMapping:
+        return cls("preimage", None, distance)
 
     @classmethod
-    def from_table(cls, table: Mapping) -> SemanticMapping:
-        return cls("table", dict(table))
+    def from_table(cls, table: Mapping, distance: str = JACCARD) -> SemanticMapping:
+        return cls("table", dict(table), distance)
 
 
 def decode(info: Information, mapping: SemanticMapping) -> frozenset:
@@ -121,28 +125,13 @@ def numeric_l1_distance(a: Iterable, b: Iterable) -> Fraction:
     return total / len(keys)
 
 
-@dataclass(frozen=True)
-class DistanceSpec:
-    """A normalized distance on record triple sets."""
-
-    kind: str = JACCARD
-
-    def __post_init__(self):
-        if self.kind not in (JACCARD, NUMERIC_L1):
-            raise ValueError("distance kind must be %r or %r" % (JACCARD, NUMERIC_L1))
-
-    def between(self, a, b) -> Fraction:
-        if self.kind == JACCARD:
-            return jaccard_distance(frozenset(a), frozenset(b))
-        return numeric_l1_distance(a, b)
+# The normalized distances on record triple sets that a decoder may name.
+DISTANCES = {JACCARD: jaccard_distance, NUMERIC_L1: numeric_l1_distance}
 
 
-def validity(
-    info: Information, mapping: SemanticMapping, distance: DistanceSpec | None = None
-) -> Fraction:
-    """Distance between the actual state triples and the decoded ones."""
-    distance = distance or DistanceSpec()
-    return distance.between(info.state_identities, decode(info, mapping))
+def validity(info: Information, mapping: SemanticMapping) -> Fraction:
+    """The decoder's distance between the actual state triples and the decoded ones."""
+    return DISTANCES[mapping.distance](info.state_identities, decode(info, mapping))
 
 
 @dataclass(frozen=True)
@@ -204,24 +193,21 @@ def suitability(
     info: Information,
     target: TargetSextuple,
     weights: Iterable = EQUAL_WEIGHTS,
-    distance: DistanceSpec | None = None,
 ) -> Fraction:
     """Weighted sum of per-component distances between instance and demand.
 
-    Token and tick components always use the normalized set distance; the
-    two record components use the supplied distance.  A weighted sum of
-    metrics is again a metric on the product space.
+    Every component uses the normalized set (Jaccard) distance.  A weighted
+    sum of metrics is again a metric on the product space.
     """
-    distance = distance or DistanceSpec()
     ws = tuple(w if isinstance(w, Fraction) else Fraction(str(w)) for w in weights)
     if len(ws) != 6 or any(w < 0 for w in ws) or sum(ws) != 1:
         raise WeightVectorError("weight vector not normalized: %s" % (ws,))
     components = (
         jaccard_distance(info.ontology, target.ontology),
         jaccard_distance(info.occurrence_ticks, target.occurrence_ticks),
-        distance.between(info.state_identities, target.state_identities),
+        jaccard_distance(info.state_identities, target.state_identities),
         jaccard_distance(info.carrier, target.carrier),
         jaccard_distance(info.reflection_ticks, target.reflection_ticks),
-        distance.between(info.reflection_identities, target.reflection_identities),
+        jaccard_distance(info.reflection_identities, target.reflection_identities),
     )
     return sum(w * d for w, d in zip(ws, components))

@@ -45,7 +45,6 @@ from .model import (
 from .semantics import (
     JACCARD,
     NUMERIC_L1,
-    DistanceSpec,
     SemanticMapping,
     TargetSextuple,
 )
@@ -399,17 +398,16 @@ def parse_target(text: str) -> TargetSextuple:
     )
 
 
-def parse_decoder(text: str):
-    """Parse a decoder document; returns the mapping and its distance spec."""
+def parse_decoder(text: str) -> SemanticMapping:
+    """Parse a decoder document into its mapping, which carries the document's distance."""
     diags: list = []
     doc = _document_from_text(text)
     kind = doc.get("kind")
-    distance_kind = doc.get("distance", JACCARD)
-    if distance_kind not in (JACCARD, NUMERIC_L1):
+    distance = doc.get("distance", JACCARD)
+    if distance not in (JACCARD, NUMERIC_L1):
         raise ValidationError([_schema("distance", "must be %r or %r" % (JACCARD, NUMERIC_L1))])
-    distance = DistanceSpec(distance_kind)
     if kind == "preimage":
-        return SemanticMapping.preimage(), distance
+        return SemanticMapping.preimage(distance)
     if kind != "table":
         raise ValidationError([_schema("kind", "must be 'preimage' or 'table'")])
     entries = doc.get("entries")
@@ -432,7 +430,7 @@ def parse_decoder(text: str):
             table[key] = value
     if diags:
         raise ValidationError(diags)
-    return SemanticMapping.from_table(table), distance
+    return SemanticMapping.from_table(table, distance)
 
 
 def parse_weights_file(text: str) -> dict:

@@ -145,6 +145,64 @@ def _accented_crlf(path, doc):
     return data
 
 
+def _with(doc, path, value):
+    """A copy of ``doc`` with the member at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+class TestSchemaDiagnostics:
+    """Each boundary check of the readers, pinned by the first line it prints."""
+
+    @pytest.mark.parametrize("path, value, line", [
+        (("state_records", 0, "value"), {"b64": "!!"},
+         "schema: state_records[0].value: invalid base64 payload"),
+        (("entities",), "a", "schema: entities: expected a list of token strings"),
+        (("state_records", 0), "s1", "schema: state_records[0]: expected a record object"),
+        (("state_records", 0, "id"), "",
+         "schema: state_records[0].id: record id must be a nonempty string"),
+        (("state_records", 0, "id"), 7,
+         "schema: state_records[0].id: record id must be a nonempty string"),
+        (("weights",), {"entities": {"a": True}},
+         "schema: weights.entities.a: weight must be a number or numeric string"),
+        (("weights",), {"entities": {"a": [1]}},
+         "schema: weights.entities.a: weight must be a number or numeric string"),
+        (("weights",), [], "schema: weights: expected an object keyed by universe"),
+        (("weights",), {"entities": 1},
+         "schema: weights.entities: expected a token-to-weight object"),
+        (("links",), {}, "schema: links: expected a list of {from, to} objects"),
+        (("links", 0), ["s1", "r1"],
+         'schema: links[0]: expected {"from": state id, "to": reflection id}'),
+    ])
+    def test_instance_document(self, capsys, tmp_path, path, value, line):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_with(json.loads(emit_instance(example_instance())), path, value)))
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out, err.splitlines()[0]) == (1, "", line)
+
+    @pytest.mark.parametrize("flag, doc, line", [
+        ("--target", _with(json.loads(emit_instance(example_instance())), ("links", 0), 5),
+         'schema: links[0]: expected {"from": state id, "to": reflection id}'),
+        ("--decoder", {"version": 1, "kind": "preimage", "distance": "cosine"},
+         "schema: distance: must be 'jaccard' or 'numeric-l1'"),
+        ("--decoder", {"version": 1, "kind": "table", "entries": {}},
+         "schema: entries: expected a list"),
+        ("--decoder", {"version": 1, "kind": "table", "entries": [1]},
+         "schema: entries[0]: expected {reflection, state} objects"),
+        ("--weights", {"weights": {"media": {"m1": "x"}}},
+         "schema: weights.media.m1: invalid weight literal 'x'"),
+    ])
+    def test_side_document(self, capsys, tmp_path, ex1_path, flag, doc, line):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "metrics", ex1_path, flag, str(bad))
+        assert (code, out, err) == (1, "", line + "\n")
+
+
 class TestMetrics:
     def test_counting_vector(self, capsys, ex1_path):
         code, out, _ = run(capsys, "metrics", ex1_path, "--out", "json")
@@ -424,6 +482,12 @@ class TestCoverage:
             "--mode", "union", "--brute-force", *extra,
         )
 
+    def test_replica_brute_force_guard(self, capsys, ex1_path, fixtures_dir):
+        code, out, err = run(capsys, "coverage", ex1_path, "--target",
+                             str(fixtures_dir / "ex1_s1r1.json"), "--brute-force", "--guard", "0")
+        assert (code, out, err) == (
+            1, "", "error: instance too large for exhaustive synonymy (1 records over guard 0)\n")
+
     def test_guard_zero_is_kept(self, capsys, ex1_path, fixtures_dir, monkeypatch):
         monkeypatch.delenv("OIT_GUARD", raising=False)
         code, _, err = self.brute_union(capsys, ex1_path, fixtures_dir, "--guard", "0")
@@ -481,7 +545,7 @@ class TestAlgebraCommands:
             [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
         for seed in ("0", "1", "2", "3"):
             result = subprocess.run(
-                [sys.executable, "-c", "import oit.cli; oit.cli.main()",
+                [sys.executable, "-m", "oit",
                  "combine", ex1_path, str(other), "-o", "-"],
                 capture_output=True, text=True, timeout=60, env=dict(env, PYTHONHASHSEED=seed),
             )
@@ -587,6 +651,26 @@ class TestArithmeticErrors:
         [line] = err.splitlines()
         assert line.startswith("error: ")
         assert len(line) < 80
+
+    @pytest.mark.parametrize("out", ["json", "table"])
+    def test_a_metric_with_no_float_reading_names_itself(self, capsys, tmp_path, ex1_path, out):
+        weights = tmp_path / "huge_weight.json"
+        weights.write_text(json.dumps({"weights": {"entities": {"a": "1e400", "b": "1"}}}))
+        code, stdout, err = run(capsys, "metrics", ex1_path, "--weights", str(weights), "--out", out)
+        assert (code, stdout, err) == (1, "", "error: scope is too large for a float approximation\n")
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["oit", "oit.cli"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        missing = str(tmp_path / "missing.json")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-m", module, "validate", missing],
+                                capture_output=True, text=True, timeout=60, env=env)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.splitlines()[-1] == (
+            "error: [Errno 2] No such file or directory: %r" % missing)
 
 
 class TestGen:

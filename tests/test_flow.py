@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from oit import (
-    CoverageMode,
     EnumerationGuardExceeded,
     Profile,
     ReflectionRecord,
@@ -125,9 +124,10 @@ class TestCoverage:
         assert coverage(info, restrict_links(info, info.links), "replica") == 1
         assert coverage(info, restrict_links(info, info.links), "union") == 1
 
-    def test_mode_enum_round_trip(self, ex1):
-        target = restrict_links(ex1, [("s1", "r1")])
-        assert coverage(ex1, target, CoverageMode.UNION) == coverage(ex1, target, "union")
+    @pytest.mark.parametrize("mode", ["UNION", "lax", None])
+    def test_unknown_mode_is_rejected(self, ex1, mode):
+        with pytest.raises(ValueError, match="coverage mode must be 'union' or 'replica'"):
+            coverage(ex1, ex1, mode)
 
     @given(informations_with_sublinks(max_states=3, max_reflections=3))
     @settings(max_examples=60)

@@ -19,8 +19,10 @@ from oit import (
     ValidationError,
     assemble,
     atoms,
+    build,
     combine,
     compose,
+    delay,
     emit_instance,
     identity_relay,
     image,
@@ -109,6 +111,43 @@ class TestValidate:
         codes = {d.code for d in validate(raw)}
         assert codes == {model.UNLINKED_STATE, model.UNLINKED_REFLECTION}
 
+    @pytest.mark.parametrize("state", [
+        StateRecord(1, {"a"}, 1, "v"),
+        StateRecord("", {"a"}, 1, "v"),
+        StateRecord("s", {"a", 1}, 1, "v"),
+        StateRecord("s", {"a"}, 1.0, "v"),
+        StateRecord("s", {"a"}, True, "v"),
+        StateRecord("s", {"a"}, 1, True),
+        StateRecord("s", {"a"}, 1, 1.5),
+        StateRecord("s", {"a"}, 1, None),
+    ])
+    def test_build_accepts_only_what_a_document_can_hold(self, state):
+        reflection = ReflectionRecord("r", {"m"}, 1, "v")
+        raw = RawSextuple.of(state.entities, {"m"}, [state], [reflection], [(state.id, "r")])
+        with pytest.raises(ValidationError) as exc:
+            delay(build(raw))
+        assert [(d.code, d.subjects) for d in exc.value.diagnostics] == [
+            (model.UNWRITABLE_RECORD, (state.id,))
+        ]
+        assert exc.value.diagnostics[0].message == (
+            "state record %s has an id, token, tick or value that no instance document can hold"
+            % state.id
+        )
+
+    def test_ids_that_are_no_strings_are_reported_not_raised(self):
+        states = [StateRecord("s1", {"a"}, 1, "x"), StateRecord(2, {"a"}, 2, "y")]
+        raw = RawSextuple.of({"a"}, {"m"}, states, [ReflectionRecord("r1", {"m"}, 3, "x")],
+                             [(9, ("r", 1)), ("s0", "r1")])
+        assert [d.message for d in validate(raw)] == [
+            "dangling link source: 9 is not a declared state record",
+            "dangling link target: ('r', 1) is not a declared reflection record",
+            "dangling link source: s0 is not a declared state record",
+            "totality violation: state record s1 has no link",
+            "totality violation: state record 2 has no link",
+            "surjectivity violation: reflection record r1 has no link",
+            "state record 2 has an id, token, tick or value that no instance document can hold",
+        ]
+
     def test_empty_record_tokens(self):
         states = [StateRecord("s1", frozenset(), 1, "x")]
         refl = [ReflectionRecord("r1", {"m"}, 1, "x")]
@@ -134,6 +173,7 @@ class TestSubInformation:
             list(ex1.links) + [("s1", "r2")],
         )
         assert not is_sub_information(other, ex1)
+        assert not is_proper_sub_information(other, ex1)
 
     def test_dropped_replica_link_with_equal_components_is_not_proper(self):
         # two states fully cross-linked to two reflections: dropping one
@@ -169,6 +209,8 @@ class TestRestrict:
     def test_empty_selection(self, ex1):
         with pytest.raises(EmptySelectionError, match="empty sub-information"):
             restrict(ex1, lambda s, r: "m9" in r.media)
+        with pytest.raises(EmptySelectionError, match="empty sub-information"):
+            restrict_links(ex1, [])
 
     def test_unknown_link(self, ex1):
         with pytest.raises(UnknownRecord):
@@ -302,6 +344,32 @@ class TestAtomsAndInverse:
             preimage(ex1, {"nope"})
         with pytest.raises(UnknownRecord):
             image(ex1, {"nope"})
+
+
+# An error message lists at most LISTED_IDS items, each cut to 40 characters, so
+# none needs more than this, however large the input.
+MESSAGE_BOUND = 600
+
+
+class TestBoundedMessages:
+    @pytest.mark.parametrize("count, length", [(1, 5000), (20_000, 2), (100, 100)])
+    def test_unknown_records(self, ex1, count, length):
+        ids = ["x" * length + str(i) for i in range(count)]
+        for call in (lambda: restrict_links(ex1, [(i, "r1") for i in ids]),
+                     lambda: image(ex1, ids), lambda: preimage(ex1, ids)):
+            with pytest.raises(UnknownRecord) as exc:
+                call()
+            assert len(str(exc.value)) < MESSAGE_BOUND
+            assert str(exc.value).endswith("more") == (count > model.LISTED_IDS)
+
+    @pytest.mark.parametrize("count, length", [(1, 5000), (20_000, 2), (100, 100)])
+    def test_validation_error(self, ex1, count, length):
+        raw = raw_of(ex1)
+        links = list(raw.links) + [("x" * length + str(i), "r1") for i in range(count)]
+        with pytest.raises(ValidationError) as exc:
+            build(RawSextuple.of(raw.entities, raw.media, raw.states, raw.reflections, links))
+        assert len(exc.value.diagnostics) == count
+        assert len(str(exc.value)) < MESSAGE_BOUND
 
 
 class TestReducibility:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from oit import (
-    DistanceSpec,
     PartialDecoder,
     SemanticMapping,
     TargetSextuple,
@@ -19,6 +18,8 @@ from oit import (
     suitability,
     validity,
 )
+
+from oit.semantics import DISTANCES
 
 from .strategies import informations, triple_sets
 
@@ -52,7 +53,7 @@ class TestDecode:
 class TestValidity:
     def test_preimage_is_perfect(self, ex1):
         assert validity(ex1, SemanticMapping.preimage()) == 0
-        assert validity(ex1, SemanticMapping.preimage(), DistanceSpec("numeric-l1")) == 0
+        assert validity(ex1, SemanticMapping.preimage("numeric-l1")) == 0
 
     def test_constant_decoder(self, ex1):
         assert validity(ex1, constant_decoder(ex1, S1)) == Fraction(2, 3)
@@ -97,7 +98,7 @@ class TestDistances:
     @given(triple_sets(), triple_sets(), triple_sets())
     @settings(max_examples=150)
     def test_metric_axioms(self, kind, a, b, c):
-        d = DistanceSpec(kind).between
+        d = DISTANCES[kind]
         assert d(a, a) == 0
         assert d(a, b) == d(b, a)
         assert d(a, b) >= 0
@@ -105,7 +106,7 @@ class TestDistances:
 
     @given(triple_sets(), triple_sets())
     def test_identity_of_indiscernibles(self, a, b):
-        d = DistanceSpec("jaccard").between
+        d = DISTANCES["jaccard"]
         assert (d(a, b) == 0) == (a == b)
 
 

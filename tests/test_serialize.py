@@ -305,10 +305,10 @@ class TestSideDocuments:
         ]
 
     def test_parse_decoder_fixtures(self, ex1, fixtures_dir):
-        mapping, distance = parse_decoder((fixtures_dir / "decoder_const_s1.json").read_text())
-        assert validity(ex1, mapping, distance) == Fraction(2, 3)
-        mapping, distance = parse_decoder((fixtures_dir / "decoder_preimage.json").read_text())
-        assert validity(ex1, mapping, distance) == 0
+        mapping = parse_decoder((fixtures_dir / "decoder_const_s1.json").read_text())
+        assert validity(ex1, mapping) == Fraction(2, 3)
+        mapping = parse_decoder((fixtures_dir / "decoder_preimage.json").read_text())
+        assert validity(ex1, mapping) == 0
 
     @pytest.mark.parametrize("side", ["reflection", "state"])
     def test_decoder_entry_side_must_be_an_object(self, side):
