@@ -102,8 +102,10 @@ LISTED_IDS = 10
 
 def brief_ids(ids, quote=str) -> str:
     """Untrusted ids for a diagnostic: the first ``LISTED_IDS``, each through ``brief``
-    and then ``quote``, joined by commas, then how many more there are."""
-    shown = ", ".join(quote(brief(i)) for i in ids[:LISTED_IDS])
+    and, if it is a string, then ``quote``, joined by commas, then how many more there are."""
+    shown = ", ".join(
+        quote(brief(i)) if isinstance(i, str) else brief(i) for i in ids[:LISTED_IDS]
+    )
     more = len(ids) - LISTED_IDS
     return shown + (", ... and %d more" % more if more > 0 else "")
 

@@ -9,7 +9,7 @@ distances it stays in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -39,7 +39,8 @@ class SemanticMapping:
     """
 
     kind: str
-    table: Mapping | None = None
+    # A dict cannot be hashed; equal mappings still hash equal on kind and distance.
+    table: Mapping | None = field(default=None, hash=False)
     distance: str = JACCARD
 
     def __post_init__(self):

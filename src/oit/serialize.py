@@ -6,12 +6,13 @@ optional ``weights`` section.  Emission is canonical: tokens, record ids and
 links are sorted and object keys are emitted in sorted order, so equal
 instances serialize to identical bytes and the digest is well defined.
 
-One small writer produces every document and report: sorted keys, a
-two-space indent, and strings quoted by json's C ``encode_basestring_ascii``,
-byte for byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes
-(whose indented form runs json's pure-Python encoder).  The digest streams:
-``instance_digest`` hashes the writer's chunks, one per element of each
-top-level list, as they are written, and never holds the whole text.
+Every document and report is written byte for byte as ``json.dumps(doc,
+indent=2, sort_keys=True)`` writes it (whose indented form runs json's
+pure-Python encoder), with strings quoted by json's C ``encode_basestring_ascii``.
+Reports go through one small recursive writer; an instance is written straight
+from its records, one fixed template per record kind with its members in
+sorted order.  ``instance_digest`` hashes that text a few hundred records at a
+time and never holds the whole text.
 
 Record values are JSON strings (text), JSON integers, ``{"b64": ...}`` for
 byte strings, or ``{"rational": "p/q"}`` for exact rationals.  Floats are
@@ -27,7 +28,9 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Mapping
 
 from . import model
@@ -86,14 +89,6 @@ def value_from_json(raw, path, diags):
             return None
     _diag(diags, path, "value must be text, integer, {\"b64\": ...} or {\"rational\": ...}")
     return None
-
-
-def value_to_json(value):
-    if isinstance(value, bytes):
-        return {"b64": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, Fraction):
-        return {"rational": str(value)}
-    return value
 
 
 def _token_list(raw, path, diags):
@@ -265,39 +260,6 @@ def parse_instance(text: str) -> Information:
     return parse_document(text)[0]
 
 
-def instance_to_document(info: Information, weights: Mapping | None = None) -> dict:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "entities": sorted(info.ontology),
-        "media": sorted(info.carrier),
-        "state_records": [
-            {
-                "id": rec.id,
-                "entities": sorted(rec.entities),
-                "tick": rec.tick,
-                "value": value_to_json(rec.value),
-            }
-            for rec in sorted(info.states, key=lambda r: r.id)
-        ],
-        "reflection_records": [
-            {
-                "id": rec.id,
-                "media": sorted(rec.media),
-                "tick": rec.tick,
-                "value": value_to_json(rec.value),
-            }
-            for rec in sorted(info.reflections, key=lambda r: r.id)
-        ],
-        "links": [{"from": a, "to": b} for a, b in sorted(info.links)],
-    }
-    if weights:
-        doc["weights"] = {
-            universe: {str(k): str(w) for k, w in spec.weights.items()}
-            for universe, spec in sorted(weights.items())
-        }
-    return doc
-
-
 def _float_text(value: float) -> str:
     """A float as json writes it: its repr, with JavaScript's NaN and Infinity."""
     if math.isnan(value):
@@ -336,35 +298,82 @@ def _text(value, indent: str) -> str:
     raise TypeError("%s is not a JSON value" % type(value).__name__)
 
 
-def _chunks(doc: dict):
-    """The canonical text of ``doc`` in pieces, one per element of each top-level
-    list, so that a digest never holds the whole text."""
-    if not doc:
-        yield "{}\n"
-        return
-    sep = "{"
-    for key, value in sorted(doc.items()):
-        yield sep + "\n  " + _quote(key) + ": "
-        sep = ","
-        if isinstance(value, list) and value:
-            item_sep = "["
-            for item in value:
-                yield item_sep + "\n    " + _text(item, "    ")
-                item_sep = ","
-            yield "\n  ]"
-        else:
-            yield _text(value, "  ")
-    yield "\n}\n"
-
-
 def document_to_text(doc: dict) -> str:
     """The canonical text of a document: sorted keys, two-space indent, one final newline."""
-    return "".join(_chunks(doc))
+    return _text(doc, "") + "\n"
+
+
+# The instance text's fixed layouts: one per record kind, with members in sorted
+# order, and a record's token list and tagged values, which sit at indent 6.
+_STATE = ('    {\n      "entities": %s,\n      "id": %s,\n'
+          '      "tick": %s,\n      "value": %s\n    }')
+_REFLECTION = ('    {\n      "id": %s,\n      "media": %s,\n'
+               '      "tick": %s,\n      "value": %s\n    }')
+_LINK = '    {\n      "from": %s,\n      "to": %s\n    }'
+_TOKENS = '[\n        %s\n      ]'
+_B64 = '{\n        "b64": "%s"\n      }'
+_RATIONAL = '{\n        "rational": %s\n      }'
+# Records per digest update: small enough that hashing never holds much of the text.
+_BATCH = 256
+
+
+def _tokens_text(tokens) -> str:
+    """A record's tokens as a sorted JSON list at indent 6."""
+    if len(tokens) == 1:
+        (token,) = tokens
+        return _TOKENS % _quote(token)
+    return _TOKENS % ",\n        ".join(map(_quote, sorted(tokens))) if tokens else "[]"
+
+
+def _value_text(value) -> str:
+    """A record value at indent 6: text, integer, ``{"b64": ...}`` or ``{"rational": ...}``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, bytes):
+        return _B64 % base64.b64encode(value).decode("ascii")
+    if isinstance(value, Fraction):
+        return _RATIONAL % _quote(str(value))
+    return _text(value, "      ")
+
+
+def _record_list(texts):
+    """A top-level list of record texts, in pieces of at most ``_BATCH`` records."""
+    texts = iter(texts)
+    opening = "[\n"
+    while batch := list(islice(texts, _BATCH)):
+        yield opening + ",\n".join(batch)
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else "\n  ]"
+
+
+def _instance_chunks(info: Information, weights: Mapping | None):
+    """The canonical text of an instance, written straight from its records."""
+    yield '{\n  "entities": %s,\n  "links": ' % _text(sorted(info.ontology), "  ")
+    yield from _record_list(_LINK % (_quote(a), _quote(b)) for a, b in sorted(info.links))
+    yield ',\n  "media": %s,\n  "reflection_records": ' % _text(sorted(info.carrier), "  ")
+    yield from _record_list(
+        _REFLECTION % (_quote(rec.id), _tokens_text(rec.media),
+                       int.__repr__(rec.tick), _value_text(rec.value))
+        for rec in sorted(info.reflections, key=attrgetter("id"))
+    )
+    yield ',\n  "state_records": '
+    yield from _record_list(
+        _STATE % (_tokens_text(rec.entities), _quote(rec.id),
+                  int.__repr__(rec.tick), _value_text(rec.value))
+        for rec in sorted(info.states, key=attrgetter("id"))
+    )
+    yield ',\n  "version": %d' % SCHEMA_VERSION
+    if weights:
+        yield ',\n  "weights": ' + _text({
+            universe: {str(k): str(w) for k, w in spec.weights.items()}
+            for universe, spec in weights.items()
+        }, "  ")
+    yield "\n}\n"
 
 
 def emit_instance(info: Information, weights: Mapping | None = None) -> str:
     """Serialize an instance to its canonical byte-stable document text."""
-    return document_to_text(instance_to_document(info, weights))
+    return "".join(_instance_chunks(info, weights))
 
 
 def text_digest(text: str) -> str:
@@ -373,9 +382,9 @@ def text_digest(text: str) -> str:
 
 
 def instance_digest(info: Information) -> str:
-    """``text_digest(emit_instance(info))``, hashed chunk by chunk as it is written."""
+    """``text_digest(emit_instance(info))``, hashed piece by piece as it is written."""
     digest = hashlib.sha256()
-    for chunk in _chunks(instance_to_document(info)):
+    for chunk in _instance_chunks(info, None):
         digest.update(chunk.encode("ascii"))
     return "sha256:" + digest.hexdigest()
 

@@ -18,6 +18,17 @@ ANY_VALUES = st.one_of(
     st.binary(max_size=3),
     st.fractions(max_denominator=9),
 )
+# Ids and tokens the writer must escape: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates.  Only high surrogates, since json reads a high
+# one written before a low one back as the one character the pair encodes.
+ANY_NAMES = st.text(st.one_of(
+    st.sampled_from('"\\/'),
+    st.characters(max_codepoint=0x1F),
+    st.characters(exclude_categories=["Cs"]),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDBFF),
+), min_size=1, max_size=4)
+# Ticks beyond the small nonnegative ones: negative, and wider than 64 bits.
+ANY_TICKS = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80))
 
 
 def _identity_key(identity):
@@ -29,25 +40,39 @@ def _token_sets(pool):
     return st.sets(st.sampled_from(pool), min_size=1, max_size=2).map(frozenset)
 
 
-def _identities(pool, max_size, values):
+def _identities(pool, max_size, values, ticks):
     return st.sets(
-        st.tuples(_token_sets(pool), st.integers(0, 5), values),
+        st.tuples(_token_sets(pool), ticks, values),
         min_size=1,
         max_size=max_size,
     )
 
 
 @st.composite
-def informations(draw, max_states=4, max_reflections=4, values=st.sampled_from(VALUES)):
-    state_ids = sorted(draw(_identities(ENTITY_POOL, max_states, values)), key=_identity_key)
-    refl_ids = sorted(draw(_identities(MEDIA_POOL, max_reflections, values)), key=_identity_key)
+def informations(draw, max_states=4, max_reflections=4, values=st.sampled_from(VALUES),
+                 names=None, ticks=st.integers(0, 5)):
+    """A valid instance; ``names``, if given, draws its record ids and tokens."""
+    entity_pool, media_pool = ENTITY_POOL, MEDIA_POOL
+    if names is not None:
+        entity_pool = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+        media_pool = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    state_ids = sorted(draw(_identities(entity_pool, max_states, values, ticks)),
+                       key=_identity_key)
+    refl_ids = sorted(draw(_identities(media_pool, max_reflections, values, ticks)),
+                      key=_identity_key)
+    if names is None:
+        ids = ["s%d" % i for i in range(1, len(state_ids) + 1)]
+        ids += ["r%d" % i for i in range(1, len(refl_ids) + 1)]
+    else:
+        size = len(state_ids) + len(refl_ids)
+        ids = draw(st.lists(names, min_size=size, max_size=size, unique=True))
     states = [
-        StateRecord("s%d" % i, tokens, tick, value)
-        for i, (tokens, tick, value) in enumerate(state_ids, start=1)
+        StateRecord(rid, tokens, tick, value)
+        for rid, (tokens, tick, value) in zip(ids, state_ids)
     ]
     reflections = [
-        ReflectionRecord("r%d" % i, tokens, tick, value)
-        for i, (tokens, tick, value) in enumerate(refl_ids, start=1)
+        ReflectionRecord(rid, tokens, tick, value)
+        for rid, (tokens, tick, value) in zip(ids[len(state_ids):], refl_ids)
     ]
     links = set()
     for rec in states:

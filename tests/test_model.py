@@ -79,6 +79,15 @@ class TestValidate:
         assert model.DANGLING_LINK_TARGET in codes
         assert model.CLOSURE_MISMATCH in codes
 
+    def test_closure_mismatch_shows_non_string_tokens_unquoted(self, ex1):
+        raw = raw_of(ex1)
+        bad = RawSextuple.of(
+            set(raw.entities) | {1}, raw.media, raw.states, raw.reflections, raw.links
+        )
+        [diag] = validate(bad)
+        assert diag.code == model.CLOSURE_MISMATCH
+        assert "(declared-only: [1]; record-only: none)" in diag.message
+
     def test_empty_components(self):
         diags = validate(RawSextuple.of([], [], [], [], []))
         assert {d.code for d in diags} == {model.EMPTY_COMPONENT}

@@ -49,6 +49,13 @@ class TestDecode:
         with pytest.raises(ValueError):
             SemanticMapping("oracle")
 
+    def test_mappings_hash_by_value(self, ex1):
+        a, b = constant_decoder(ex1, S1), constant_decoder(ex1, S1)
+        assert a == b and hash(a) == hash(b)
+        assert a != constant_decoder(ex1, S2)
+        assert {a, b, SemanticMapping.preimage(), SemanticMapping.from_table({})} == {
+            a, SemanticMapping.preimage(), SemanticMapping.from_table({})}
+
 
 class TestValidity:
     def test_preimage_is_perfect(self, ex1):

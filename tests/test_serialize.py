@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import base64
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oit import (
+    Profile,
     ReflectionRecord,
     StateRecord,
     ValidationError,
@@ -26,12 +29,11 @@ from oit.serialize import (
     MALFORMED,
     SCHEMA,
     document_to_text,
-    instance_to_document,
     text_digest,
 )
 
 from .conftest import FIXTURES, REPO_ROOT, load_script
-from .strategies import ANY_VALUES, informations, weight_specs
+from .strategies import ANY_NAMES, ANY_TICKS, ANY_VALUES, informations, weight_specs
 
 oracle = load_script("oracle", REPO_ROOT / "bench")
 
@@ -54,6 +56,40 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
     max_leaves=16,
 )
+
+
+def reference_value(value):
+    if isinstance(value, bytes):
+        return {"b64": base64.b64encode(value).decode("ascii")}
+    if isinstance(value, Fraction):
+        return {"rational": str(value)}
+    return value
+
+
+def reference_doc(info, weights=None) -> dict:
+    """The instance document as a tree of JSON values, for the oracle to write."""
+    doc = {
+        "version": 1,
+        "entities": sorted(info.ontology),
+        "media": sorted(info.carrier),
+        "state_records": [
+            {"id": rec.id, "entities": sorted(rec.entities), "tick": rec.tick,
+             "value": reference_value(rec.value)}
+            for rec in sorted(info.states, key=lambda r: r.id)
+        ],
+        "reflection_records": [
+            {"id": rec.id, "media": sorted(rec.media), "tick": rec.tick,
+             "value": reference_value(rec.value)}
+            for rec in sorted(info.reflections, key=lambda r: r.id)
+        ],
+        "links": [{"from": a, "to": b} for a, b in sorted(info.links)],
+    }
+    if weights:
+        doc["weights"] = {
+            universe: {str(k): str(w) for k, w in spec.weights.items()}
+            for universe, spec in weights.items()
+        }
+    return doc
 
 
 def codes(excinfo):
@@ -102,12 +138,26 @@ class TestCanonicalWriter:
     @given(st.data())
     @settings(max_examples=80)
     def test_emit_and_digest_match_the_benchmark_oracle(self, data):
-        info = data.draw(informations(values=ANY_VALUES))
+        names = data.draw(st.sampled_from([None, ANY_NAMES]))
+        info = data.draw(informations(values=ANY_VALUES, names=names, ticks=ANY_TICKS))
         weights = data.draw(weight_specs(info))
         text = emit_instance(info, weights)
-        assert text == oracle.canonical_text(instance_to_document(info, weights))
+        assert text == oracle.canonical_text(reference_doc(info, weights))
         assert parse_document(text) == (info, weights)
         assert instance_digest(info) == text_digest(emit_instance(info))
+
+    def test_digest_streams_the_text(self):
+        info = generate_synthetic(1, Profile(entities=2000, media=250, replication=3))
+        text = emit_instance(info)
+        assert len(info.links) > 7500
+        tracemalloc.start()
+        try:
+            digest = instance_digest(info)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == text_digest(text)
+        assert peak < len(text) / 4
 
     def test_documents_round_trip_byte_for_byte(self):
         texts = [path.read_text() for path in sorted(FIXTURES.glob("ex1*.json"))]
