@@ -53,7 +53,6 @@ from .flow import (
 from .semantics import (
     PartialDecoder,
     SemanticMapping,
-    TargetSextuple,
     WeightVectorError,
     decode,
     jaccard_distance,

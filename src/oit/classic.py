@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from .measures import counting, volume
-from .model import Information, OitError, ReflectionRecord, StateRecord, assemble
+from .model import Information, OitError, ReflectionRecord, StateRecord, assemble, brief_ids
 
 PROB_TOL = 1e-9
 
@@ -34,10 +34,10 @@ class Distribution:
         if not probs:
             raise DistributionError("distribution is empty")
         if not all(math.isfinite(p) for p in probs):
-            raise DistributionError("probabilities must be finite numbers: %s" % (probs,))
+            raise DistributionError("probabilities must be finite numbers: (%s)" % brief_ids(probs))
         bad = [p for p in probs if p < 0]
         if bad:
-            raise DistributionError("negative probabilities: %s" % bad)
+            raise DistributionError("negative probabilities: [%s]" % brief_ids(bad))
         total = float(sum(probs))
         if abs(total - 1.0) > PROB_TOL:
             raise DistributionError("probabilities sum to %r, not 1" % total)

@@ -27,7 +27,6 @@ from .measures import (
 )
 from .model import (
     OitError,
-    RawSextuple,
     ValidationError,
     brief_repr,
     build,
@@ -129,8 +128,7 @@ def cmd_metrics(args) -> int:
         target = parse_target(target_text)
         target_digest = text_digest(target_text)
         try:
-            target_info = build(RawSextuple.of(
-                target.ontology, target.carrier, target.states, target.reflections, target.links))
+            target_info = build(target)
         except ValidationError:
             target_info = None
         if target_info is not None and is_sub_information(target_info, info):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .model import Information, OitError
+from .model import Information, OitError, _id_order, brief_ids
 
 UNIVERSES = ("entities", "ticks", "state_records", "media")
 COUNTING = "counting"
@@ -63,15 +63,11 @@ class MeasureSpec:
         elems = set(elements)
         if self.kind == COUNTING:
             return Fraction(len(elems))
-        total = Fraction(0)
-        for e in elems:
-            try:
-                total += self.weights[e]
-            except KeyError:
-                raise UncoveredElement(
-                    "uncovered element %r in %s measure" % (e, self.universe)
-                ) from None
-        return total
+        missing = elems - self.weights.keys()
+        if missing:
+            raise UncoveredElement("uncovered element %s in %s measure"
+                                   % (brief_ids([min(missing, key=_id_order)], repr), self.universe))
+        return sum((self.weights[e] for e in elems), Fraction(0))
 
 
 def counting(universe: str) -> MeasureSpec:

@@ -14,6 +14,7 @@ they carry no meaning of their own.
 
 from __future__ import annotations
 
+import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -378,11 +379,20 @@ def _check_well_formed(components, states, reflections, links, diags: list):
     return state_ids, reflection_ids, good_links
 
 
+# A high surrogate then a low one: json reads their two escapes back as one character.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
 def _writable(ids, tokens, ticks, values) -> bool:
     """Whether an instance document can hold records with these parts: nonempty
-    string ids, string tokens, integer ticks, and text, integer, byte or rational values."""
-    return ("" not in ids and set(map(type, chain(ids, tokens))) <= {str}
-            and set(map(type, ticks)) <= {int} and set(map(type, values)) <= VALUE_TYPES)
+    string ids, string tokens, integer ticks, and text, integer, byte or rational
+    values, with no surrogate pair in any id, token or text."""
+    if not ("" not in ids and set(map(type, chain(ids, tokens))) <= {str}
+            and set(map(type, ticks)) <= {int} and set(map(type, values)) <= VALUE_TYPES):
+        return False
+    # NUL between the parts, so that no pair spans two of them.
+    texts = "\0".join(chain(ids, tokens, (v for v in values if type(v) is str)))
+    return texts.isascii() or not _SURROGATE_PAIR.search(texts)
 
 
 def _listed_tokens(tokens: list) -> str:
@@ -430,7 +440,7 @@ def validate(raw: RawSextuple) -> list:
         ("state", raw.states, state_ids, induced_entities),
         ("reflection", raw.reflections, reflection_ids, induced_media),
     ):
-        ticks, values = map(attrgetter("tick"), records), map(attrgetter("value"), records)
+        ticks, values = map(attrgetter("tick"), records), [rec.value for rec in records]
         if not _writable(ids, tokens, ticks, values):
             diags.extend(
                 Diagnostic(

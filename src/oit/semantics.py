@@ -3,8 +3,8 @@
 Validity is the distance between what a decoder claims the states were and
 what they actually were, so zero is perfect and larger is worse.
 Suitability is a weighted sum of per-component distances between an
-instance and a target sextuple expressing demand; with normalized component
-distances it stays in [0, 1].
+instance and a demand, the raw sextuple of a target document; with
+normalized component distances it stays in [0, 1].
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .model import Information, OitError, ValidationError, _check_well_formed
+from .model import Information, OitError, RawSextuple, _id_order, brief, brief_ids
 
 JACCARD = "jaccard"
 NUMERIC_L1 = "numeric-l1"
@@ -65,15 +65,12 @@ def decode(info: Information, mapping: SemanticMapping) -> frozenset:
     if mapping.kind == "preimage":
         # The preimage of all reflections is every state, since the relation is total.
         return info.state_identities
-    claimed = set()
-    for rec in info.reflections:
-        try:
-            claimed.add(mapping.table[rec.identity])
-        except KeyError:
-            raise PartialDecoder(
-                "partial decoder: no entry for reflection record %s" % rec.id
-            ) from None
-    return frozenset(claimed)
+    table = mapping.table
+    missing = [rec.id for rec in info.reflections if rec.identity not in table]
+    if missing:
+        raise PartialDecoder("partial decoder: no entry for reflection record %s"
+                             % brief(min(missing, key=_id_order)))
+    return frozenset(table[rec.identity] for rec in info.reflections)
 
 
 def jaccard_distance(a: frozenset, b: frozenset) -> Fraction:
@@ -135,80 +132,31 @@ def validity(info: Information, mapping: SemanticMapping) -> Fraction:
     return DISTANCES[mapping.distance](info.state_identities, decode(info, mapping))
 
 
-@dataclass(frozen=True)
-class TargetSextuple:
-    """A demand expressed in the same six component shapes as an instance.
-
-    Unlike an instance, a target needs no totality or surjectivity and no
-    canonical closure, only nonvoid well-formed components, so demands may
-    name media or ticks that no record uses yet.
-    """
-
-    ontology: frozenset
-    occurrence_ticks: frozenset
-    states: frozenset
-    carrier: frozenset
-    reflection_ticks: frozenset
-    reflections: frozenset
-    links: frozenset = frozenset()
-
-    def __post_init__(self):
-        names = ("ontology", "occurrence_ticks", "states", "carrier",
-                 "reflection_ticks", "reflections")
-        # Checked before freezing, so that a record declared twice is reported.
-        given = {name: tuple(getattr(self, name)) for name in names}
-        given["links"] = tuple(tuple(p) for p in self.links)
-        diags: list = []
-        _check_well_formed([(name, given[name]) for name in names],
-                           given["states"], given["reflections"], given["links"], diags)
-        if diags:
-            raise ValidationError(diags)
-        for name, values in given.items():
-            object.__setattr__(self, name, frozenset(values))
-
-    @classmethod
-    def from_information(cls, info: Information) -> TargetSextuple:
-        return cls(
-            info.ontology,
-            info.occurrence_ticks,
-            info.states,
-            info.carrier,
-            info.reflection_ticks,
-            info.reflections,
-            info.links,
-        )
-
-    @property
-    def state_identities(self) -> frozenset:
-        return frozenset(rec.identity for rec in self.states)
-
-    @property
-    def reflection_identities(self) -> frozenset:
-        return frozenset(rec.identity for rec in self.reflections)
-
-
 EQUAL_WEIGHTS = (Fraction(1, 6),) * 6
 
 
 def suitability(
     info: Information,
-    target: TargetSextuple,
+    target: RawSextuple,
     weights: Iterable = EQUAL_WEIGHTS,
 ) -> Fraction:
     """Weighted sum of per-component distances between instance and demand.
 
-    Every component uses the normalized set (Jaccard) distance.  A weighted
-    sum of metrics is again a metric on the product space.
+    The demand is a raw sextuple, as :func:`oit.serialize.parse_target` reads
+    it; its tick sets are its records' ticks.  Every component uses the
+    normalized set (Jaccard) distance.  A weighted sum of metrics is again a
+    metric on the product space.
     """
     ws = tuple(w if isinstance(w, Fraction) else Fraction(str(w)) for w in weights)
     if len(ws) != 6 or any(w < 0 for w in ws) or sum(ws) != 1:
-        raise WeightVectorError("weight vector not normalized: %s" % (ws,))
+        raise WeightVectorError("weight vector not normalized: (%s)" % brief_ids(ws))
     components = (
-        jaccard_distance(info.ontology, target.ontology),
-        jaccard_distance(info.occurrence_ticks, target.occurrence_ticks),
-        jaccard_distance(info.state_identities, target.state_identities),
-        jaccard_distance(info.carrier, target.carrier),
-        jaccard_distance(info.reflection_ticks, target.reflection_ticks),
-        jaccard_distance(info.reflection_identities, target.reflection_identities),
+        jaccard_distance(info.ontology, target.entities),
+        jaccard_distance(info.occurrence_ticks, {rec.tick for rec in target.states}),
+        jaccard_distance(info.state_identities, {rec.identity for rec in target.states}),
+        jaccard_distance(info.carrier, target.media),
+        jaccard_distance(info.reflection_ticks, {rec.tick for rec in target.reflections}),
+        jaccard_distance(info.reflection_identities,
+                         {rec.identity for rec in target.reflections}),
     )
     return sum(w * d for w, d in zip(ws, components))

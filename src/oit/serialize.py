@@ -45,12 +45,7 @@ from .model import (
     brief,
     brief_repr,
 )
-from .semantics import (
-    JACCARD,
-    NUMERIC_L1,
-    SemanticMapping,
-    TargetSextuple,
-)
+from .semantics import JACCARD, NUMERIC_L1, SemanticMapping
 
 SCHEMA_VERSION = 1
 
@@ -389,22 +384,23 @@ def instance_digest(info: Information) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def parse_target(text: str) -> TargetSextuple:
-    """Parse a document as a demand sextuple (no totality/surjectivity/closure);
-    its ``weights`` member is not read."""
+def parse_target(text: str) -> RawSextuple:
+    """Parse a document as a demand: its raw sextuple, with well-formed nonvoid
+    components and links that name declared records, but no totality,
+    surjectivity or closure; its ``weights`` member is not read."""
     diags: list = []
     raw = _raw_from_document(_document_from_text(text), diags)
+    if not diags:
+        # A demand's tick sets are its records' ticks, so they are empty with them.
+        model._check_well_formed(
+            (("ontology", raw.entities), ("occurrence_ticks", raw.states),
+             ("states", raw.states), ("carrier", raw.media),
+             ("reflection_ticks", raw.reflections), ("reflections", raw.reflections)),
+            raw.states, raw.reflections, raw.links, diags,
+        )
     if diags:
         raise ValidationError(diags)
-    return TargetSextuple(
-        raw.entities,
-        tuple(rec.tick for rec in raw.states),
-        raw.states,
-        raw.media,
-        tuple(rec.tick for rec in raw.reflections),
-        raw.reflections,
-        raw.links,
-    )
+    return raw
 
 
 def parse_decoder(text: str) -> SemanticMapping:

@@ -19,8 +19,9 @@ ANY_VALUES = st.one_of(
     st.fractions(max_denominator=9),
 )
 # Ids and tokens the writer must escape: quotes, backslashes, control characters,
-# non-ASCII and lone surrogates.  Only high surrogates, since json reads a high
-# one written before a low one back as the one character the pair encodes.
+# non-ASCII and lone surrogates.  Only high surrogates: json reads a high one
+# written before a low one back as the one character the pair encodes, so no
+# instance may hold such a pair.
 ANY_NAMES = st.text(st.one_of(
     st.sampled_from('"\\/'),
     st.characters(max_codepoint=0x1F),

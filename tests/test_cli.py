@@ -37,6 +37,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _subprocess_env():
+    """The environment of a CLI child that imports this checkout's ``oit``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.fixture
 def ex1_path(fixtures_dir):
     return str(fixtures_dir / "ex1.json")
@@ -541,13 +547,12 @@ class TestAlgebraCommands:
             rec["value"] += "-changed"
         other = tmp_path / "other.json"
         other.write_text(json.dumps(doc))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
         for seed in ("0", "1", "2", "3"):
             result = subprocess.run(
                 [sys.executable, "-m", "oit",
                  "combine", ex1_path, str(other), "-o", "-"],
-                capture_output=True, text=True, timeout=60, env=dict(env, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, timeout=60,
+                env=dict(_subprocess_env(), PYTHONHASHSEED=seed),
             )
             assert (result.returncode, result.stdout, result.stderr) == (
                 1, "", "error: record identity clash: state record s1\n"), seed
@@ -660,14 +665,74 @@ class TestArithmeticErrors:
         assert (code, stdout, err) == (1, "", "error: scope is too large for a float approximation\n")
 
 
+class TestLibraryErrors:
+    """Errors the library raises reach stderr short, and the same under any hash seed."""
+
+    @staticmethod
+    def _ex1_with(tmp_path, entity="a", reflection="r1") -> str:
+        doc = json.loads(emit_instance(example_instance()))
+        doc["entities"] = [entity if t == "a" else t for t in doc["entities"]]
+        for rec in doc["state_records"]:
+            rec["entities"] = [entity if t == "a" else t for t in rec["entities"]]
+        doc["reflection_records"][0]["id"] = reflection
+        for link in doc["links"]:
+            link["to"] = reflection if link["to"] == "r1" else link["to"]
+        path = tmp_path / ("ex1_%d_%d.json" % (len(entity), len(reflection)))
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @staticmethod
+    def _side_documents(tmp_path):
+        decoder = tmp_path / "empty_table.json"
+        decoder.write_text(json.dumps({"version": 1, "kind": "table", "entries": []}))
+        weights = tmp_path / "no_entity_weights.json"
+        weights.write_text(json.dumps({"weights": {"entities": {}}}))
+        return str(decoder), str(weights)
+
+    @pytest.mark.parametrize("case, prefix", [
+        ("uncovered", "error: uncovered element 'aaaa"),
+        ("partial", "error: partial decoder: no entry for reflection record aaaa"),
+        ("suit-weights", "error: weight vector not normalized: (Fraction("),
+        ("probs", "error: negative probabilities: [-1.0, -1.0"),
+    ])
+    def test_messages_stay_short(self, capsys, tmp_path, case, prefix):
+        decoder, weights = self._side_documents(tmp_path)
+        long_entity = self._ex1_with(tmp_path, entity="a" * 5000)
+        argv = {
+            "uncovered": ["metrics", long_entity, "--weights", weights],
+            "partial": ["metrics", self._ex1_with(tmp_path, reflection="a" * 5000),
+                        "--decoder", decoder],
+            "suit-weights": ["metrics", long_entity, "--target", long_entity,
+                             "--suit-weights", "1" + "0" * 3000, "0", "0", "0", "0", "0"],
+            "probs": ["entropy", "--probs=" + ",".join(["-1"] * 3000)],
+        }[case]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith(prefix)
+        assert len(line) < 200
+
+    @pytest.mark.parametrize("option, expected", [
+        ("--decoder", "error: partial decoder: no entry for reflection record r1\n"),
+        ("--weights", "error: uncovered element 'a' in entities measure\n"),
+    ])
+    def test_the_smallest_item_is_named_under_any_hash_seed(self, tmp_path, ex1_path,
+                                                            option, expected):
+        decoder, weights = self._side_documents(tmp_path)
+        argv = [sys.executable, "-m", "oit", "metrics", ex1_path,
+                option, decoder if option == "--decoder" else weights]
+        for seed in ("0", "1", "2", "3"):
+            result = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                                    env=dict(_subprocess_env(), PYTHONHASHSEED=seed))
+            assert (result.returncode, result.stdout, result.stderr) == (1, "", expected), seed
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["oit", "oit.cli"])
     def test_python_dash_m_runs_the_cli(self, tmp_path, module):
         missing = str(tmp_path / "missing.json")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
         result = subprocess.run([sys.executable, "-m", module, "validate", missing],
-                                capture_output=True, text=True, timeout=60, env=env)
+                                capture_output=True, text=True, timeout=60, env=_subprocess_env())
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr.splitlines()[-1] == (
             "error: [Errno 2] No such file or directory: %r" % missing)

@@ -129,6 +129,11 @@ class TestValidate:
         StateRecord("s", {"a"}, 1, True),
         StateRecord("s", {"a"}, 1, 1.5),
         StateRecord("s", {"a"}, 1, None),
+        # json reads the escapes of a high then a low surrogate back as one character,
+        # so two unequal instances would share one text and one digest.
+        StateRecord("s\ud800\udc00", {"a"}, 1, "v"),
+        StateRecord("s", {"a\ud800\udc00"}, 1, "v"),
+        StateRecord("s", {"a"}, 1, "v\ud800\udc00"),
     ])
     def test_build_accepts_only_what_a_document_can_hold(self, state):
         reflection = ReflectionRecord("r", {"m"}, 1, "v")
@@ -142,6 +147,12 @@ class TestValidate:
             "state record %s has an id, token, tick or value that no instance document can hold"
             % state.id
         )
+
+    def test_surrogates_that_form_no_pair_round_trip(self):
+        odd = chr(0xDC00) + chr(0xD800) + "\0" + chr(0xDC00)
+        info = assemble([StateRecord(odd, {odd}, 1, odd)], [ReflectionRecord("r", {odd}, 1, odd)],
+                        [(odd, "r")])
+        assert parse_document(emit_instance(info))[0] == info
 
     def test_ids_that_are_no_strings_are_reported_not_raised(self):
         states = [StateRecord("s1", {"a"}, 1, "x"), StateRecord(2, {"a"}, 2, "y")]

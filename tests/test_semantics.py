@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from oit import (
     PartialDecoder,
     SemanticMapping,
-    TargetSextuple,
     ValidationError,
     WeightVectorError,
     decode,
+    emit_instance,
     jaccard_distance,
     numeric_l1_distance,
+    parse_target,
     restrict,
     suitability,
     validity,
@@ -21,7 +24,17 @@ from oit import (
 
 from oit.semantics import DISTANCES
 
-from .strategies import informations, triple_sets
+from .strategies import ANY_VALUES, informations, triple_sets
+
+# The six components suitability compares, in its weight order.
+COMPONENTS = attrgetter("ontology", "occurrence_ticks", "state_identities", "carrier",
+                        "reflection_ticks", "reflection_identities")
+
+
+def demand(info):
+    """The demand a target document holding ``info`` reads into."""
+    return parse_target(emit_instance(info))
+
 
 S1 = (frozenset({"a"}), 1, "v1")
 S2 = (frozenset({"b"}), 2, "v2")
@@ -119,12 +132,10 @@ class TestDistances:
 
 class TestSuitability:
     def test_self_distance_zero(self, ex1):
-        assert suitability(ex1, TargetSextuple.from_information(ex1)) == 0
+        assert suitability(ex1, demand(ex1)) == 0
 
     def test_worked_component_vector(self, ex1):
-        target = TargetSextuple.from_information(
-            restrict(ex1, lambda s, r: s.id == "s1")
-        )
+        target = demand(restrict(ex1, lambda s, r: s.id == "s1"))
         assert suitability(ex1, target) == Fraction(1, 2)
 
     def test_disjoint_target_is_one(self, ex1):
@@ -136,28 +147,26 @@ class TestSuitability:
             [ReflectionRecord("w1", {"yy"}, 88, "qq")],
             [("q1", "w1")],
         )
-        assert suitability(ex1, TargetSextuple.from_information(foreign)) == 1
+        assert suitability(ex1, demand(foreign)) == 1
         assert other == ex1
 
     def test_weight_vector_must_normalize(self, ex1):
-        target = TargetSextuple.from_information(ex1)
+        target = demand(ex1)
         with pytest.raises(WeightVectorError, match="not normalized"):
             suitability(ex1, target, weights=(1, 1, 1, 1, 1, 1))
         with pytest.raises(WeightVectorError):
             suitability(ex1, target, weights=(Fraction(1, 2),) * 2)
 
     def test_custom_weights(self, ex1):
-        target = TargetSextuple.from_information(
-            restrict(ex1, lambda s, r: s.id == "s1")
-        )
+        target = demand(restrict(ex1, lambda s, r: s.id == "s1"))
         # all weight on the carrier component
         w = (0, 0, 0, 1, 0, 0)
         assert suitability(ex1, target, weights=w) == Fraction(1, 3)
 
     def test_not_monotone_under_sub_information(self, ex1):
         sub = restrict(ex1, lambda s, r: s.id == "s1")
-        target_sub = TargetSextuple.from_information(sub)
-        target_full = TargetSextuple.from_information(ex1)
+        target_sub = demand(sub)
+        target_full = demand(ex1)
         # shrinking the instance moves it towards one demand and away
         # from the other
         assert suitability(sub, target_sub) < suitability(ex1, target_sub)
@@ -166,38 +175,46 @@ class TestSuitability:
     @given(informations(), informations())
     @settings(max_examples=60)
     def test_symmetry_and_range(self, a, b):
-        d_ab = suitability(a, TargetSextuple.from_information(b))
-        d_ba = suitability(b, TargetSextuple.from_information(a))
+        d_ab = suitability(a, demand(b))
+        d_ba = suitability(b, demand(a))
         assert d_ab == d_ba
         assert 0 <= d_ab <= 1
 
 
-class TestTargetSextuple:
-    def test_nonvoid_enforced(self):
-        with pytest.raises(ValidationError):
-            TargetSextuple(
-                frozenset(), frozenset({1}), frozenset(), frozenset({"m"}),
-                frozenset({2}), frozenset(),
-            )
+class TestDemand:
+    """A demand is the raw sextuple of a target document; its tick sets are its records' ticks."""
+
+    def test_nonvoid_enforced(self, ex1):
+        doc = json.loads(emit_instance(ex1))
+        doc["state_records"], doc["links"] = [], []
+        with pytest.raises(ValidationError) as exc:
+            parse_target(json.dumps(doc))
+        assert [d.message for d in exc.value.diagnostics] == [
+            "component 'occurrence_ticks' is empty",
+            "component 'states' is empty",
+        ]
 
     def test_dangling_link_uses_model_wording(self, ex1):
+        doc = json.loads(emit_instance(ex1))
+        doc["links"].append({"from": "s9", "to": "r9"})
         with pytest.raises(ValidationError) as exc:
-            TargetSextuple(
-                ex1.ontology, ex1.occurrence_ticks, ex1.states, ex1.carrier,
-                ex1.reflection_ticks, ex1.reflections, {("s9", "r9")},
-            )
+            parse_target(json.dumps(doc))
         assert [d.message for d in exc.value.diagnostics] == [
             "dangling link source: s9 is not a declared state record",
             "dangling link target: r9 is not a declared reflection record",
         ]
 
     def test_demand_may_name_unused_media(self, ex1):
-        target = TargetSextuple(
-            ex1.ontology,
-            ex1.occurrence_ticks,
-            ex1.states,
-            ex1.carrier | {"m-future"},
-            ex1.reflection_ticks,
-            ex1.reflections,
+        doc = json.loads(emit_instance(ex1))
+        doc["media"].append("m-future")
+        assert suitability(ex1, parse_target(json.dumps(doc))) == Fraction(1, 6) * Fraction(1, 4)
+
+    @given(informations(values=ANY_VALUES), informations(values=ANY_VALUES),
+           st.lists(st.integers(0, 3), min_size=6, max_size=6).filter(any))
+    @settings(max_examples=60)
+    def test_suitability_is_the_jaccard_sum_over_the_components(self, a, b, parts):
+        weights = tuple(Fraction(p, sum(parts)) for p in parts)
+        expected = sum(
+            w * jaccard_distance(x, y) for w, x, y in zip(weights, COMPONENTS(a), COMPONENTS(b))
         )
-        assert suitability(ex1, target) == Fraction(1, 6) * Fraction(1, 4)
+        assert suitability(a, parse_target(emit_instance(b)), weights) == expected

@@ -343,7 +343,7 @@ class TestSideDocuments:
         doc["media"].append("m-future")  # no closure requirement for demands
         del doc["links"][0]  # no totality requirement either
         target = parse_target(json.dumps(doc))
-        assert "m-future" in target.carrier
+        assert "m-future" in target.media
 
     def test_parse_target_rejects_a_record_declared_twice(self, ex1):
         doc = json.loads(emit_instance(ex1))
