@@ -20,7 +20,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from oit import (  # noqa: E402
     Profile,
-    counting,
     delay,
     generate_synthetic,
     granularity,
@@ -30,7 +29,6 @@ from oit import (  # noqa: E402
     scope,
     sustainability,
     volume,
-    weighted,
 )
 
 METRICS = {
@@ -48,15 +46,15 @@ def random_measures(info, rng):
         return {k: Fraction(rng.randint(0, 12), rng.randint(1, 6)) for k in keys}
 
     return {
-        "entities": weighted("entities", table(info.ontology)),
-        "ticks": weighted("ticks", table(info.occurrence_ticks)),
-        "state_records": weighted("state_records", table(r.id for r in info.states)),
-        "media": weighted("media", table(info.carrier)),
+        "entities": table(info.ontology),
+        "ticks": table(info.occurrence_ticks),
+        "state_records": table(r.id for r in info.states),
+        "media": table(info.carrier),
     }
 
 
 def counting_measures():
-    return {u: counting(u) for u in ("entities", "ticks", "state_records", "media")}
+    return dict.fromkeys(("entities", "ticks", "state_records", "media"))
 
 
 def main() -> None:

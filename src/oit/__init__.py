@@ -33,15 +33,12 @@ from .model import (
     validate,
 )
 from .measures import (
-    MeasureSpec,
     UncoveredElement,
-    counting,
     granularity,
     richness,
     scope,
     sustainability,
     volume,
-    weighted,
 )
 from .flow import (
     DEFAULT_GUARD,

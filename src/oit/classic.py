@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from .measures import counting, volume
+from .measures import volume
 from .model import Information, OitError, ReflectionRecord, StateRecord, assemble, brief_ids
 
 PROB_TOL = 1e-9
@@ -122,7 +122,7 @@ def volume_entropy_demo(dist, n: int, seed: int) -> CodingDemo:
             links.append((sid, rid))
     info = assemble(states, reflections, links)
 
-    vol = int(volume(info, counting("media")))
+    vol = int(volume(info))
     hartley = hartley_information(n, s)
     bound = n * shannon_entropy(dist)
     if vol < bound - PROB_TOL:

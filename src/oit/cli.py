@@ -18,7 +18,6 @@ from .classic import volume_entropy_demo, hartley_information, shannon_entropy
 from .flow import COVERAGE_MODES, DEFAULT_GUARD, REPLICA, coverage, delay
 from .generate import Profile, generate_synthetic
 from .measures import (
-    counting,
     granularity,
     richness,
     scope,
@@ -113,11 +112,11 @@ def cmd_metrics(args) -> int:
 
     entries = []
     for name, metric, universe in MEASURE_METRICS:
-        spec = weights.get(universe) or counting(universe)
-        provenance = {"universe": universe, "measure": spec.kind}
-        if spec.kind == "weighted":
-            provenance["weights"] = {str(k): str(w) for k, w in spec.weights.items()}
-        entries.append(_entry(name, metric(info, spec), provenance))
+        table = weights.get(universe)
+        provenance = {"universe": universe, "measure": "counting" if table is None else "weighted"}
+        if table is not None:
+            provenance["weights"] = {str(k): str(w) for k, w in table.items()}
+        entries.append(_entry(name, metric(info, table), provenance))
     entries.append(_entry("delay", delay(info), {"basis": "atom-max"}))
 
     # Suitability is reported last but computed before the decoder is read, so that

@@ -1,118 +1,93 @@
 """Finite measures over instance universes and the five measure metrics.
 
-Only counting and weighted measures over finite universes are supported, so
-every metric value is an exact rational and the monotonicity properties can
-be checked without tolerance.
+On a finite universe a measure is fixed by the weight of each element, so a
+measure is its weight table: a mapping from element to nonnegative rational,
+or ``None`` for the counting measure.  Every metric value is therefore an
+exact rational and the monotonicity properties can be checked without
+tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .model import Information, OitError, _id_order, brief_ids
+from .model import Information, OitError, _id_order, brief_ids, brief_repr
 
 UNIVERSES = ("entities", "ticks", "state_records", "media")
-COUNTING = "counting"
-WEIGHTED = "weighted"
 
 
 class UncoveredElement(OitError):
-    """A weighted measure is missing an entry for a measured element."""
+    """A weight table is missing an entry for a measured element."""
 
 
-class MeasureMismatch(OitError):
-    """A measure was applied to a metric over a different universe."""
+def _read_weight(raw) -> Fraction:
+    """A weight as an exact nonnegative rational.
 
-
-def _as_weight(value) -> Fraction:
-    w = value if isinstance(value, Fraction) else Fraction(str(value))
+    Accepts an int, a ``Fraction``, a finite float, or a decimal or fraction
+    string; anything else raises ``ValueError``.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, Fraction, float, str)):
+        raise ValueError("weight must be a number or numeric string")
+    if isinstance(raw, (int, Fraction)):
+        w = Fraction(raw)
+    else:
+        # NaN and Infinity have no exact reading and fail like any bad literal.
+        try:
+            w = Fraction(str(raw))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("invalid weight literal %s" % brief_repr(raw)) from None
     if w < 0:
-        raise ValueError("weights must be nonnegative, got %s" % w)
+        raise ValueError("weight must be nonnegative")
     return w
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
-    """A finitely additive measure over one universe.
+def _measure(weights: Mapping | None, universe: str):
+    """The measure of finite sets that ``weights`` defines: cardinality, or the weight sum.
 
-    Counting measures need no table; weighted measures need a nonnegative
-    weight for every element they will ever be asked to measure.
+    The whole table is read up front, so a bad weight fails even when its
+    element is never measured.
     """
+    if weights is None:
+        return lambda elements: Fraction(len(set(elements)))
+    table = {k: _read_weight(w) for k, w in weights.items()}
 
-    universe: str
-    kind: str = COUNTING
-    weights: Mapping | None = None
-
-    def __post_init__(self):
-        if self.universe not in UNIVERSES:
-            raise ValueError("unknown universe %r" % (self.universe,))
-        if self.kind not in (COUNTING, WEIGHTED):
-            raise ValueError("measure kind must be counting or weighted")
-        if self.kind == WEIGHTED:
-            if self.weights is None:
-                raise ValueError("weighted measure needs a weight table")
-            table = {k: _as_weight(v) for k, v in self.weights.items()}
-            object.__setattr__(self, "weights", table)
-        elif self.weights is not None:
-            raise ValueError("counting measure takes no weight table")
-
-    def measure(self, elements: Iterable) -> Fraction:
-        """Measure of a finite set: cardinality, or the sum of its weights."""
+    def measure(elements) -> Fraction:
         elems = set(elements)
-        if self.kind == COUNTING:
-            return Fraction(len(elems))
-        missing = elems - self.weights.keys()
+        missing = elems - table.keys()
         if missing:
             raise UncoveredElement("uncovered element %s in %s measure"
-                                   % (brief_ids([min(missing, key=_id_order)], repr), self.universe))
-        return sum((self.weights[e] for e in elems), Fraction(0))
+                                   % (brief_ids([min(missing, key=_id_order)], repr), universe))
+        return sum((table[e] for e in elems), Fraction(0))
+
+    return measure
 
 
-def counting(universe: str) -> MeasureSpec:
-    return MeasureSpec(universe, COUNTING)
-
-
-def weighted(universe: str, weights: Mapping) -> MeasureSpec:
-    return MeasureSpec(universe, WEIGHTED, dict(weights))
-
-
-def _expect(spec: MeasureSpec | None, universe: str) -> MeasureSpec:
-    if spec is None:
-        return counting(universe)
-    if spec.universe != universe:
-        raise MeasureMismatch(
-            "metric needs a measure over %r, got %r" % (universe, spec.universe)
-        )
-    return spec
-
-
-def scope(info: Information, mu: MeasureSpec | None = None) -> Fraction:
+def scope(info: Information, mu: Mapping | None = None) -> Fraction:
     """Measure of the ontology, how much of the world the instance reflects."""
-    return _expect(mu, "entities").measure(info.ontology)
+    return _measure(mu, "entities")(info.ontology)
 
 
-def granularity(info: Information, mu: MeasureSpec | None = None) -> Fraction:
+def granularity(info: Information, mu: Mapping | None = None) -> Fraction:
     """Largest entity-set measure over the atoms of the instance.
 
     With one atom per link this is the maximum over linked state records,
     and totality makes every state record linked.
     """
-    spec = _expect(mu, "entities")
-    return max(spec.measure(rec.entities) for rec in info.states)
+    measure = _measure(mu, "entities")
+    return max(measure(rec.entities) for rec in info.states)
 
 
-def sustainability(info: Information, tau: MeasureSpec | None = None) -> Fraction:
+def sustainability(info: Information, tau: Mapping | None = None) -> Fraction:
     """Measure of the occurrence tick set."""
-    return _expect(tau, "ticks").measure(info.occurrence_ticks)
+    return _measure(tau, "ticks")(info.occurrence_ticks)
 
 
-def richness(info: Information, rho: MeasureSpec | None = None) -> Fraction:
+def richness(info: Information, rho: Mapping | None = None) -> Fraction:
     """Measure of the state record set, keyed by record id."""
-    return _expect(rho, "state_records").measure(rec.id for rec in info.states)
+    return _measure(rho, "state_records")(rec.id for rec in info.states)
 
 
-def volume(info: Information, sigma: MeasureSpec | None = None) -> Fraction:
+def volume(info: Information, sigma: Mapping | None = None) -> Fraction:
     """Measure of the carrier media set."""
-    return _expect(sigma, "media").measure(info.carrier)
+    return _measure(sigma, "media")(info.carrier)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .measures import _read_weight
 from .model import Information, OitError, RawSextuple, _id_order, brief, brief_ids
 
 JACCARD = "jaccard"
@@ -147,8 +148,11 @@ def suitability(
     normalized set (Jaccard) distance.  A weighted sum of metrics is again a
     metric on the product space.
     """
-    ws = tuple(w if isinstance(w, Fraction) else Fraction(str(w)) for w in weights)
-    if len(ws) != 6 or any(w < 0 for w in ws) or sum(ws) != 1:
+    try:
+        ws = tuple(_read_weight(w) for w in weights)
+    except ValueError as exc:
+        raise WeightVectorError("bad suitability weight: %s" % exc) from None
+    if len(ws) != 6 or sum(ws) != 1:
         raise WeightVectorError("weight vector not normalized: (%s)" % brief_ids(ws))
     components = (
         jaccard_distance(info.ontology, target.entities),

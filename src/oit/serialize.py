@@ -34,7 +34,7 @@ from operator import attrgetter
 from typing import Mapping
 
 from . import model
-from .measures import UNIVERSES, weighted
+from .measures import UNIVERSES, _read_weight
 from .model import (
     Diagnostic,
     Information,
@@ -118,35 +118,13 @@ def _record_from_json(raw, path, token_field, cls, diags):
     return None if triple is None else cls(rid, *triple)
 
 
-def _weight_from_json(raw, path, diags) -> Fraction | None:
-    if isinstance(raw, bool):
-        _diag(diags, path, "weight must be a number or numeric string")
-        return None
-    if isinstance(raw, int):
-        w = Fraction(raw)
-    elif isinstance(raw, (float, str)):
-        # NaN and Infinity have no exact reading and fail like any bad literal.
-        try:
-            w = Fraction(str(raw))
-        except (ValueError, ZeroDivisionError):
-            _diag(diags, path, "invalid weight literal %s" % brief_repr(raw))
-            return None
-    else:
-        _diag(diags, path, "weight must be a number or numeric string")
-        return None
-    if w < 0:
-        _diag(diags, path, "weight must be nonnegative")
-        return None
-    return w
-
-
 def _weights_from_json(raw, diags) -> dict:
-    specs: dict = {}
+    tables: dict = {}
     if raw is None:
-        return specs
+        return tables
     if not isinstance(raw, dict):
         _diag(diags, "weights", "expected an object keyed by universe")
-        return specs
+        return tables
     for universe, table in raw.items():
         if universe not in UNIVERSES:
             _diag(diags, "weights.%s" % brief(universe), "unknown universe")
@@ -157,8 +135,10 @@ def _weights_from_json(raw, diags) -> dict:
         parsed = {}
         for token, value in table.items():
             path = "weights.%s.%s" % (universe, brief(token))
-            w = _weight_from_json(value, path, diags)
-            if w is None:
+            try:
+                w = _read_weight(value)
+            except ValueError as exc:
+                _diag(diags, path, str(exc))
                 continue
             if universe == "ticks":
                 try:
@@ -169,8 +149,8 @@ def _weights_from_json(raw, diags) -> dict:
                 parsed[key] = w
             else:
                 parsed[token] = w
-        specs[universe] = weighted(universe, parsed)
-    return specs
+        tables[universe] = parsed
+    return tables
 
 
 def _object_from_text(text: str) -> dict:
@@ -233,7 +213,7 @@ def _raw_from_document(doc: dict, diags) -> RawSextuple:
 
 
 def parse_document(text: str):
-    """Parse an instance document; returns the instance and its weight specs.
+    """Parse an instance document; returns the instance and its weight tables.
 
     Schema diagnostics come first, then the model's, from its one validation.
     """
@@ -360,8 +340,8 @@ def _instance_chunks(info: Information, weights: Mapping | None):
     yield ',\n  "version": %d' % SCHEMA_VERSION
     if weights:
         yield ',\n  "weights": ' + _text({
-            universe: {str(k): str(w) for k, w in spec.weights.items()}
-            for universe, spec in weights.items()
+            universe: {str(k): str(_read_weight(w)) for k, w in table.items()}
+            for universe, table in weights.items()
         }, "  ")
     yield "\n}\n"
 
@@ -439,10 +419,10 @@ def parse_decoder(text: str) -> SemanticMapping:
 
 
 def parse_weights_file(text: str) -> dict:
-    """Parse a standalone weights document into per-universe measure specs."""
+    """Parse a standalone weights document into per-universe weight tables."""
     diags: list = []
     doc = _object_from_text(text)
-    specs = _weights_from_json(doc.get("weights", doc), diags)
+    tables = _weights_from_json(doc.get("weights", doc), diags)
     if diags:
         raise ValidationError(diags)
-    return specs
+    return tables

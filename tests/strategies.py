@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from oit import ReflectionRecord, StateRecord, assemble, weighted
+from oit import ReflectionRecord, StateRecord, assemble
 
 ENTITY_POOL = ["ea", "eb", "ec"]
 MEDIA_POOL = ["ma", "mb", "mc"]
@@ -90,20 +90,22 @@ def informations(draw, max_states=4, max_reflections=4, values=st.sampled_from(V
 
 
 @st.composite
-def weight_specs(draw, info):
-    """Weighted measures over some of the instance's universes, some elements left out."""
+def weight_tables(draw, info, complete=False):
+    """Weight tables over the instance's universes; unless ``complete``, some
+    universes and elements are left out."""
     elements = {
         "entities": sorted(info.ontology),
         "ticks": sorted(info.occurrence_ticks),
         "state_records": sorted(rec.id for rec in info.states),
         "media": sorted(info.carrier),
     }
-    specs = {}
-    for universe in draw(st.sets(st.sampled_from(sorted(elements)))):
-        keys = draw(st.sets(st.sampled_from(elements[universe])))
-        specs[universe] = weighted(universe, {
-            key: draw(st.fractions(min_value=0, max_denominator=9)) for key in sorted(keys)})
-    return specs
+    universes = sorted(elements) if complete else draw(st.sets(st.sampled_from(sorted(elements))))
+    tables = {}
+    for universe in universes:
+        keys = elements[universe] if complete else draw(st.sets(st.sampled_from(elements[universe])))
+        tables[universe] = {
+            key: draw(st.fractions(min_value=0, max_denominator=9)) for key in sorted(keys)}
+    return tables
 
 
 @st.composite

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,62 +9,75 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oit import (
-    MeasureSpec,
     UncoveredElement,
+    ValidationError,
     atoms,
-    counting,
+    emit_instance,
     granularity,
+    parse_document,
     restrict,
     restrict_links,
     richness,
     scope,
     sustainability,
     volume,
-    weighted,
 )
-from oit.measures import MeasureMismatch
+from oit.cli import MEASURE_METRICS
+from oit.measures import _measure
 
-from .strategies import informations_with_sublinks
+from .conftest import REPO_ROOT, load_script
+from .strategies import informations, informations_with_sublinks, weight_tables
+
+oracle = load_script("oracle", REPO_ROOT / "bench")
 
 
-class TestMeasureSpec:
-    def test_counting_rejects_weights(self):
-        with pytest.raises(ValueError):
-            MeasureSpec("entities", "counting", {"a": 1})
+class TestWeightTable:
+    def test_negative_weight_rejected(self, ex1):
+        # "z" is never measured; the whole table is read all the same.
+        with pytest.raises(ValueError, match="^weight must be nonnegative$"):
+            scope(ex1, {"a": 1, "b": 1, "z": -1})
 
-    def test_weighted_requires_weights(self):
-        with pytest.raises(ValueError):
-            MeasureSpec("entities", "weighted")
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            weighted("entities", {"a": -1})
-
-    def test_unknown_universe(self):
-        with pytest.raises(ValueError):
-            counting("carriers")
-
-    def test_uncovered_element(self):
-        spec = weighted("entities", {"a": 1})
-        with pytest.raises(UncoveredElement, match="uncovered element"):
-            spec.measure({"a", "b"})
+    def test_uncovered_element(self, ex1):
+        with pytest.raises(UncoveredElement, match="uncovered element 'b' in entities measure"):
+            scope(ex1, {"a": 1})
 
     def test_exact_fraction_coercion(self):
-        spec = weighted("entities", {"a": "0.5", "b": 2})
-        assert spec.measure({"a", "b"}) == Fraction(5, 2)
+        table = {"a": "0.5", "b": 2, "c": 0.25, "d": Fraction(1, 3), "e": "2/3"}
+        assert _measure(table, "entities")("abcde") == Fraction(15, 4)
+
+    @pytest.mark.parametrize("weight, message", [
+        (True, "weight must be a number or numeric string"),
+        ([1], "weight must be a number or numeric string"),
+        ("x", "invalid weight literal 'x'"),
+        ("nan", "invalid weight literal 'nan'"),
+        (float("nan"), "invalid weight literal nan"),
+        (float("inf"), "invalid weight literal inf"),
+        (-1, "weight must be nonnegative"),
+        ("-1", "weight must be nonnegative"),
+        ("1/0", "invalid weight literal '1/0'"),
+    ])
+    def test_library_and_document_reader_say_the_same(self, ex1, weight, message):
+        with pytest.raises(ValueError) as exc:
+            scope(ex1, {"a": weight, "b": 1})
+        assert str(exc.value) == message
+        doc = json.loads(emit_instance(ex1))
+        doc["weights"] = {"entities": {"a": weight, "b": 1}}
+        with pytest.raises(ValidationError) as diag:
+            parse_document(json.dumps(doc))
+        (line,) = diag.value.diagnostics
+        assert (line.code, line.message) == ("schema", "weights.entities.a: " + message)
 
     @given(st.sets(st.sampled_from("abcdef")), st.sets(st.sampled_from("ghijkl")))
     def test_finite_additivity_on_disjoint_sets(self, left, right):
         rng = random.Random(17)
         table = {t: Fraction(rng.randint(0, 9), rng.randint(1, 5)) for t in "abcdefghijkl"}
-        spec = weighted("entities", table)
-        assert spec.measure(left | right) == spec.measure(left) + spec.measure(right)
+        measure = _measure(table, "entities")
+        assert measure(left | right) == measure(left) + measure(right)
 
     @given(st.sets(st.sampled_from("abcdef")), st.sets(st.sampled_from("abcdef")))
     def test_monotone_under_containment(self, small, extra):
-        table = {t: Fraction(i, 3) for i, t in enumerate("abcdef")}
-        spec = weighted("entities", table)
-        assert spec.measure(small) <= spec.measure(small | extra)
+        measure = _measure({t: Fraction(i, 3) for i, t in enumerate("abcdef")}, "entities")
+        assert measure(small) <= measure(small | extra)
 
 
 class TestScope:
@@ -71,14 +85,10 @@ class TestScope:
         assert scope(ex1) == 2
 
     def test_weighted(self, ex1):
-        assert scope(ex1, weighted("entities", {"a": "0.5", "b": 2})) == Fraction(5, 2)
+        assert scope(ex1, {"a": "0.5", "b": 2}) == Fraction(5, 2)
 
     def test_restricted(self, ex1):
         assert scope(restrict(ex1, lambda s, r: s.id == "s1")) == 1
-
-    def test_universe_mismatch(self, ex1):
-        with pytest.raises(MeasureMismatch):
-            scope(ex1, counting("media"))
 
 
 class TestGranularity:
@@ -90,13 +100,11 @@ class TestGranularity:
         assert granularity(sub) == 1
 
     def test_weighted(self, ex1):
-        assert granularity(ex1, weighted("entities", {"a": 3, "b": 1})) == 4
+        assert granularity(ex1, {"a": 3, "b": 1}) == 4
 
     def test_matches_atom_maximum(self, ex1):
-        spec = weighted("entities", {"a": 3, "b": 1})
-        assert granularity(ex1, spec) == max(
-            spec.measure(a.info.ontology) for a in atoms(ex1)
-        )
+        table = {"a": 3, "b": 1}
+        assert granularity(ex1, table) == max(scope(a.info, table) for a in atoms(ex1))
 
 
 class TestSustainability:
@@ -104,7 +112,7 @@ class TestSustainability:
         assert sustainability(ex1) == 3
 
     def test_weighted(self, ex1):
-        assert sustainability(ex1, weighted("ticks", {1: 1, 2: 1, 3: 10})) == 12
+        assert sustainability(ex1, {1: 1, 2: 1, 3: 10}) == 12
 
     def test_restricted(self, ex1):
         assert sustainability(restrict(ex1, lambda s, r: s.id == "s1")) == 1
@@ -115,8 +123,7 @@ class TestRichness:
         assert richness(ex1) == 3
 
     def test_weighted_by_value_length(self, ex1):
-        table = {s.id: len(s.value) for s in ex1.states}
-        assert richness(ex1, weighted("state_records", table)) == 6
+        assert richness(ex1, {s.id: len(s.value) for s in ex1.states}) == 6
 
     def test_restricted(self, ex1):
         assert richness(restrict(ex1, lambda s, r: s.tick <= 2)) == 2
@@ -127,7 +134,7 @@ class TestVolume:
         assert volume(ex1) == 3
 
     def test_weighted_bytes(self, ex1):
-        assert volume(ex1, weighted("media", {"m1": 100, "m2": 50, "m3": 100})) == 250
+        assert volume(ex1, {"m1": 100, "m2": 50, "m3": 100}) == 250
 
     def test_restricted(self, ex1):
         assert volume(restrict(ex1, lambda s, r: s.id in ("s2", "s3"))) == 1
@@ -138,10 +145,10 @@ def _random_measures(info, rng):
         return {k: Fraction(rng.randint(0, 10), rng.randint(1, 4)) for k in keys}
 
     return {
-        "entities": weighted("entities", table(info.ontology)),
-        "ticks": weighted("ticks", table(info.occurrence_ticks)),
-        "state_records": weighted("state_records", table(r.id for r in info.states)),
-        "media": weighted("media", table(info.carrier)),
+        "entities": table(info.ontology),
+        "ticks": table(info.occurrence_ticks),
+        "state_records": table(r.id for r in info.states),
+        "media": table(info.carrier),
     }
 
 
@@ -151,15 +158,15 @@ class TestMonotonePropositions:
     def test_measure_metrics_monotone_under_sub_information(self, case, salt):
         info, links = case
         sub = restrict_links(info, links)
-        specs = _random_measures(info, random.Random(salt))
+        tables = _random_measures(info, random.Random(salt))
         assert scope(sub) <= scope(info)
-        assert scope(sub, specs["entities"]) <= scope(info, specs["entities"])
+        assert scope(sub, tables["entities"]) <= scope(info, tables["entities"])
         assert sustainability(sub) <= sustainability(info)
-        assert sustainability(sub, specs["ticks"]) <= sustainability(info, specs["ticks"])
+        assert sustainability(sub, tables["ticks"]) <= sustainability(info, tables["ticks"])
         assert richness(sub) <= richness(info)
-        assert richness(sub, specs["state_records"]) <= richness(info, specs["state_records"])
+        assert richness(sub, tables["state_records"]) <= richness(info, tables["state_records"])
         assert volume(sub) <= volume(info)
-        assert volume(sub, specs["media"]) <= volume(info, specs["media"])
+        assert volume(sub, tables["media"]) <= volume(info, tables["media"])
 
     @given(informations_with_sublinks(), st.integers(0, 2**16))
     @settings(max_examples=80)
@@ -169,6 +176,18 @@ class TestMonotonePropositions:
         assert {a.link_identity for a in atoms(sub)} <= {
             a.link_identity for a in atoms(info)
         }
-        specs = _random_measures(info, random.Random(salt))
+        tables = _random_measures(info, random.Random(salt))
         assert granularity(sub) <= granularity(info)
-        assert granularity(sub, specs["entities"]) <= granularity(info, specs["entities"])
+        assert granularity(sub, tables["entities"]) <= granularity(info, tables["entities"])
+
+
+class TestOracle:
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_measure_metrics_match_the_benchmark_oracle(self, data):
+        info = data.draw(informations())
+        weights = data.draw(st.none() | weight_tables(info, complete=True))
+        doc = json.loads(emit_instance(info, weights))
+        want = oracle.metric_values(oracle.Doc(doc), weights=doc.get("weights"))
+        for name, metric, universe in MEASURE_METRICS:
+            assert metric(info, (weights or {}).get(universe)) == want[name], name

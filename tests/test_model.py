@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -435,6 +436,22 @@ class TestProperties:
         l2 = frozenset(rng.sample(sorted(info.links), rng.randint(1, len(info.links))))
         merged = combine(restrict_links(info, l1), restrict_links(info, l2), "lax")
         assert merged == restrict_links(info, l1 | l2)
+
+    @given(informations_with_sublinks())
+    def test_restrict_is_idempotent(self, case):
+        info, links = case
+
+        def keep(s, r):
+            return (s.id, r.id) in links
+
+        once = restrict(info, keep)
+        assert restrict(once, keep) == once
+
+    @given(informations())
+    def test_lax_combine_of_all_atoms_keeps_every_link(self, info):
+        merged = functools.reduce(lambda a, b: combine(a, b, "lax"),
+                                  (atom.info for atom in atoms(info)))
+        assert merged.link_identities == info.link_identities
 
     @given(informations())
     def test_image_preimage_round_trips(self, info):

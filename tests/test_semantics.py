@@ -157,6 +157,16 @@ class TestSuitability:
         with pytest.raises(WeightVectorError):
             suitability(ex1, target, weights=(Fraction(1, 2),) * 2)
 
+    @pytest.mark.parametrize("weights, message", [
+        ((float("nan"),) * 6, "invalid weight literal nan"),
+        ((float("inf"),) * 6, "invalid weight literal inf"),
+        ((True,) + (0,) * 5, "weight must be a number or numeric string"),
+    ])
+    def test_weights_without_an_exact_reading(self, ex1, weights, message):
+        with pytest.raises(WeightVectorError) as exc:
+            suitability(ex1, demand(ex1), weights)
+        assert str(exc.value) == "bad suitability weight: " + message
+
     def test_custom_weights(self, ex1):
         target = demand(restrict(ex1, lambda s, r: s.id == "s1"))
         # all weight on the carrier component

@@ -24,6 +24,7 @@ from oit import (
     parse_target,
     parse_weights_file,
     validity,
+    volume,
 )
 from oit.serialize import (
     MALFORMED,
@@ -33,7 +34,7 @@ from oit.serialize import (
 )
 
 from .conftest import FIXTURES, REPO_ROOT, load_script
-from .strategies import ANY_NAMES, ANY_TICKS, ANY_VALUES, informations, weight_specs
+from .strategies import ANY_NAMES, ANY_TICKS, ANY_VALUES, informations, weight_tables
 
 oracle = load_script("oracle", REPO_ROOT / "bench")
 
@@ -86,8 +87,8 @@ def reference_doc(info, weights=None) -> dict:
     }
     if weights:
         doc["weights"] = {
-            universe: {str(k): str(w) for k, w in spec.weights.items()}
-            for universe, spec in weights.items()
+            universe: {str(k): str(w) for k, w in table.items()}
+            for universe, table in weights.items()
         }
     return doc
 
@@ -140,7 +141,7 @@ class TestCanonicalWriter:
     def test_emit_and_digest_match_the_benchmark_oracle(self, data):
         names = data.draw(st.sampled_from([None, ANY_NAMES]))
         info = data.draw(informations(values=ANY_VALUES, names=names, ticks=ANY_TICKS))
-        weights = data.draw(weight_specs(info))
+        weights = data.draw(weight_tables(info))
         text = emit_instance(info, weights)
         assert text == oracle.canonical_text(reference_doc(info, weights))
         assert parse_document(text) == (info, weights)
@@ -286,18 +287,22 @@ class TestWeights:
             "entities": {"a": "0.5", "b": 2},
             "ticks": {"1": "1", "2": "1", "3": "10"},
         }
-        info, specs = parse_document(json.dumps(doc))
+        info, tables = parse_document(json.dumps(doc))
         assert info == ex1
-        assert specs["entities"].measure({"a", "b"}) == Fraction(5, 2)
-        assert specs["ticks"].measure({1, 2, 3}) == 12
+        assert tables == {"entities": {"a": Fraction(1, 2), "b": 2}, "ticks": {1: 1, 2: 1, 3: 10}}
 
     def test_weights_round_trip_through_emit(self, ex1):
         doc = json.loads(emit_instance(ex1))
         doc["weights"] = {"entities": {"a": "1/3", "b": "2"}}
-        info, specs = parse_document(json.dumps(doc))
-        text = emit_instance(info, specs)
-        _, specs2 = parse_document(text)
-        assert specs2["entities"].weights == specs["entities"].weights
+        info, tables = parse_document(json.dumps(doc))
+        text = emit_instance(info, tables)
+        assert parse_document(text) == (info, tables)
+
+    def test_library_tables_are_written_canonically(self, ex1):
+        text = emit_instance(ex1, {"entities": {"a": 0.5, "b": "2.0"}})
+        assert json.loads(text)["weights"] == {"entities": {"a": "1/2", "b": "2"}}
+        with pytest.raises(ValueError, match="^weight must be nonnegative$"):
+            emit_instance(ex1, {"entities": {"a": -1}})
 
     def test_negative_weight_rejected(self, ex1):
         doc = json.loads(emit_instance(ex1))
@@ -332,9 +337,9 @@ class TestWeights:
         assert diag.message.startswith(subject + ": ")
         assert len(diag.message) < 100
 
-    def test_standalone_weights_file(self, fixtures_dir):
-        specs = parse_weights_file((fixtures_dir / "weights_ex1.json").read_text())
-        assert specs["media"].measure({"m1", "m2", "m3"}) == 250
+    def test_standalone_weights_file(self, ex1, fixtures_dir):
+        tables = parse_weights_file((fixtures_dir / "weights_ex1.json").read_text())
+        assert volume(ex1, tables["media"]) == 250
 
 
 class TestSideDocuments:
