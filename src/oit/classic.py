@@ -53,9 +53,9 @@ def _as_distribution(dist) -> Distribution:
 def shannon_entropy(dist, base: float = 2.0, k: float = 1.0) -> float:
     """-k * sum(p * log_base(p)) with the 0 log 0 = 0 convention."""
     dist = _as_distribution(dist)
-    if base <= 1:
+    if not 1 < base < math.inf:
         raise ValueError("log base must exceed 1, got %r" % base)
-    if k <= 0:
+    if not 0 < k < math.inf:
         raise ValueError("scale k must be positive, got %r" % k)
     log_base = math.log(base)
     return -k * sum(
@@ -69,7 +69,7 @@ def hartley_information(n: int, s: int, base: float = 2.0) -> float:
         raise ValueError("word length n must be >= 1, got %r" % n)
     if s < 2:
         raise ValueError("alphabet size s must be >= 2, got %r" % s)
-    if base <= 1:
+    if not 1 < base < math.inf:
         raise ValueError("log base must exceed 1, got %r" % base)
     return n * math.log(s) / math.log(base)
 

@@ -32,6 +32,7 @@ from .model import (
     combine,
     compose,
     is_sub_information,
+    read_fraction,
 )
 from .semantics import EQUAL_WEIGHTS, JACCARD, suitability, validity
 from .serialize import (
@@ -213,7 +214,7 @@ def cmd_coverage(args) -> int:
 def _fraction(text: str) -> Fraction:
     """A number given on the command line, read exactly."""
     try:
-        return Fraction(text)
+        return read_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError("invalid number %s" % brief_repr(text)) from None
 

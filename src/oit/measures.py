@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .model import Information, OitError, _id_order, brief_ids, brief_repr
+from .model import Information, OitError, _id_order, brief_ids, brief_repr, read_fraction
 
 UNIVERSES = ("entities", "ticks", "state_records", "media")
 
@@ -34,7 +34,7 @@ def _read_weight(raw) -> Fraction:
     else:
         # NaN and Infinity have no exact reading and fail like any bad literal.
         try:
-            w = Fraction(str(raw))
+            w = read_fraction(str(raw))
         except (ValueError, ZeroDivisionError):
             raise ValueError("invalid weight literal %s" % brief_repr(raw)) from None
     if w < 0:

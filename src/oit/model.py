@@ -93,6 +93,29 @@ def brief_repr(value) -> str:
     return brief(reprlib.repr(value))
 
 
+# The default limit on the digits of an int read from or written as text.
+MAX_LITERAL_DIGITS = 4300
+
+
+def read_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing first a literal whose exponent would expand it
+    beyond ``MAX_LITERAL_DIGITS`` digits: ``1e10000000`` alone takes seconds.
+
+    The mantissa's digits and point plus the exponent's magnitude bound both
+    numerator and denominator (``.3e-4299`` needs the point), so every accepted
+    literal can be written back as text.
+    """
+    mantissa, e, exponent = text.lower().partition("e")
+    if e:
+        try:
+            size = sum(c.isdigit() or c == "." for c in mantissa) + abs(int(exponent))
+        except ValueError:
+            size = 0  # no integer exponent: Fraction rejects the literal itself
+        if size > MAX_LITERAL_DIGITS:
+            raise ValueError("literal exceeds %d digits" % MAX_LITERAL_DIGITS)
+    return Fraction(text)
+
+
 def _id_order(i):
     """Sort key for ids that need not all be strings: strings first, in their own order."""
     return (0, i) if isinstance(i, str) else (1, repr(i))

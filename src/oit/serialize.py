@@ -7,12 +7,11 @@ links are sorted and object keys are emitted in sorted order, so equal
 instances serialize to identical bytes and the digest is well defined.
 
 Every document and report is written byte for byte as ``json.dumps(doc,
-indent=2, sort_keys=True)`` writes it (whose indented form runs json's
-pure-Python encoder), with strings quoted by json's C ``encode_basestring_ascii``.
-Reports go through one small recursive writer; an instance is written straight
-from its records, one fixed template per record kind with its members in
-sorted order.  ``instance_digest`` hashes that text a few hundred records at a
-time and never holds the whole text.
+indent=2, sort_keys=True)`` writes it.  Reports and side documents are written
+by ``json.dumps`` itself; an instance is written straight from its records, one
+fixed template per record kind with its members in sorted order and strings
+quoted by json's C ``encode_basestring_ascii``.  ``instance_digest`` hashes that
+text a few hundred records at a time and never holds the whole text.
 
 Record values are JSON strings (text), JSON integers, ``{"b64": ...}`` for
 byte strings, or ``{"rational": "p/q"}`` for exact rationals.  Floats are
@@ -26,7 +25,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import math
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
@@ -44,6 +42,7 @@ from .model import (
     ValidationError,
     brief,
     brief_repr,
+    read_fraction,
 )
 from .semantics import JACCARD, NUMERIC_L1, SemanticMapping
 
@@ -78,7 +77,7 @@ def value_from_json(raw, path, diags):
             return None
     if isinstance(raw, dict) and set(raw) == {"rational"} and isinstance(raw["rational"], str):
         try:
-            return Fraction(raw["rational"])
+            return read_fraction(raw["rational"])
         except Exception:
             _diag(diags, path, "invalid rational literal %s" % brief_repr(raw["rational"]))
             return None
@@ -143,6 +142,8 @@ def _weights_from_json(raw, diags) -> dict:
             if universe == "ticks":
                 try:
                     key = int(token)
+                    if str(key) != token:  # "+1", " 1", "01" and "1_0" would alias "1"
+                        raise ValueError
                 except ValueError:
                     _diag(diags, path, "tick keys must be integers")
                     continue
@@ -235,69 +236,34 @@ def parse_instance(text: str) -> Information:
     return parse_document(text)[0]
 
 
-def _float_text(value: float) -> str:
-    """A float as json writes it: its repr, with JavaScript's NaN and Infinity."""
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(value)
-
-
-def _text(value, indent: str) -> str:
-    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at ``indent``."""
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        members = [_quote(k) + ": " + _text(v, inner) for k, v in sorted(value.items())]
-        return "{\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        members = [_text(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError("%s is not a JSON value" % type(value).__name__)
-
-
 def document_to_text(doc: dict) -> str:
     """The canonical text of a document: sorted keys, two-space indent, one final newline."""
-    return _text(doc, "") + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # The instance text's fixed layouts: one per record kind, with members in sorted
-# order, and a record's token list and tagged values, which sit at indent 6.
+# order, and a record's tagged values, which sit at indent 6.
 _STATE = ('    {\n      "entities": %s,\n      "id": %s,\n'
           '      "tick": %s,\n      "value": %s\n    }')
 _REFLECTION = ('    {\n      "id": %s,\n      "media": %s,\n'
                '      "tick": %s,\n      "value": %s\n    }')
 _LINK = '    {\n      "from": %s,\n      "to": %s\n    }'
-_TOKENS = '[\n        %s\n      ]'
 _B64 = '{\n        "b64": "%s"\n      }'
 _RATIONAL = '{\n        "rational": %s\n      }'
 # Records per digest update: small enough that hashing never holds much of the text.
 _BATCH = 256
 
 
-def _tokens_text(tokens) -> str:
-    """A record's tokens as a sorted JSON list at indent 6."""
-    if len(tokens) == 1:
+def _tokens_text(tokens, indent: str = "      ") -> str:
+    """Tokens as a sorted JSON list whose closing bracket sits at ``indent``."""
+    if len(tokens) == 1:  # the common case, which needs no sort
         (token,) = tokens
-        return _TOKENS % _quote(token)
-    return _TOKENS % ",\n        ".join(map(_quote, sorted(tokens))) if tokens else "[]"
+        body = _quote(token)
+    elif tokens:
+        body = (",\n  " + indent).join(map(_quote, sorted(tokens)))
+    else:
+        return "[]"
+    return "[\n  %s%s\n%s]" % (indent, body, indent)
 
 
 def _value_text(value) -> str:
@@ -308,7 +274,7 @@ def _value_text(value) -> str:
         return _B64 % base64.b64encode(value).decode("ascii")
     if isinstance(value, Fraction):
         return _RATIONAL % _quote(str(value))
-    return _text(value, "      ")
+    return int.__repr__(value)
 
 
 def _record_list(texts):
@@ -323,9 +289,9 @@ def _record_list(texts):
 
 def _instance_chunks(info: Information, weights: Mapping | None):
     """The canonical text of an instance, written straight from its records."""
-    yield '{\n  "entities": %s,\n  "links": ' % _text(sorted(info.ontology), "  ")
+    yield '{\n  "entities": %s,\n  "links": ' % _tokens_text(info.ontology, "  ")
     yield from _record_list(_LINK % (_quote(a), _quote(b)) for a, b in sorted(info.links))
-    yield ',\n  "media": %s,\n  "reflection_records": ' % _text(sorted(info.carrier), "  ")
+    yield ',\n  "media": %s,\n  "reflection_records": ' % _tokens_text(info.carrier, "  ")
     yield from _record_list(
         _REFLECTION % (_quote(rec.id), _tokens_text(rec.media),
                        int.__repr__(rec.tick), _value_text(rec.value))
@@ -339,10 +305,10 @@ def _instance_chunks(info: Information, weights: Mapping | None):
     )
     yield ',\n  "version": %d' % SCHEMA_VERSION
     if weights:
-        yield ',\n  "weights": ' + _text({
-            universe: {str(k): str(_read_weight(w)) for k, w in table.items()}
-            for universe, table in weights.items()
-        }, "  ")
+        tables = {universe: {str(k): str(_read_weight(w)) for k, w in table.items()}
+                  for universe, table in weights.items()}
+        text = json.dumps(tables, indent=2, sort_keys=True)
+        yield ',\n  "weights": ' + text.replace("\n", "\n  ")
     yield "\n}\n"
 
 

@@ -1,23 +1,11 @@
 from __future__ import annotations
 
-import importlib.util
-import pathlib
-
 import pytest
 
 from oit import example_instance
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-FIXTURES = REPO_ROOT / "fixtures"
-SCRIPTS = REPO_ROOT / "scripts"
-
-
-def load_script(name: str, directory: pathlib.Path = SCRIPTS):
-    """Import ``<directory>/<name>.py`` as a module without running its ``main``."""
-    spec = importlib.util.spec_from_file_location(name, directory / (name + ".py"))
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+# load_script is imported from here by the acceptance gate.
+from .paths import FIXTURES, load_script  # noqa: F401
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -61,6 +62,16 @@ class TestShannonEntropy:
         with pytest.raises(ValueError):
             shannon_entropy((0.5, 0.5), k=0.0)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"base": math.nan}, "log base must exceed 1, got nan"),
+        ({"base": math.inf}, "log base must exceed 1, got inf"),
+        ({"k": math.nan}, "scale k must be positive, got nan"),
+        ({"k": math.inf}, "scale k must be positive, got inf"),
+    ])
+    def test_non_finite_parameters_rejected(self, params, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            shannon_entropy((0.5, 0.5), **params)
+
     def test_uniform_maximizes(self):
         rng = random.Random(99)
         for n in range(2, 7):
@@ -93,6 +104,11 @@ class TestHartley:
             hartley_information(3, 1)
         with pytest.raises(ValueError):
             hartley_information(3, 2, base=1.0)
+
+    @pytest.mark.parametrize("base", [math.nan, math.inf])
+    def test_non_finite_base_rejected(self, base):
+        with pytest.raises(ValueError, match="^log base must exceed 1, got %r$" % base):
+            hartley_information(3, 2, base=base)
 
     def test_equals_uniform_entropy_over_words(self):
         # entropy of the uniform distribution over all length-n words

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 from collections import Counter
 
@@ -23,7 +24,7 @@ from oit import (
 )
 from oit.model import LISTED_IDS
 
-from .conftest import REPO_ROOT
+from .paths import REPO_ROOT
 
 
 # A diagnostic line lists at most two groups of LISTED_IDS ids, each cut to 40
@@ -626,6 +627,16 @@ class TestClassicCommands:
         code, out, _ = run(capsys, "hartley", "--n", "4", "--s", "10")
         assert float(out) == pytest.approx(13.287712379549449, abs=1e-9)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["entropy", "--probs", "0.5,0.5", "--base", "nan"], "log base must exceed 1, got nan"),
+        (["entropy", "--probs", "0.5,0.5", "--base", "inf"], "log base must exceed 1, got inf"),
+        (["entropy", "--probs", "0.5,0.5", "--k", "nan"], "scale k must be positive, got nan"),
+        (["entropy", "--probs", "0.5,0.5", "--k", "inf"], "scale k must be positive, got inf"),
+        (["hartley", "--n", "3", "--s", "2", "--base", "nan"], "log base must exceed 1, got nan"),
+    ])
+    def test_non_finite_parameters_rejected(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
+
     def test_demo_shannon(self, capsys):
         code, out, _ = run(
             capsys, "demo", "shannon", "--probs", "0.5,0.5", "--n", "8", "--seed", "7"
@@ -663,6 +674,30 @@ class TestArithmeticErrors:
         weights.write_text(json.dumps({"weights": {"entities": {"a": "1e400", "b": "1"}}}))
         code, stdout, err = run(capsys, "metrics", ex1_path, "--weights", str(weights), "--out", out)
         assert (code, stdout, err) == (1, "", "error: scope is too large for a float approximation\n")
+
+
+    @pytest.mark.parametrize("where, message", [
+        ("value", "schema: state_records[0].value: invalid rational literal '1e100000000'"),
+        ("weight", "schema: weights.entities.a: invalid weight literal '1e100000000'"),
+        ("suit-weights", "error: invalid number '1e100000000'"),
+    ])
+    def test_a_huge_exponent_ends_quickly(self, capsys, tmp_path, ex1_path, where, message):
+        doc = json.loads(emit_instance(example_instance()))
+        path = tmp_path / "huge.json"
+        if where == "value":
+            doc["state_records"][0]["value"] = {"rational": "1e100000000"}
+            argv = ["validate", str(path)]
+        elif where == "weight":
+            doc = {"weights": {"entities": {"a": "1e100000000", "b": "1"}}}
+            argv = ["metrics", ex1_path, "--weights", str(path)]
+        else:
+            argv = ["metrics", ex1_path, "--target", ex1_path,
+                    "--suit-weights", "1e100000000", "0", "0", "0", "0", "0"]
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err.splitlines()[0]) == (1, "", message)
 
 
 class TestLibraryErrors:

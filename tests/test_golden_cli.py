@@ -4,16 +4,19 @@
 to the repository root and generated inputs under ``$WORK/``, to its exit
 code, the sha256 of its stdout and the sha256 of its stderr, in which the
 work directory is written as ``$WORK``.  Reports and diagnostics must stay
-byte-identical, so any difference fails.  To pin the corpus again, run from
+byte-identical, so any difference fails.  The check needs no pytest; run from
 the repository root::
 
-    PYTHONPATH=src python -m tests.test_golden_cli
+    PYTHONPATH=src python -m tests.test_golden_cli --check
 
-against the commit whose outputs are the reference.
+It names every call that differs and exits 1 if any does.  Without ``--check``
+the same command pins the corpus again, against the commit whose outputs are
+the reference.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -26,7 +29,7 @@ from pathlib import Path
 
 from oit import emit_instance, example_instance, identity_relay, run_cli
 
-from .conftest import FIXTURES, REPO_ROOT
+from .paths import FIXTURES, REPO_ROOT
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 INSTANCES = ("ex1", "ex1_s1", "ex1_s1r1", "ex1_s1r1_s2r2")
@@ -138,22 +141,37 @@ def run_corpus(work: Path) -> dict:
     return results
 
 
+def differences(results: dict, golden: dict) -> list:
+    """The calls, in order, whose results differ from the pinned ones or that only
+    one of the two holds."""
+    return sorted(call for call in results.keys() | golden.keys()
+                  if results.get(call) != golden.get(call))
+
+
 def test_cli_outputs_match_the_golden_corpus(tmp_path, monkeypatch):
     monkeypatch.delenv("OIT_GUARD", raising=False)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    results = run_corpus(tmp_path)
-    assert sorted(results) == sorted(golden)
-    changed = [call for call in golden if results[call] != golden[call]]
-    assert changed == []
+    assert differences(run_corpus(tmp_path), golden) == []
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m tests.test_golden_cli")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the pinned corpus instead of pinning it again")
+    args = parser.parse_args(argv)
     os.environ.pop("OIT_GUARD", None)
     with tempfile.TemporaryDirectory() as work:
         results = run_corpus(Path(work))
+    if args.check:
+        changed = differences(results, json.loads(GOLDEN.read_text(encoding="utf-8")))
+        for call in changed:
+            sys.stdout.write("differs: %s\n" % call)
+        sys.stdout.write("%d of %d calls differ\n" % (len(changed), len(results)))
+        return 1 if changed else 0
     GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     sys.stdout.write("pinned %d calls in %s\n" % (len(results), GOLDEN))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -25,7 +25,7 @@ from oit import (
 from oit.cli import MEASURE_METRICS
 from oit.measures import _measure
 
-from .conftest import REPO_ROOT, load_script
+from .paths import REPO_ROOT, load_script
 from .strategies import informations, informations_with_sublinks, weight_tables
 
 oracle = load_script("oracle", REPO_ROOT / "bench")
@@ -55,6 +55,7 @@ class TestWeightTable:
         (-1, "weight must be nonnegative"),
         ("-1", "weight must be nonnegative"),
         ("1/0", "invalid weight literal '1/0'"),
+        ("1e100000000", "invalid weight literal '1e100000000'"),
     ])
     def test_library_and_document_reader_say_the_same(self, ex1, weight, message):
         with pytest.raises(ValueError) as exc:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import subprocess
 import sys
 
-from .conftest import FIXTURES, SCRIPTS, load_script
+from .paths import FIXTURES, SCRIPTS, load_script
 
 
 def test_make_fixtures_reproduces_the_shipped_fixtures(tmp_path):

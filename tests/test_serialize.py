@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from oit.serialize import (
     text_digest,
 )
 
-from .conftest import FIXTURES, REPO_ROOT, load_script
+from .paths import FIXTURES, REPO_ROOT, load_script
 from .strategies import ANY_NAMES, ANY_TICKS, ANY_VALUES, informations, weight_tables
 
 oracle = load_script("oracle", REPO_ROOT / "bench")
@@ -206,6 +207,26 @@ class TestValues:
         )
         assert parse_instance(emit_instance(info)) == info
 
+    # All but the first are at the limit: mantissa digits and point plus the
+    # exponent's magnitude make 4300, and the text of each part fits in 4300 digits.
+    @pytest.mark.parametrize("literal", ["1e4000", "1e4299", "-1e-4299", ".3e-4298", "1.5E4297"])
+    def test_large_exponents_within_the_limit_round_trip(self, ex1, literal):
+        doc = json.loads(emit_instance(ex1))
+        doc["state_records"][0]["value"] = {"rational": literal}
+        info = parse_instance(json.dumps(doc))
+        assert parse_instance(emit_instance(info)) == info
+
+    @pytest.mark.parametrize("literal", ["1e100000000", "1e-100000000", "1e4300", ".3e-4299"])
+    def test_exponents_beyond_the_limit_rejected_quickly(self, ex1, literal):
+        doc = json.loads(emit_instance(ex1))
+        doc["state_records"][0]["value"] = {"rational": literal}
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as exc:
+            parse_instance(json.dumps(doc))
+        assert time.perf_counter() - start < 1
+        diag = exc.value.diagnostics[0]
+        assert diag.message == "state_records[0].value: invalid rational literal %r" % literal
+
     def test_float_value_rejected(self, ex1):
         doc = json.loads(emit_instance(ex1))
         doc["state_records"][0]["value"] = 0.5
@@ -336,6 +357,15 @@ class TestWeights:
         assert diag.subjects == (subject,)
         assert diag.message.startswith(subject + ": ")
         assert len(diag.message) < 100
+
+    @pytest.mark.parametrize("key", ["+1", " 1", "1 ", "01", "1_0", "-0", "\uff11"])
+    def test_tick_keys_are_canonical_integers(self, key):
+        with pytest.raises(ValidationError) as exc:
+            parse_weights_file(json.dumps({"ticks": {"1": "1", key: "5"}}))
+        (diag,) = exc.value.diagnostics
+        assert diag.message == "weights.ticks.%s: tick keys must be integers" % key
+        tables = parse_weights_file(json.dumps({"ticks": {"-3": 1, "0": 1, "10": 2}}))
+        assert tables == {"ticks": {-3: 1, 0: 1, 10: 2}}
 
     def test_standalone_weights_file(self, ex1, fixtures_dir):
         tables = parse_weights_file((fixtures_dir / "weights_ex1.json").read_text())
