@@ -9,6 +9,7 @@ version and content digests but never timestamps.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .measures import (
     volume,
 )
 from .model import (
+    MAX_LITERAL_DIGITS,
     OitError,
     ValidationError,
     brief_repr,
@@ -94,6 +96,8 @@ def _exact(name: str, value) -> dict:
         return {"value": str(value), "approx": float(value)}
     except OverflowError:
         raise OverflowError("%s is too large for a float approximation" % name) from None
+    except ValueError:  # an int of more digits than Python writes as text
+        raise ValueError("%s exceeds %d digits" % (name, MAX_LITERAL_DIGITS)) from None
 
 
 def cmd_validate(args) -> int:
@@ -358,6 +362,9 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
+    # A short-lived process of acyclic, immutable data: the cyclic collector
+    # would only walk the whole live instance, again and again, and free nothing.
+    gc.disable()
     sys.exit(run_cli())
 
 

@@ -12,7 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .model import Information, OitError, _id_order, brief_ids, brief_repr, read_fraction
+from .model import (
+    MAX_LITERAL_DIGITS,
+    Information,
+    OitError,
+    _id_order,
+    brief_ids,
+    brief_repr,
+    read_fraction,
+)
 
 UNIVERSES = ("entities", "ticks", "state_records", "media")
 
@@ -25,12 +33,16 @@ def _read_weight(raw) -> Fraction:
     """A weight as an exact nonnegative rational.
 
     Accepts an int, a ``Fraction``, a finite float, or a decimal or fraction
-    string; anything else raises ``ValueError``.
+    string; anything else raises ``ValueError``.  An int's or a ``Fraction``'s
+    numerator and denominator are bounded like a literal's, so that every weight
+    can be written as text.
     """
     if isinstance(raw, bool) or not isinstance(raw, (int, Fraction, float, str)):
         raise ValueError("weight must be a number or numeric string")
     if isinstance(raw, (int, Fraction)):
         w = Fraction(raw)
+        if max(abs(w.numerator), w.denominator) >= 10**MAX_LITERAL_DIGITS:
+            raise ValueError("weight exceeds %d digits" % MAX_LITERAL_DIGITS)
     else:
         # NaN and Infinity have no exact reading and fail like any bad literal.
         try:

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable
 
 Value = str | int | bytes | Fraction
 VALUE_TYPES = frozenset(Value.__args__)
 LinkPair = tuple[str, str]
-Identity = tuple[frozenset, int, Value]
 
 
 class OitError(Exception):
@@ -146,38 +145,53 @@ CLOSURE_MISMATCH = "closure-mismatch"
 UNWRITABLE_RECORD = "unwritable-record"
 
 
-@dataclass(frozen=True)
-class StateRecord:
+class _Record(tuple):
+    """A record as the flat tuple ``(id, tokens, tick, value, identity, kind)``.
+
+    Tuple hashing and equality run in C, and every accessor is a C-level item
+    getter, so records are cheap to hash, compare and read.  ``identity``, the
+    content triple (token set, tick, value), is built once, with the record.
+    ``kind`` is the name of the token field, ``"entities"`` or ``"media"``, so
+    two records are equal exactly when they are of one kind with equal id,
+    tokens, tick and value.
+    """
+
+    __slots__ = ()
+
+    id = property(itemgetter(0))
+    tick = property(itemgetter(2))
+    value = property(itemgetter(3))
+    identity = property(itemgetter(4))
+
+    def __getnewargs__(self):
+        return self[:4]
+
+    def __repr__(self):
+        return "%s(id=%r, %s=%r, tick=%r, value=%r)" % (
+            type(self).__name__, self[0], self[5], self[1], self[2], self[3]
+        )
+
+
+class StateRecord(_Record):
     """A valued observation of a nonempty entity set at one tick."""
 
-    id: str
-    entities: frozenset
-    tick: int
-    value: Value
+    __slots__ = ()
+    entities = property(itemgetter(1))
 
-    def __post_init__(self):
-        object.__setattr__(self, "entities", frozenset(self.entities))
-
-    @property
-    def identity(self) -> Identity:
-        return (self.entities, self.tick, self.value)
+    def __new__(cls, id: str, entities, tick: int, value: Value):
+        entities = frozenset(entities)
+        return tuple.__new__(cls, (id, entities, tick, value, (entities, tick, value), "entities"))
 
 
-@dataclass(frozen=True)
-class ReflectionRecord:
+class ReflectionRecord(_Record):
     """A valued carrier entry hosted on a nonempty media set at one tick."""
 
-    id: str
-    media: frozenset
-    tick: int
-    value: Value
+    __slots__ = ()
+    media = property(itemgetter(1))
 
-    def __post_init__(self):
-        object.__setattr__(self, "media", frozenset(self.media))
-
-    @property
-    def identity(self) -> Identity:
-        return (self.media, self.tick, self.value)
+    def __new__(cls, id: str, media, tick: int, value: Value):
+        media = frozenset(media)
+        return tuple.__new__(cls, (id, media, tick, value, (media, tick, value), "media"))
 
 
 @dataclass(frozen=True)
@@ -325,46 +339,42 @@ class RawSextuple:
 
 def _check_records(records, token_field: str, label: str, diags: list):
     """Report empty token sets and id or content clashes; return the declared ids."""
-    by_id: dict = {}
+    by_id: dict = {}  # id -> the content triple it was first declared with
     by_identity: dict = {}
     for rec in records:
-        tokens = getattr(rec, token_field)
-        if not tokens:
+        rec_id, identity = rec.id, rec.identity
+        if not identity[0]:
             diags.append(
                 Diagnostic(
                     EMPTY_RECORD_TOKENS,
-                    "%s record %s has an empty %s set" % (label, brief(rec.id), token_field),
-                    (rec.id,),
+                    "%s record %s has an empty %s set" % (label, brief(rec_id), token_field),
+                    (rec_id,),
                 )
             )
-        prev = by_id.get(rec.id)
+        prev = by_id.get(rec_id)
         if prev is not None:
-            code = (
-                DUPLICATE_RECORD_ID
-                if prev.identity != rec.identity
-                else DUPLICATE_RECORD_CONTENT
-            )
+            code = DUPLICATE_RECORD_ID if prev != identity else DUPLICATE_RECORD_CONTENT
             diags.append(
                 Diagnostic(
                     code,
-                    "record identity clash: %s record id %s declared twice" % (label, brief(rec.id)),
-                    (rec.id,),
+                    "record identity clash: %s record id %s declared twice" % (label, brief(rec_id)),
+                    (rec_id,),
                 )
             )
         else:
-            by_id[rec.id] = rec
-        prev_id = by_identity.get(rec.identity)
-        if prev_id is not None and prev_id != rec.id:
+            by_id[rec_id] = identity
+        prev_id = by_identity.get(identity)
+        if prev_id is not None and prev_id != rec_id:
             diags.append(
                 Diagnostic(
                     DUPLICATE_RECORD_CONTENT,
                     "%s records %s and %s share one content triple"
-                    % (label, brief(prev_id), brief(rec.id)),
-                    (prev_id, rec.id),
+                    % (label, brief(prev_id), brief(rec_id)),
+                    (prev_id, rec_id),
                 )
             )
         else:
-            by_identity[rec.identity] = rec.id
+            by_identity[identity] = rec_id
     return by_id.keys()
 
 
@@ -380,7 +390,11 @@ def _check_well_formed(components, states, reflections, links, diags: list):
     state_ids = _check_records(states, "entities", "state", diags)
     reflection_ids = _check_records(reflections, "media", "reflection", diags)
     good_links = set()
-    for a, b in links:
+    for link in links:
+        a, b = link
+        if a in state_ids and b in reflection_ids:
+            good_links.add(link)
+            continue
         if a not in state_ids:
             diags.append(
                 Diagnostic(
@@ -397,8 +411,6 @@ def _check_well_formed(components, states, reflections, links, diags: list):
                     (b,),
                 )
             )
-        if a in state_ids and b in reflection_ids:
-            good_links.add((a, b))
     return state_ids, reflection_ids, good_links
 
 

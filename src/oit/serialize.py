@@ -60,28 +60,25 @@ def _diag(diags, path, message):
     diags.append(_schema(path, message))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def value_from_json(raw, path, diags):
-    if isinstance(raw, str):
-        return raw
-    if _is_int(raw):
-        return raw
-    if isinstance(raw, dict) and set(raw) == {"b64"} and isinstance(raw["b64"], str):
-        try:
-            return base64.b64decode(raw["b64"], validate=True)
-        except Exception:
-            _diag(diags, path, "invalid base64 payload")
-            return None
-    if isinstance(raw, dict) and set(raw) == {"rational"} and isinstance(raw["rational"], str):
-        try:
-            return read_fraction(raw["rational"])
-        except Exception:
-            _diag(diags, path, "invalid rational literal %s" % brief_repr(raw["rational"]))
-            return None
-    _diag(diags, path, "value must be text, integer, {\"b64\": ...} or {\"rational\": ...}")
+def _tagged_value(raw, path, i, diags):
+    """A record value given as ``{"b64": ...}`` or ``{"rational": ...}``, else None
+    with a diagnostic at ``path % i``."""
+    if type(raw) is dict and len(raw) == 1:
+        if type(raw.get("b64")) is str:
+            try:
+                return base64.b64decode(raw["b64"], validate=True)
+            except ValueError:
+                _diag(diags, path % i + ".value", "invalid base64 payload")
+                return None
+        if type(raw.get("rational")) is str:
+            try:
+                return read_fraction(raw["rational"])
+            except (ValueError, ZeroDivisionError):
+                _diag(diags, path % i + ".value",
+                      "invalid rational literal %s" % brief_repr(raw["rational"]))
+                return None
+    _diag(diags, path % i + ".value",
+          "value must be text, integer, {\"b64\": ...} or {\"rational\": ...}")
     return None
 
 
@@ -92,29 +89,62 @@ def _token_list(raw, path, diags):
     return raw
 
 
-def _triple_from_json(raw: dict, path, token_field, diags):
-    """Read a record object's (token set, tick, value) content triple, else None."""
-    tokens = _token_list(raw.get(token_field, []), "%s.%s" % (path, token_field), diags)
+def _shared_tokens(raw, shared: dict):
+    """``raw`` as a token set, one per distinct token list of a document, or None
+    when it is not a list of strings.  ``shared`` holds the sets made so far,
+    keyed by the single token or by the tuple of tokens."""
+    if type(raw) is not list:
+        return None
+    if len(raw) == 1:
+        key = raw[0]
+        if type(key) is not str:
+            return None
+    else:
+        key = tuple(raw)
+        if not all(type(t) is str for t in key):
+            return None
+    tokens = shared.get(key)
+    if tokens is None:
+        tokens = shared[key] = frozenset(raw)
+    return tokens
+
+
+def _triple(raw: dict, path: str, i: int, token_field: str, shared: dict, diags):
+    """Read a record object's (token set, tick, value) content triple, else None.
+
+    ``path % i`` is the object's JSON path; it is built only for a diagnostic.
+    """
+    tokens = _shared_tokens(raw.get(token_field, []), shared)
+    if tokens is None:
+        _diag(diags, "%s.%s" % (path % i, token_field), "expected a list of token strings")
+        tokens = frozenset()
     tick = raw.get("tick")
-    if not _is_int(tick):
-        _diag(diags, path + ".tick", "tick must be a JSON integer")
+    if type(tick) is not int:
+        _diag(diags, path % i + ".tick", "tick must be a JSON integer")
         return None
-    value = value_from_json(raw.get("value"), path + ".value", diags)
-    if value is None:
-        return None
-    return frozenset(tokens), tick, value
+    value = raw.get("value")
+    if type(value) is not str and type(value) is not int:
+        value = _tagged_value(value, path, i, diags)
+        if value is None:
+            return None
+    return tokens, tick, value
 
 
-def _record_from_json(raw, path, token_field, cls, diags):
-    if not isinstance(raw, dict):
-        _diag(diags, path, "expected a record object")
-        return None
-    rid = raw.get("id")
-    if not isinstance(rid, str) or not rid:
-        _diag(diags, path + ".id", "record id must be a nonempty string")
-        return None
-    triple = _triple_from_json(raw, path, token_field, diags)
-    return None if triple is None else cls(rid, *triple)
+def _records(raw_records, path: str, token_field: str, cls, shared: dict, diags) -> list:
+    """One record kind's records, read in one pass; ``path % i`` is the i-th one's path."""
+    records = []
+    for i, raw in enumerate(raw_records or ()):
+        if type(raw) is not dict:
+            _diag(diags, path % i, "expected a record object")
+            continue
+        rid = raw.get("id")
+        if type(rid) is not str or not rid:
+            _diag(diags, path % i + ".id", "record id must be a nonempty string")
+            continue
+        triple = _triple(raw, path, i, token_field, shared, diags)
+        if triple is not None:
+            records.append(cls(rid, *triple))
+    return records
 
 
 def _weights_from_json(raw, diags) -> dict:
@@ -177,40 +207,30 @@ def _document_from_text(text: str) -> dict:
 
 
 def _raw_from_document(doc: dict, diags) -> RawSextuple:
+    """The raw sextuple a document holds; equal token lists share one token set."""
     entities = _token_list(doc.get("entities", []), "entities", diags)
     media = _token_list(doc.get("media", []), "media", diags)
+    shared: dict = {}
+    states = _records(doc.get("state_records"), "state_records[%d]", "entities",
+                      StateRecord, shared, diags)
+    reflections = _records(doc.get("reflection_records"), "reflection_records[%d]", "media",
+                           ReflectionRecord, shared, diags)
 
-    states = []
-    for i, raw in enumerate(doc.get("state_records", []) or []):
-        rec = _record_from_json(raw, "state_records[%d]" % i, "entities", StateRecord, diags)
-        if rec is not None:
-            states.append(rec)
-    reflections = []
-    for i, raw in enumerate(doc.get("reflection_records", []) or []):
-        rec = _record_from_json(
-            raw, "reflection_records[%d]" % i, "media", ReflectionRecord, diags
-        )
-        if rec is not None:
-            reflections.append(rec)
-
-    links = []
+    links: dict = {}  # first-seen order, each link once
     raw_links = doc.get("links", [])
-    if not isinstance(raw_links, list):
+    if type(raw_links) is not list:
         _diag(diags, "links", "expected a list of {from, to} objects")
-        raw_links = []
+        raw_links = ()
     for i, raw in enumerate(raw_links):
-        if (
-            not isinstance(raw, dict)
-            or not isinstance(raw.get("from"), str)
-            or not isinstance(raw.get("to"), str)
-        ):
-            _diag(diags, "links[%d]" % i, "expected {\"from\": state id, \"to\": reflection id}")
-            continue
-        links.append((raw["from"], raw["to"]))
+        if type(raw) is dict:
+            a, b = raw.get("from"), raw.get("to")
+            if type(a) is str and type(b) is str:
+                links[a, b] = None
+                continue
+        _diag(diags, "links[%d]" % i, "expected {\"from\": state id, \"to\": reflection id}")
 
-    return RawSextuple.of(
-        dict.fromkeys(entities), dict.fromkeys(media), states, reflections, dict.fromkeys(links)
-    )
+    return RawSextuple(tuple(dict.fromkeys(entities)), tuple(dict.fromkeys(media)),
+                       tuple(states), tuple(reflections), tuple(links))
 
 
 def parse_document(text: str):
@@ -365,6 +385,7 @@ def parse_decoder(text: str) -> SemanticMapping:
     if not isinstance(entries, list):
         raise ValidationError([_schema("entries", "expected a list")])
     table = {}
+    shared: dict = {}
     for i, raw in enumerate(entries):
         path = "entries[%d]" % i
         if not isinstance(raw, dict) or "reflection" not in raw or "state" not in raw:
@@ -375,8 +396,8 @@ def parse_decoder(text: str) -> SemanticMapping:
             _diag(diags, "%s.%s" % (path, side), "expected an object")
         if not_objects:
             continue
-        key = _triple_from_json(raw["reflection"], path + ".reflection", "media", diags)
-        value = _triple_from_json(raw["state"], path + ".state", "entities", diags)
+        key = _triple(raw["reflection"], "entries[%d].reflection", i, "media", shared, diags)
+        value = _triple(raw["state"], "entries[%d].state", i, "entities", shared, diags)
         if key is not None and value is not None:
             table[key] = value
     if diags:

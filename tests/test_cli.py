@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import gc
 import hashlib
 import json
 import os
@@ -675,6 +676,14 @@ class TestArithmeticErrors:
         code, stdout, err = run(capsys, "metrics", ex1_path, "--weights", str(weights), "--out", out)
         assert (code, stdout, err) == (1, "", "error: scope is too large for a float approximation\n")
 
+    @pytest.mark.parametrize("out", ["json", "table"])
+    def test_a_metric_beyond_the_digit_limit_names_itself(self, capsys, tmp_path, ex1_path, out):
+        # Each weight can be written, but scope, their sum, has 4301 digits.
+        weights = tmp_path / "huge_weights.json"
+        weights.write_text(json.dumps({"weights": {"entities": {"a": "9e4299", "b": "9e4299"}}}))
+        code, stdout, err = run(capsys, "metrics", ex1_path, "--weights", str(weights), "--out", out)
+        assert (code, stdout, err) == (1, "", "error: scope exceeds 4300 digits\n")
+
 
     @pytest.mark.parametrize("where, message", [
         ("value", "schema: state_records[0].value: invalid rational literal '1e100000000'"),
@@ -771,6 +780,31 @@ class TestModuleEntryPoints:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr.splitlines()[-1] == (
             "error: [Errno 2] No such file or directory: %r" % missing)
+
+
+class TestCollectorPolicy:
+    """Only the CLI process turns the cyclic collector off; ``run_cli`` and the
+    library leave the collector's global state alone."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_cli_leaves_the_collector_as_it_found_it(self, capsys, ex1_path, enabled):
+        was_enabled, threshold = gc.isenabled(), gc.get_threshold()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, code in ((["validate", ex1_path], 0),
+                               (["metrics", ex1_path, "--target", ex1_path], 0),
+                               (["validate", "no-such-file.json"], 1)):
+                assert run(capsys, *argv)[0] == code
+                assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_main_runs_without_the_collector(self, ex1_path):
+        code = ("import atexit, gc; atexit.register(lambda: print(gc.isenabled()));"
+                "from oit.cli import main; main()")
+        result = subprocess.run([sys.executable, "-c", code, "validate", ex1_path],
+                                capture_output=True, text=True, timeout=60, env=_subprocess_env())
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 class TestGen:

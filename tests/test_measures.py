@@ -68,6 +68,26 @@ class TestWeightTable:
         (line,) = diag.value.diagnostics
         assert (line.code, line.message) == ("schema", "weights.entities.a: " + message)
 
+    # json can neither write nor read an integer of more than 4300 digits, so only
+    # a library table can hold these; they fail as soon as the table is read.
+    @pytest.mark.parametrize("weight", [10**4400, -(10**4400), 10**4300, Fraction(1, 10**4300),
+                                        Fraction(10**4300 + 1, 3)],
+                             ids=["1e4400", "-1e4400", "1e4300", "1/1e4300", "(1e4300+1)/3"])
+    def test_weights_beyond_the_digit_limit_rejected(self, ex1, weight):
+        with pytest.raises(ValueError) as exc:
+            scope(ex1, {"a": weight, "b": 1})
+        assert str(exc.value) == "weight exceeds 4300 digits"
+        with pytest.raises(ValueError) as exc:
+            emit_instance(ex1, {"entities": {"a": weight, "b": 1}})
+        assert str(exc.value) == "weight exceeds 4300 digits"
+
+    @pytest.mark.parametrize("weight", [10**4300 - 1, Fraction(1, 10**4300 - 1)],
+                             ids=["1e4300-1", "1/(1e4300-1)"])
+    def test_weights_at_the_digit_limit_round_trip(self, ex1, weight):
+        weights = {"entities": {"a": weight, "b": 1}}
+        assert scope(ex1, weights["entities"]) == weight + 1
+        assert parse_document(emit_instance(ex1, weights)) == (ex1, weights)
+
     @given(st.sets(st.sampled_from("abcdef")), st.sets(st.sampled_from("ghijkl")))
     def test_finite_additivity_on_disjoint_sets(self, left, right):
         rng = random.Random(17)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import functools
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from oit import (
     InconsistentOverlap,
     Information,
     InterfaceMismatch,
+    Profile,
     RawSextuple,
     RecordIdentityClash,
     ReflectionRecord,
@@ -25,6 +29,7 @@ from oit import (
     compose,
     delay,
     emit_instance,
+    generate_synthetic,
     identity_relay,
     image,
     is_proper_sub_information,
@@ -54,6 +59,60 @@ def raw_of(info: Information) -> RawSextuple:
     return RawSextuple.of(
         info.ontology, info.carrier, info.states, info.reflections, info.links
     )
+
+
+class TestRecords:
+    """Records are immutable values that carry their content triple."""
+
+    KINDS = [(StateRecord, "entities"), (ReflectionRecord, "media")]
+
+    @pytest.mark.parametrize("cls, tokens", KINDS)
+    def test_fields_cannot_be_assigned(self, cls, tokens):
+        rec = cls("x", {"a"}, 1, "v")
+        for name in ("id", tokens, "tick", "value", "identity", "other"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, "changed")
+        assert rec == cls("x", {"a"}, 1, "v")
+
+    @pytest.mark.parametrize("cls, tokens", KINDS)
+    def test_identity_is_the_content_triple_built_once(self, cls, tokens):
+        rec = cls("x", ["a", "b"], 1, "v")
+        assert rec.identity is rec.identity
+        assert rec.identity == (frozenset("ab"), 1, "v")
+        assert rec.identity[0] is getattr(rec, tokens)
+
+    @pytest.mark.parametrize("cls, tokens", KINDS)
+    def test_equal_and_hashing_equal_by_id_and_content(self, cls, tokens):
+        rec = cls("x", {"a"}, 1, "v")
+        same = cls(**{"id": "x", tokens: ["a"], "tick": 1, "value": "v"})
+        assert rec == same and hash(rec) == hash(same)
+        for other in (cls("y", {"a"}, 1, "v"), cls("x", {"b"}, 1, "v"),
+                      cls("x", {"a"}, 2, "v"), cls("x", {"a"}, 1, "w")):
+            assert rec != other
+        for copied in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert copied == rec and type(copied) is cls
+
+    def test_kinds_and_plain_tuples_never_equal(self):
+        state, reflection = StateRecord("x", {"a"}, 1, "v"), ReflectionRecord("x", {"a"}, 1, "v")
+        assert state != reflection and reflection != state
+        assert len({state, reflection}) == 2
+        for plain in (("x", frozenset({"a"}), 1, "v"), (frozenset({"a"}), 1, "v")):
+            assert state != plain and reflection != plain
+
+    def test_repr(self):
+        assert repr(StateRecord("s1", {"a"}, 1, "v1")) == (
+            "StateRecord(id='s1', entities=frozenset({'a'}), tick=1, value='v1')")
+        assert repr(ReflectionRecord("r1", {"m1"}, 4, Fraction(1, 3))) == (
+            "ReflectionRecord(id='r1', media=frozenset({'m1'}), tick=4, value=Fraction(1, 3))")
+
+    def test_a_parse_shares_equal_token_sets(self):
+        info, _ = parse_document(emit_instance(generate_synthetic(3, Profile(entities=40, media=8))))
+        records = (*info.states, *info.reflections)
+        shared: dict = {}
+        for rec in records:
+            tokens = rec.identity[0]
+            assert shared.setdefault(tokens, tokens) is tokens
+        assert len(shared) < len(records) / 2
 
 
 class TestValidate:

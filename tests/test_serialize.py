@@ -301,6 +301,102 @@ class TestDiagnostics:
         assert any("state_records[1].tick" in d.message for d in exc.value.diagnostics)
 
 
+class TestReaderDiagnostics:
+    """The reader's full ordered diagnostics for one bad record or link added to
+    the example.  In the messages, ``{r}`` is the added record's JSON path,
+    ``{t}`` its token field and ``{k}`` its kind; ``{unlinked}`` and
+    ``{violation}`` name the kind's totality or surjectivity check."""
+
+    KINDS = {
+        "state_records": dict(r="state_records[3]", t="entities", k="state",
+                              unlinked="unlinked-state", violation="totality"),
+        "reflection_records": dict(r="reflection_records[3]", t="media", k="reflection",
+                                   unlinked="unlinked-reflection", violation="surjectivity"),
+    }
+    MISSING = object()
+    SHAPE = '{r}.value: value must be text, integer, {{"b64": ...}} or {{"rational": ...}}'
+    BAD_TOKENS = [
+        (SCHEMA, "{r}.{t}: expected a list of token strings"),
+        ("empty-record-tokens", "{k} record x9 has an empty {t} set"),
+        ("{unlinked}", "{violation} violation: {k} record x9 has no link"),
+    ]
+    # A bad record: the whole record, or the members that differ from a good one
+    # (MISSING deletes the member); then the diagnostics it gives.
+    BAD_RECORDS = [
+        ([1, 2], [(SCHEMA, "{r}: expected a record object")]),
+        ("s9", [(SCHEMA, "{r}: expected a record object")]),
+        ({"id": MISSING}, [(SCHEMA, "{r}.id: record id must be a nonempty string")]),
+        ({"id": ""}, [(SCHEMA, "{r}.id: record id must be a nonempty string")]),
+        ({"id": 9}, [(SCHEMA, "{r}.id: record id must be a nonempty string")]),
+        ({"tokens": "a"}, BAD_TOKENS),
+        ({"tokens": ["a", 1]}, BAD_TOKENS),
+        ({"tokens": MISSING}, BAD_TOKENS[1:]),
+        ({"tick": MISSING}, [(SCHEMA, "{r}.tick: tick must be a JSON integer")]),
+        ({"tick": 1.0}, [(SCHEMA, "{r}.tick: tick must be a JSON integer")]),
+        ({"tick": True}, [(SCHEMA, "{r}.tick: tick must be a JSON integer")]),
+        ({"tokens": [None], "tick": "1"}, [(SCHEMA, "{r}.{t}: expected a list of token strings"),
+                                           (SCHEMA, "{r}.tick: tick must be a JSON integer")]),
+        ({"value": MISSING}, [(SCHEMA, SHAPE)]),
+        ({"value": None}, [(SCHEMA, SHAPE)]),
+        ({"value": 0.5}, [(SCHEMA, SHAPE)]),
+        ({"value": False}, [(SCHEMA, SHAPE)]),
+        ({"value": ["v"]}, [(SCHEMA, SHAPE)]),
+        ({"value": {"hex": "00"}}, [(SCHEMA, SHAPE)]),
+        ({"value": {"b64": "AA==", "rational": "1"}}, [(SCHEMA, SHAPE)]),
+        ({"value": {"b64": 5}}, [(SCHEMA, SHAPE)]),
+        ({"value": {"b64": "!!"}}, [(SCHEMA, "{r}.value: invalid base64 payload")]),
+        ({"value": {"rational": 3}}, [(SCHEMA, SHAPE)]),
+        ({"value": {"rational": "1/x"}}, [(SCHEMA, "{r}.value: invalid rational literal '1/x'")]),
+        ({"value": {"rational": "1/0"}}, [(SCHEMA, "{r}.value: invalid rational literal '1/0'")]),
+    ]
+    LINK = 'links[4]: expected {"from": state id, "to": reflection id}'
+
+    @staticmethod
+    def _diagnostics(doc) -> list:
+        with pytest.raises(ValidationError) as exc:
+            parse_document(json.dumps(doc))
+        return [(d.code, d.message) for d in exc.value.diagnostics]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad, expected", BAD_RECORDS)
+    def test_bad_record(self, ex1, kind, bad, expected):
+        words = self.KINDS[kind]
+        record = bad
+        if isinstance(bad, dict):
+            record = {"id": "x9", words["t"]: ["a" if words["k"] == "state" else "m1"],
+                      "tick": 9, "value": "v9"}
+            for member, value in bad.items():
+                member = words["t"] if member == "tokens" else member
+                if value is self.MISSING:
+                    del record[member]
+                else:
+                    record[member] = value
+        doc = json.loads(emit_instance(ex1))
+        doc[kind].append(record)
+        assert self._diagnostics(doc) == [
+            (code.format(**words), message.format(**words)) for code, message in expected
+        ]
+
+    @pytest.mark.parametrize("link", ["s1", {"from": 1, "to": "r1"}, {"from": "s1"},
+                                      {"from": "s1", "to": ["r1"]}])
+    def test_bad_link(self, ex1, link):
+        doc = json.loads(emit_instance(ex1))
+        doc["links"].append(link)
+        assert self._diagnostics(doc) == [(SCHEMA, self.LINK)]
+
+    def test_links_not_a_list(self, ex1):
+        doc = json.loads(emit_instance(ex1))
+        doc["links"] = {"from": "s1", "to": "r1"}
+        assert self._diagnostics(doc) == [
+            (SCHEMA, "links: expected a list of {from, to} objects"),
+            ("empty-component", "component 'links' is empty"),
+            *(("unlinked-state", "totality violation: state record %s has no link" % s)
+              for s in ("s1", "s2", "s3")),
+            *(("unlinked-reflection", "surjectivity violation: reflection record %s has no link" % r)
+              for r in ("r1", "r2", "r3")),
+        ]
+
+
 class TestWeights:
     def test_instance_weights_parsed_as_specs(self, ex1):
         doc = json.loads(emit_instance(ex1))
