@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from .measures import volume
-from .model import Information, OitError, ReflectionRecord, StateRecord, assemble, brief_ids
+from .model import Frozen, Information, OitError, ReflectionRecord, StateRecord, assemble, brief_ids
 
 PROB_TOL = 1e-9
 
@@ -22,15 +21,13 @@ class DistributionError(OitError):
     """The probability vector violates an invariant."""
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Frozen):
     """A finite probability vector."""
 
-    probabilities: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        probs = tuple(self.probabilities)
-        object.__setattr__(self, "probabilities", probs)
+    def __new__(cls, probabilities: tuple):
+        probs = tuple(probabilities)
         if not probs:
             raise DistributionError("distribution is empty")
         if not all(math.isfinite(p) for p in probs):
@@ -41,6 +38,7 @@ class Distribution:
         total = float(sum(probs))
         if abs(total - 1.0) > PROB_TOL:
             raise DistributionError("probabilities sum to %r, not 1" % total)
+        return tuple.__new__(cls, (probs,))
 
     def __len__(self):
         return len(self.probabilities)
@@ -74,18 +72,15 @@ def hartley_information(n: int, s: int, base: float = 2.0) -> float:
     return n * math.log(s) / math.log(base)
 
 
-@dataclass(frozen=True)
-class CodingDemo:
+class CodingDemo(Frozen):
     """Results of one seeded fixed-length coding run."""
 
-    alphabet_size: int
-    length: int
-    seed: int
-    message: tuple
-    info: Information
-    volume: int
-    hartley: float
-    entropy_bound: float
+    __slots__ = ()
+
+    def __new__(cls, alphabet_size: int, length: int, seed: int, message: tuple,
+                info: Information, volume: int, hartley: float, entropy_bound: float):
+        return tuple.__new__(
+            cls, (alphabet_size, length, seed, message, info, volume, hartley, entropy_bound))
 
 
 def volume_entropy_demo(dist, n: int, seed: int) -> CodingDemo:

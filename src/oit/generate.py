@@ -11,9 +11,9 @@ bijective instance (functional relation, every reflection single-sourced).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .model import (
+    Frozen,
     Information,
     OitError,
     ReflectionRecord,
@@ -26,40 +26,38 @@ class DegenerateProfile(OitError):
     """The generation profile has no valid instances."""
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Frozen):
     """Size and shape knobs for synthetic instances."""
 
-    entities: int = 4
-    media: int = 4
-    tick_span: int = 8
-    replication: int = 2
-    aggregation: float = 0.25
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.entities < 1 or self.media < 1 or self.tick_span < 1:
+    def __new__(cls, entities: int = 4, media: int = 4, tick_span: int = 8,
+                replication: int = 2, aggregation: float = 0.25):
+        if entities < 1 or media < 1 or tick_span < 1:
             raise DegenerateProfile("entity, media and tick-span counts must be >= 1")
-        if self.replication < 1:
+        if replication < 1:
             raise DegenerateProfile("replication factor must be >= 1")
-        if not 0.0 <= self.aggregation <= 1.0:
+        if not 0.0 <= aggregation <= 1.0:
             raise DegenerateProfile("aggregation probability must lie in [0, 1]")
+        return tuple.__new__(cls, (entities, media, tick_span, replication, aggregation))
 
 
 def generate_synthetic(seed: int, profile: Profile = Profile()) -> Information:
     """Deterministic valid instance for the given seed and profile."""
     rng = random.Random(seed)
-    entity_pool = ["e%d" % i for i in range(1, profile.entities + 1)]
-    media_pool = ["m%d" % i for i in range(1, profile.media + 1)]
+    entities, media, tick_span, replication, aggregation = profile
+    entity_pool = ["e%d" % i for i in range(1, entities + 1)]
+    media_pool = ["m%d" % i for i in range(1, media + 1)]
 
     states = []
-    n_states = 2 * profile.entities
+    n_states = 2 * entities
     for i in range(1, n_states + 1):
-        if profile.entities >= 2 and rng.random() < profile.aggregation:
-            size = rng.randint(2, min(3, profile.entities))
+        if entities >= 2 and rng.random() < aggregation:
+            size = rng.randint(2, min(3, entities))
             ents = rng.sample(entity_pool, size)
         else:
             ents = [rng.choice(entity_pool)]
-        tick = rng.randint(1, profile.tick_span)
+        tick = rng.randint(1, tick_span)
         states.append(StateRecord("s%d" % i, frozenset(ents), tick, "v%d" % i))
 
     reflections = []
@@ -81,13 +79,13 @@ def generate_synthetic(seed: int, profile: Profile = Profile()) -> Information:
         return rec
 
     for state in states:
-        if reflections and rng.random() < profile.aggregation:
+        if reflections and rng.random() < aggregation:
             # merge: this state reuses a previous carrier record
             target = rng.choice(reflections)
             links.append((state.id, target.id))
         else:
             links.append((state.id, fresh_reflection(state).id))
-        for _ in range(rng.randrange(profile.replication)):
+        for _ in range(rng.randrange(replication)):
             links.append((state.id, fresh_reflection(state).id))
 
     return assemble(states, reflections, links)

@@ -86,6 +86,8 @@ def granularity(info: Information, mu: Mapping | None = None) -> Fraction:
     With one atom per link this is the maximum over linked state records,
     and totality makes every state record linked.
     """
+    if mu is None:  # the largest count, as one Fraction: no Fraction per state
+        return Fraction(max(len(rec.entities) for rec in info.states))
     measure = _measure(mu, "entities")
     return max(measure(rec.entities) for rec in info.states)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -70,13 +69,71 @@ class UnknownRecord(OitError):
     """An id does not refer to any declared record of the instance."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class _Default:
+    """A field with a default: an item of each instance, and the default on the class."""
+
+    __slots__ = ("get", "default")
+
+    def __init__(self, get, default):
+        self.get, self.default = get, default
+
+    def __get__(self, obj, cls=None):
+        return self.default if obj is None else self.get(obj)
+
+
+class Frozen(tuple):
+    """An immutable value held as the tuple of its fields.
+
+    A subclass's fields are the parameters of its ``__new__``, in order:
+    ``__new__`` checks them and returns ``tuple.__new__(cls, fields)``.  Each
+    field reads as an attribute through a C item getter, and a field with a
+    default reads as that default on the class.  No attribute can be set.  Two
+    values are equal, and hash equal, when they are of one class with equal
+    fields.  A subclass without ``__slots__ = ()`` gets an instance dict, where
+    its ``cached_property`` entries live.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        new = cls.__new__
+        cls._fields = new.__code__.co_varnames[1:new.__code__.co_argcount]
+        defaults = new.__defaults__ or ()
+        first_default = len(cls._fields) - len(defaults)
+        for i, name in enumerate(cls._fields):
+            get = itemgetter(i)
+            setattr(cls, name, property(get) if i < first_default
+                    else _Default(get, defaults[i - first_default]))
+
+    def __eq__(self, other):
+        # Not NotImplemented: the reflected tuple.__eq__ would then equal plain tuples.
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable: %r cannot change" % (type(self).__name__, name))
+
+    __delattr__ = __setattr__
+
+    def __getnewargs__(self):
+        return self[:]
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % field for field in zip(self._fields, self[:])))
+
+
+class Diagnostic(Frozen):
     """One validation finding: a stable code, a message, the offending ids."""
 
-    code: str
-    message: str
-    subjects: tuple[str, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, code: str, message: str, subjects: tuple[str, ...] = ()):
+        return tuple.__new__(cls, (code, message, subjects))
 
 
 def brief(text) -> str:
@@ -194,14 +251,14 @@ class ReflectionRecord(_Record):
         return tuple.__new__(cls, (id, media, tick, value, (media, tick, value), "media"))
 
 
-@dataclass(frozen=True)
-class LinkRelation:
-    """The link set from state record ids to reflection record ids."""
+class LinkRelation(Frozen):
+    """The link set from state record ids to reflection record ids.
 
-    links: frozenset
+    It iterates, counts and tests membership over its links.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "links", frozenset(self.links))
+    def __new__(cls, links: Iterable[LinkPair]):
+        return tuple.__new__(cls, (frozenset(links),))
 
     def __iter__(self):
         return iter(self.links)
@@ -244,8 +301,7 @@ def _grouped(pairs) -> dict:
     return {key: tuple(sorted(values)) for key, values in out.items()}
 
 
-@dataclass(frozen=True)
-class Information:
+class Information(Frozen):
     """A validated instance: states, reflections and a total surjective relation.
 
     The four token/tick components (ontology, occurrence ticks, carrier,
@@ -253,13 +309,9 @@ class Information:
     makes the only consistent choice.
     """
 
-    states: frozenset
-    reflections: frozenset
-    relation: LinkRelation
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "reflections", frozenset(self.reflections))
+    def __new__(cls, states: Iterable[StateRecord], reflections: Iterable[ReflectionRecord],
+                relation: LinkRelation):
+        return tuple.__new__(cls, (frozenset(states), frozenset(reflections), relation))
 
     def __repr__(self):
         return "Information(states=%d, reflections=%d, links=%d)" % (
@@ -316,15 +368,14 @@ class Information:
         )
 
 
-@dataclass(frozen=True)
-class RawSextuple:
+class RawSextuple(Frozen):
     """An unchecked sextuple description, the input to :func:`validate`."""
 
-    entities: tuple
-    media: tuple
-    states: tuple
-    reflections: tuple
-    links: tuple
+    __slots__ = ()
+
+    def __new__(cls, entities: tuple, media: tuple, states: tuple, reflections: tuple,
+                links: tuple):
+        return tuple.__new__(cls, (entities, media, states, reflections, links))
 
     @classmethod
     def of(cls, entities, media, states, reflections, links) -> RawSextuple:
@@ -666,12 +717,13 @@ def compose(first: Information, second: Information) -> Information:
     return Information(first.states, second.reflections, LinkRelation(links))
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Frozen):
     """One link together with the one-link instance it induces."""
 
-    link: LinkPair
-    info: Information
+    __slots__ = ()
+
+    def __new__(cls, link: LinkPair, info: Information):
+        return tuple.__new__(cls, (link, info))
 
     @property
     def link_identity(self):
@@ -707,15 +759,15 @@ def preimage(info: Information, reflection_ids: Iterable[str]) -> frozenset:
     return info.relation.preimage_of(wanted)
 
 
-@dataclass(frozen=True)
-class ReducibilityReport:
+class ReducibilityReport(Frozen):
     """Whether the relation, read as a function, loses nothing."""
 
-    functional: bool
-    injective: bool
-    reducible: bool
-    multi_target_states: tuple
-    multi_source_reflections: tuple
+    __slots__ = ()
+
+    def __new__(cls, functional: bool, injective: bool, reducible: bool,
+                multi_target_states: tuple, multi_source_reflections: tuple):
+        return tuple.__new__(
+            cls, (functional, injective, reducible, multi_target_states, multi_source_reflections))
 
     def __bool__(self):
         return self.reducible

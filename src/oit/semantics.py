@@ -9,12 +9,11 @@ normalized component distances it stays in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .measures import _read_weight
-from .model import Information, OitError, RawSextuple, _id_order, brief, brief_ids
+from .model import Frozen, Information, OitError, RawSextuple, _id_order, brief, brief_ids
 
 JACCARD = "jaccard"
 NUMERIC_L1 = "numeric-l1"
@@ -28,8 +27,7 @@ class WeightVectorError(OitError):
     """Suitability weights must be six nonnegative rationals summing to one."""
 
 
-@dataclass(frozen=True)
-class SemanticMapping:
+class SemanticMapping(Frozen):
     """A decoder from reflection records back to claimed state triples.
 
     The ``preimage`` kind replays the instance's own relation and is
@@ -39,18 +37,20 @@ class SemanticMapping:
     :func:`validity` scores the decoded states with.
     """
 
-    kind: str
-    # A dict cannot be hashed; equal mappings still hash equal on kind and distance.
-    table: Mapping | None = field(default=None, hash=False)
-    distance: str = JACCARD
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("preimage", "table"):
+    def __new__(cls, kind: str, table: Mapping | None = None, distance: str = JACCARD):
+        if kind not in ("preimage", "table"):
             raise ValueError("decoder kind must be 'preimage' or 'table'")
-        if self.kind == "table" and self.table is None:
+        if kind == "table" and table is None:
             raise ValueError("table decoder needs a table")
-        if self.distance not in (JACCARD, NUMERIC_L1):
+        if distance not in (JACCARD, NUMERIC_L1):
             raise ValueError("decoder distance must be %r or %r" % (JACCARD, NUMERIC_L1))
+        return tuple.__new__(cls, (kind, table, distance))
+
+    def __hash__(self):
+        # A dict cannot be hashed; equal mappings still hash equal on kind and distance.
+        return hash((self.kind, self.distance))
 
     @classmethod
     def preimage(cls, distance: str = JACCARD) -> SemanticMapping:

@@ -23,7 +23,6 @@ fraction strings.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 from fractions import Fraction
 from itertools import islice
@@ -34,6 +33,7 @@ from typing import Mapping
 from . import model
 from .measures import UNIVERSES, _read_weight
 from .model import (
+    MAX_LITERAL_DIGITS,
     Diagnostic,
     Information,
     RawSextuple,
@@ -130,10 +130,14 @@ def _triple(raw: dict, path: str, i: int, token_field: str, shared: dict, diags)
     return tokens, tick, value
 
 
-def _records(raw_records, path: str, token_field: str, cls, shared: dict, diags) -> list:
-    """One record kind's records, read in one pass; ``path % i`` is the i-th one's path."""
+def _records(raw_records, member: str, token_field: str, cls, shared: dict, diags) -> list:
+    """One record kind's records, read in one pass from the document's ``member``."""
     records = []
-    for i, raw in enumerate(raw_records or ()):
+    if type(raw_records) is not list:
+        _diag(diags, member, "expected a list of record objects")
+        return records
+    path = member + "[%d]"
+    for i, raw in enumerate(raw_records):
         if type(raw) is not dict:
             _diag(diags, path % i, "expected a record object")
             continue
@@ -190,6 +194,10 @@ def _object_from_text(text: str) -> dict:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError([Diagnostic(MALFORMED, "malformed JSON: %s" % exc, ())]) from None
+    except ValueError:  # the int digit limit; JSONDecodeError, a subclass, is caught above
+        raise ValidationError([Diagnostic(
+            MALFORMED, "malformed JSON: an integer literal exceeds %d digits" % MAX_LITERAL_DIGITS,
+            ())]) from None
     if not isinstance(doc, dict):
         raise ValidationError([_schema("$", "top level must be an object")])
     return doc
@@ -211,9 +219,9 @@ def _raw_from_document(doc: dict, diags) -> RawSextuple:
     entities = _token_list(doc.get("entities", []), "entities", diags)
     media = _token_list(doc.get("media", []), "media", diags)
     shared: dict = {}
-    states = _records(doc.get("state_records"), "state_records[%d]", "entities",
+    states = _records(doc.get("state_records", []), "state_records", "entities",
                       StateRecord, shared, diags)
-    reflections = _records(doc.get("reflection_records"), "reflection_records[%d]", "media",
+    reflections = _records(doc.get("reflection_records", []), "reflection_records", "media",
                            ReflectionRecord, shared, diags)
 
     links: dict = {}  # first-seen order, each link once
@@ -339,11 +347,15 @@ def emit_instance(info: Information, weights: Mapping | None = None) -> str:
 
 def text_digest(text: str) -> str:
     """The ``sha256:`` digest reports give a text: the hash of its UTF-8 bytes."""
+    import hashlib  # here, not at the top: loading OpenSSL slows calls that write no digest
+
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def instance_digest(info: Information) -> str:
     """``text_digest(emit_instance(info))``, hashed piece by piece as it is written."""
+    import hashlib
+
     digest = hashlib.sha256()
     for chunk in _instance_chunks(info, None):
         digest.update(chunk.encode("ascii"))

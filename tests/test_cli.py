@@ -781,6 +781,19 @@ class TestModuleEntryPoints:
         assert result.stderr.splitlines()[-1] == (
             "error: [Errno 2] No such file or directory: %r" % missing)
 
+    # Run the CLI, then print which of these modules the process had loaded at exit.
+    LOADED_AT_EXIT = ("import atexit, sys; atexit.register(lambda: print(sorted("
+                      "set(sys.modules) & {'dataclasses', 'inspect', 'hashlib'})));"
+                      "from oit.cli import main; main()")
+
+    @pytest.mark.parametrize("command, loaded", [("validate", []), ("metrics", ["hashlib"])])
+    def test_cli_loads_no_class_machinery_and_hashlib_only_for_a_digest(
+            self, ex1_path, command, loaded):
+        result = subprocess.run([sys.executable, "-c", self.LOADED_AT_EXIT, command, ex1_path],
+                                capture_output=True, text=True, timeout=60, env=_subprocess_env())
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[-1] == repr(loaded)
+
 
 class TestCollectorPolicy:
     """Only the CLI process turns the cyclic collector off; ``run_cli`` and the

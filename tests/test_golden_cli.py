@@ -64,6 +64,10 @@ def write_generated(work: Path) -> None:
     for rec in accented["state_records"] + accented["reflection_records"]:
         rec["value"] = rec["value"] + "é"
     dump("crlf_accented.json", accented, newline="\r\n")
+    dump("records_not_a_list.json",
+         {"version": 1, "state_records": 5, "reflection_records": {"id": "r1"}})
+    # json.dumps cannot write an int of more digits than Python writes as text.
+    (work / "long_integer.json").write_text('{"version": 1, "links": %s}\n' % ("9" * 4301))
     dump("decoder_l1.json", {"version": 1, "kind": "preimage", "distance": "numeric-l1"})
     dump("decoder_bad_tick.json", {"version": 1, "kind": "table", "entries": [
         {"reflection": {"media": ["m1"], "tick": "4", "value": "v1"},
@@ -107,7 +111,12 @@ def corpus() -> list:
         ["metrics", _fixture("ex1"), "--target", _fixture("ex1_s1"),
          "--suit-weights", "0", "0", "0", "1", "0", "0"],
         ["coverage", _fixture("ex1"), "--target", "$WORK/foreign.json"],
+        ["validate", "$WORK/records_not_a_list.json"],
+        ["metrics", _fixture("ex1"), "--target", "$WORK/records_not_a_list.json"],
     ]
+    for option in ("--target", "--decoder", "--weights"):
+        calls.append(["metrics", _fixture("ex1"), option, "$WORK/long_integer.json"])
+    calls.append(["validate", "$WORK/long_integer.json"])
     for first, second in itertools.product(instances + ["$WORK/relay.json"], repeat=2):
         calls += [["combine", first, second, "-o", "-"],
                   ["combine", first, second, "--lax", "-o", "-"],

@@ -11,14 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oit import (
+    Atom,
+    CodingDemo,
+    Diagnostic,
+    Distribution,
     EmptySelectionError,
     InconsistentOverlap,
     Information,
     InterfaceMismatch,
+    LinkRelation,
     Profile,
     RawSextuple,
     RecordIdentityClash,
+    ReducibilityReport,
     ReflectionRecord,
+    SemanticMapping,
     StateRecord,
     UnknownRecord,
     ValidationError,
@@ -113,6 +120,82 @@ class TestRecords:
             tokens = rec.identity[0]
             assert shared.setdefault(tokens, tokens) is tokens
         assert len(shared) < len(records) / 2
+
+
+_STATE, _REFLECTION = StateRecord("s1", {"a"}, 1, "v1"), ReflectionRecord("r1", {"m1"}, 4, "v1")
+_LINKS = LinkRelation({("s1", "r1")})
+_INFO = Information({_STATE}, {_REFLECTION}, _LINKS)
+
+
+class TestValueClasses:
+    """The package's immutable value classes, each with arguments as its field
+    names map them, in order."""
+
+    VALUES = [
+        (Diagnostic, dict(code="unlinked-state", message="m", subjects=("s1",))),
+        (LinkRelation, dict(links=frozenset({("s1", "r1"), ("s1", "r2")}))),
+        (Information, dict(states=frozenset({_STATE}), reflections=frozenset({_REFLECTION}),
+                           relation=_LINKS)),
+        (RawSextuple, dict(entities=("a",), media=("m1",), states=(_STATE,),
+                           reflections=(_REFLECTION,), links=(("s1", "r1"),))),
+        (Atom, dict(link=("s1", "r1"), info=_INFO)),
+        (ReducibilityReport, dict(functional=True, injective=False, reducible=False,
+                                  multi_target_states=(), multi_source_reflections=("r1",))),
+        (SemanticMapping, dict(kind="table", table={(frozenset({"m1"}), 4, "v1"):
+                                                    (frozenset({"a"}), 1, "v1")},
+                               distance="numeric-l1")),
+        (Distribution, dict(probabilities=(0.25, 0.75))),
+        (CodingDemo, dict(alphabet_size=2, length=1, seed=7, message=(0,), info=_INFO, volume=1,
+                          hartley=1.0, entropy_bound=0.8)),
+        (Profile, dict(entities=2, media=3, tick_span=4, replication=1, aggregation=0.5)),
+    ]
+    DEFAULTS = [
+        (Diagnostic, dict(subjects=()), ("c", "m")),
+        (SemanticMapping, dict(table=None, distance="jaccard"), ("preimage",)),
+        (Profile, dict(entities=4, media=4, tick_span=8, replication=2, aggregation=0.25), ()),
+    ]
+
+    @pytest.mark.parametrize("cls, fields", VALUES)
+    def test_equal_arguments_give_equal_values_with_equal_hashes(self, cls, fields):
+        value = cls(*fields.values())
+        same = cls(**fields)
+        assert value == same and not value != same and hash(value) == hash(same)
+        assert {name: getattr(value, name) for name in fields} == fields
+        assert value != tuple(fields.values()) and tuple(fields.values()) != value
+
+    @pytest.mark.parametrize("cls, fields", VALUES)
+    def test_no_field_can_be_set(self, cls, fields):
+        value = cls(**fields)
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, "changed")
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == cls(**fields)
+
+    @pytest.mark.parametrize("cls, fields", VALUES)
+    def test_copies_and_pickles_are_equal(self, cls, fields):
+        value = cls(**fields)
+        for copied in (copy.copy(value), copy.deepcopy(value),
+                       pickle.loads(pickle.dumps(value))):
+            assert copied == value and type(copied) is cls
+
+    @pytest.mark.parametrize("cls, defaults, required", DEFAULTS)
+    def test_defaults_are_class_attributes(self, cls, defaults, required):
+        assert {name: getattr(cls, name) for name in defaults} == defaults
+        value = cls(*required)
+        assert {name: getattr(value, name) for name in defaults} == defaults
+        assert value == cls(*required, **defaults)
+
+    def test_information_repr_counts_its_parts(self):
+        assert repr(_INFO) == "Information(states=1, reflections=1, links=1)"
+
+    def test_indexes_are_cached_in_each_instance(self):
+        info = Information(_INFO.states, _INFO.reflections, LinkRelation(_LINKS.links))
+        assert isinstance(vars(Information)["state_by_id"], functools.cached_property)
+        assert isinstance(vars(LinkRelation)["successors"], functools.cached_property)
+        assert info.state_by_id is info.state_by_id and "state_by_id" in vars(info)
+        assert info.relation.successors == {"s1": ("r1",)} and "successors" in vars(info.relation)
 
 
 class TestValidate:

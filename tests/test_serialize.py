@@ -269,6 +269,18 @@ class TestDiagnostics:
         assert exc.value.diagnostics[0].code == SCHEMA
         assert max(len(d.message) for d in exc.value.diagnostics) < 120
 
+    @pytest.mark.parametrize("reader", [parse_document, parse_target, parse_decoder,
+                                        parse_weights_file])
+    def test_an_integer_beyond_the_digit_limit_is_malformed(self, reader):
+        text = '{"version": 1, "n": %s}'
+        with pytest.raises(ValidationError) as exc:
+            reader(text % ("9" * 4301))
+        assert [(d.code, d.message) for d in exc.value.diagnostics] == [
+            (MALFORMED, "malformed JSON: an integer literal exceeds 4300 digits")]
+        with pytest.raises(ValidationError) as exc:
+            reader(text % ("9" * 4300))
+        assert MALFORMED not in codes(exc)
+
     def test_empty_links_reports_nonvoid(self, ex1):
         doc = json.loads(emit_instance(ex1))
         doc["links"] = []
@@ -383,6 +395,17 @@ class TestReaderDiagnostics:
         doc = json.loads(emit_instance(ex1))
         doc["links"].append(link)
         assert self._diagnostics(doc) == [(SCHEMA, self.LINK)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [5, 0.5, True, False, None, "s1", "", {"id": "s1"}, {}])
+    def test_records_not_a_list(self, ex1, kind, bad):
+        """A record member that is not a list reads as an empty one, after its own diagnostic."""
+        doc = json.loads(emit_instance(ex1))
+        doc[kind] = []
+        empty = self._diagnostics(doc)
+        doc[kind] = bad
+        assert self._diagnostics(doc) == [
+            (SCHEMA, "%s: expected a list of record objects" % kind), *empty]
 
     def test_links_not_a_list(self, ex1):
         doc = json.loads(emit_instance(ex1))
