@@ -90,7 +90,9 @@ class Frozen(tuple):
     default reads as that default on the class.  No attribute can be set.  Two
     values are equal, and hash equal, when they are of one class with equal
     fields.  A subclass without ``__slots__ = ()`` gets an instance dict, where
-    its ``cached_property`` entries live.
+    its ``cached_property`` entries live.  ``__new__`` may keep items derived
+    from the fields after them: they take part in equality and hashing, and
+    copies and pickles rebuild them from the fields.
     """
 
     __slots__ = ()
@@ -120,7 +122,7 @@ class Frozen(tuple):
     __delattr__ = __setattr__
 
     def __getnewargs__(self):
-        return self[:]
+        return self[:len(self._fields)]
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
@@ -202,53 +204,31 @@ CLOSURE_MISMATCH = "closure-mismatch"
 UNWRITABLE_RECORD = "unwritable-record"
 
 
-class _Record(tuple):
-    """A record as the flat tuple ``(id, tokens, tick, value, identity, kind)``.
+class StateRecord(Frozen):
+    """A valued observation of a nonempty entity set at one tick.
 
-    Tuple hashing and equality run in C, and every accessor is a C-level item
-    getter, so records are cheap to hash, compare and read.  ``identity``, the
+    Its tuple is ``(id, entities, tick, value, identity)``: ``identity``, the
     content triple (token set, tick, value), is built once, with the record.
-    ``kind`` is the name of the token field, ``"entities"`` or ``"media"``, so
-    two records are equal exactly when they are of one kind with equal id,
-    tokens, tick and value.
     """
 
     __slots__ = ()
-
-    id = property(itemgetter(0))
-    tick = property(itemgetter(2))
-    value = property(itemgetter(3))
     identity = property(itemgetter(4))
-
-    def __getnewargs__(self):
-        return self[:4]
-
-    def __repr__(self):
-        return "%s(id=%r, %s=%r, tick=%r, value=%r)" % (
-            type(self).__name__, self[0], self[5], self[1], self[2], self[3]
-        )
-
-
-class StateRecord(_Record):
-    """A valued observation of a nonempty entity set at one tick."""
-
-    __slots__ = ()
-    entities = property(itemgetter(1))
 
     def __new__(cls, id: str, entities, tick: int, value: Value):
         entities = frozenset(entities)
-        return tuple.__new__(cls, (id, entities, tick, value, (entities, tick, value), "entities"))
+        return tuple.__new__(cls, (id, entities, tick, value, (entities, tick, value)))
 
 
-class ReflectionRecord(_Record):
-    """A valued carrier entry hosted on a nonempty media set at one tick."""
+class ReflectionRecord(Frozen):
+    """A valued carrier entry hosted on a nonempty media set at one tick; its
+    tuple is laid out as a state record's."""
 
     __slots__ = ()
-    media = property(itemgetter(1))
+    identity = property(itemgetter(4))
 
     def __new__(cls, id: str, media, tick: int, value: Value):
         media = frozenset(media)
-        return tuple.__new__(cls, (id, media, tick, value, (media, tick, value), "media"))
+        return tuple.__new__(cls, (id, media, tick, value, (media, tick, value)))
 
 
 class LinkRelation(Frozen):

@@ -397,6 +397,7 @@ def parse_decoder(text: str) -> SemanticMapping:
     if not isinstance(entries, list):
         raise ValidationError([_schema("entries", "expected a list")])
     table = {}
+    first: dict = {}  # reflection triple -> the index of its first entry
     shared: dict = {}
     for i, raw in enumerate(entries):
         path = "entries[%d]" % i
@@ -408,10 +409,14 @@ def parse_decoder(text: str) -> SemanticMapping:
             _diag(diags, "%s.%s" % (path, side), "expected an object")
         if not_objects:
             continue
+        errors = len(diags)
         key = _triple(raw["reflection"], "entries[%d].reflection", i, "media", shared, diags)
         value = _triple(raw["state"], "entries[%d].state", i, "entities", shared, diags)
-        if key is not None and value is not None:
-            table[key] = value
+        if len(diags) == errors:
+            if table.setdefault(key, value) != value:
+                _diag(diags, path + ".reflection",
+                      "already mapped to a different state by entries[%d]" % first[key])
+            first.setdefault(key, i)
     if diags:
         raise ValidationError(diags)
     return SemanticMapping.from_table(table, distance)

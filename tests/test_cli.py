@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import builtins
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import types
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oit
 from oit import (
@@ -25,7 +30,7 @@ from oit import (
 )
 from oit.model import LISTED_IDS
 
-from .paths import REPO_ROOT
+from .paths import FIXTURES, REPO_ROOT
 
 
 # A diagnostic line lists at most two groups of LISTED_IDS ids, each cut to 40
@@ -839,3 +844,79 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--seed", "1", "--entities", "0", "-o", "-")
         assert code == 1
         assert "must be >= 1" in err
+
+
+# What a mutation puts in place of a document node: JSON atoms, empty and wrong
+# containers, lone surrogates, text and keys longer than any line may be, and
+# record values with no exact reading.
+_ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**80), 10**80),
+    st.floats(),
+    st.text(max_size=4),
+    st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2),
+    st.sampled_from(["x" * 5000, ["x" * 5000], {"x" * 5000: "1"}]),
+    st.sampled_from([
+        [], {}, "", [[]], {"rational": "1e99999"}, {"rational": "-.3e-4299"},
+        {"rational": "1/0"}, {"rational": "nan"}, {"b64": "!"}, {"b64": 5},
+        {"from": "s1", "to": "r1"}, ["a", "a"], "9e99999", 2**63,
+    ]),
+)
+_INPUTS = {role: json.loads((FIXTURES / (name + ".json")).read_text()) for role, name in (
+    ("instance", "ex1"), ("target", "ex1_s1r1"), ("decoder", "decoder_const_s1"),
+    ("weights", "weights_ex1"))}
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON tree, the root included."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _nodes(child, (*path, key))
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """The input documents with one to three nodes replaced, each drawn from a
+    document as it then is."""
+    docs = dict(_INPUTS)
+    for _ in range(draw(st.integers(1, 3))):
+        role = draw(st.sampled_from(sorted(docs)))
+        path = draw(st.sampled_from(list(_nodes(docs[role]))))
+        docs[role] = _with(docs[role], path, draw(_ATOMS)) if path else draw(_ATOMS)
+    return docs
+
+
+class TestContractUnderMutation:
+    """Every command ends in exit 0, 1 or 2 on any input, and explains a failure
+    on stderr in bounded lines."""
+
+    COMMANDS = [
+        ["validate", "{instance}"],
+        ["metrics", "{instance}", "--target", "{target}", "--decoder", "{decoder}",
+         "--weights", "{weights}"],
+        ["atoms", "{instance}"],
+        ["combine", "{instance}", "{target}", "-o", "-"],
+        ["combine", "{instance}", "{target}", "--lax", "-o", "-"],
+        ["compose", "{instance}", "{target}", "-o", "-"],
+        ["coverage", "{instance}", "--target", "{target}", "--brute-force"],
+    ]
+
+    @given(_mutated_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_mutated_documents_end_in_a_known_exit_code(self, docs):
+        with tempfile.TemporaryDirectory() as work:
+            paths = {}
+            for role, doc in docs.items():
+                paths[role] = os.path.join(work, role + ".json")
+                with open(paths[role], "w", encoding="ascii") as f:
+                    json.dump(doc, f)
+            for command in self.COMMANDS:
+                argv = [arg.format(**paths) for arg in command]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run_cli(argv)
+                assert code in (0, 1, 2), argv
+                assert code == 0 or err.getvalue(), argv
+                assert all(len(line) < LINE_BOUND for line in err.getvalue().splitlines()), argv

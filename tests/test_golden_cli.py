@@ -72,6 +72,13 @@ def write_generated(work: Path) -> None:
     dump("decoder_bad_tick.json", {"version": 1, "kind": "table", "entries": [
         {"reflection": {"media": ["m1"], "tick": "4", "value": "v1"},
          "state": {"entities": ["a"], "tick": 1, "value": "v1"}}]})
+    decoder = json.loads((FIXTURES / "decoder_const_s1.json").read_text())
+    clash = json.loads(json.dumps(decoder["entries"][0]))
+    clash["state"]["value"] = "other"
+    for name, entries in (("decoder_clash_last", decoder["entries"] + [clash]),
+                          ("decoder_clash_first", [clash] + decoder["entries"]),
+                          ("decoder_repeat", decoder["entries"] + decoder["entries"][:1])):
+        dump(name + ".json", dict(decoder, entries=entries))
 
 
 def corpus() -> list:
@@ -117,6 +124,8 @@ def corpus() -> list:
     for option in ("--target", "--decoder", "--weights"):
         calls.append(["metrics", _fixture("ex1"), option, "$WORK/long_integer.json"])
     calls.append(["validate", "$WORK/long_integer.json"])
+    for name in ("decoder_clash_last", "decoder_clash_first", "decoder_repeat"):
+        calls.append(["metrics", _fixture("ex1"), "--decoder", "$WORK/%s.json" % name])
     for first, second in itertools.product(instances + ["$WORK/relay.json"], repeat=2):
         calls += [["combine", first, second, "-o", "-"],
                   ["combine", first, second, "--lax", "-o", "-"],

@@ -74,19 +74,13 @@ class TestRecords:
     KINDS = [(StateRecord, "entities"), (ReflectionRecord, "media")]
 
     @pytest.mark.parametrize("cls, tokens", KINDS)
-    def test_fields_cannot_be_assigned(self, cls, tokens):
-        rec = cls("x", {"a"}, 1, "v")
-        for name in ("id", tokens, "tick", "value", "identity", "other"):
-            with pytest.raises(AttributeError):
-                setattr(rec, name, "changed")
-        assert rec == cls("x", {"a"}, 1, "v")
-
-    @pytest.mark.parametrize("cls, tokens", KINDS)
     def test_identity_is_the_content_triple_built_once(self, cls, tokens):
         rec = cls("x", ["a", "b"], 1, "v")
         assert rec.identity is rec.identity
         assert rec.identity == (frozenset("ab"), 1, "v")
         assert rec.identity[0] is getattr(rec, tokens)
+        with pytest.raises(AttributeError):
+            rec.identity = "changed"
 
     @pytest.mark.parametrize("cls, tokens", KINDS)
     def test_equal_and_hashing_equal_by_id_and_content(self, cls, tokens):
@@ -96,8 +90,6 @@ class TestRecords:
         for other in (cls("y", {"a"}, 1, "v"), cls("x", {"b"}, 1, "v"),
                       cls("x", {"a"}, 2, "v"), cls("x", {"a"}, 1, "w")):
             assert rec != other
-        for copied in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
-            assert copied == rec and type(copied) is cls
 
     def test_kinds_and_plain_tuples_never_equal(self):
         state, reflection = StateRecord("x", {"a"}, 1, "v"), ReflectionRecord("x", {"a"}, 1, "v")
@@ -148,6 +140,8 @@ class TestValueClasses:
         (CodingDemo, dict(alphabet_size=2, length=1, seed=7, message=(0,), info=_INFO, volume=1,
                           hartley=1.0, entropy_bound=0.8)),
         (Profile, dict(entities=2, media=3, tick_span=4, replication=1, aggregation=0.5)),
+        (StateRecord, dict(id="s1", entities=frozenset({"a"}), tick=1, value="v1")),
+        (ReflectionRecord, dict(id="r1", media=frozenset({"m1"}), tick=4, value=Fraction(1, 3))),
     ]
     DEFAULTS = [
         (Diagnostic, dict(subjects=()), ("c", "m")),

@@ -514,6 +514,36 @@ class TestSideDocuments:
         mapping = parse_decoder((fixtures_dir / "decoder_preimage.json").read_text())
         assert validity(ex1, mapping) == 0
 
+    @pytest.mark.parametrize("at, flagged", [(0, 1), (3, 3)])
+    def test_decoder_entry_mapping_a_reflection_to_another_state_is_rejected(
+            self, fixtures_dir, at, flagged):
+        doc = json.loads((fixtures_dir / "decoder_const_s1.json").read_text())
+        clash = json.loads(json.dumps(doc["entries"][0]))
+        clash["state"]["value"] = "other"
+        doc["entries"].insert(at, clash)
+        with pytest.raises(ValidationError) as exc:
+            parse_decoder(json.dumps(doc))
+        assert [d.message for d in exc.value.diagnostics] == [
+            "entries[%d].reflection: already mapped to a different state by entries[0]" % flagged
+        ]
+        assert [d.subjects for d in exc.value.diagnostics] == [
+            ("entries[%d].reflection" % flagged,)]
+        assert codes(exc) == {SCHEMA}
+
+    def test_decoder_entries_with_unreadable_tokens_are_not_compared(self):
+        entries = [{"reflection": {"media": 5, "tick": 4, "value": "v1"},
+                    "state": {"entities": ["a"], "tick": 1, "value": value}}
+                   for value in ("v1", "v2")]
+        with pytest.raises(ValidationError) as exc:
+            parse_decoder(json.dumps({"version": 1, "kind": "table", "entries": entries}))
+        assert [d.subjects for d in exc.value.diagnostics] == [
+            ("entries[0].reflection.media",), ("entries[1].reflection.media",)]
+
+    def test_decoder_entry_repeated_with_the_same_state_is_accepted(self, ex1, fixtures_dir):
+        doc = json.loads((fixtures_dir / "decoder_const_s1.json").read_text())
+        doc["entries"] = doc["entries"] + doc["entries"][:1]
+        assert validity(ex1, parse_decoder(json.dumps(doc))) == Fraction(2, 3)
+
     @pytest.mark.parametrize("side", ["reflection", "state"])
     def test_decoder_entry_side_must_be_an_object(self, side):
         entry = {"reflection": {"media": ["m1"], "tick": 4, "value": "v1"},
