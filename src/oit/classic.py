@@ -56,7 +56,8 @@ def shannon_entropy(dist, base: float = 2.0, k: float = 1.0) -> float:
     if not 0 < k < math.inf:
         raise ValueError("scale k must be positive, got %r" % k)
     log_base = math.log(base)
-    return -k * sum(
+    # 0.0 - x, not -x: a certain outcome has entropy 0.0, never -0.0.
+    return 0.0 - k * sum(
         float(p) * math.log(float(p)) / log_base for p in dist.probabilities if p > 0
     )
 

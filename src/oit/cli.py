@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 from fractions import Fraction
 
@@ -70,19 +69,6 @@ def _write_output(text: str, path: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _guard(parser, args) -> int:
-    """The enumeration guard: ``--guard``, else ``OIT_GUARD``, else the default."""
-    if args.guard is not None:
-        return args.guard
-    env = os.environ.get("OIT_GUARD")
-    if env is None:
-        return DEFAULT_GUARD
-    try:
-        return int(env)
-    except ValueError:
-        parser.error("OIT_GUARD must be an integer, got %s" % brief_repr(env))
 
 
 def _report(**members) -> None:
@@ -260,8 +246,23 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# A usage error longer than this keeps only its head and its tail: argparse
+# echoes the offending argument, which may be of any length.
+USAGE_BOUND = 400
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, and its subparsers', stay bounded."""
+
+    def error(self, message):
+        if len(message) > USAGE_BOUND:
+            half = (USAGE_BOUND - 3) // 2
+            message = message[:half] + "..." + message[-half:]
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oit",
         description="Model linked observation/reflection instances and score their metrics.",
     )
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suit-weights", nargs=6, metavar="W", help="six suitability weights")
     p.add_argument("--coverage-mode", choices=COVERAGE_MODES, default=REPLICA)
     p.add_argument("--brute-force", action="store_true")
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     p.add_argument("--out", choices=["json", "table"], default="json")
     p.set_defaults(func=cmd_metrics)
 
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--mode", choices=COVERAGE_MODES, default=REPLICA)
     p.add_argument("--brute-force", action="store_true")
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("entropy", help="Shannon entropy of a probability vector")
@@ -330,12 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_demo_shannon)
 
     p = sub.add_parser("gen", help="generate a seeded synthetic instance")
+    defaults = Profile()
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--entities", type=int, default=Profile.entities)
-    p.add_argument("--media", type=int, default=Profile.media)
-    p.add_argument("--tick-span", type=int, default=Profile.tick_span)
-    p.add_argument("--replication", type=int, default=Profile.replication)
-    p.add_argument("--aggregation", type=float, default=Profile.aggregation)
+    p.add_argument("--entities", type=int, default=defaults.entities)
+    p.add_argument("--media", type=int, default=defaults.media)
+    p.add_argument("--tick-span", type=int, default=defaults.tick_span)
+    p.add_argument("--replication", type=int, default=defaults.replication)
+    p.add_argument("--aggregation", type=float, default=defaults.aggregation)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -346,8 +348,6 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "guard"):
-            args.guard = _guard(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -69,30 +69,17 @@ class UnknownRecord(OitError):
     """An id does not refer to any declared record of the instance."""
 
 
-class _Default:
-    """A field with a default: an item of each instance, and the default on the class."""
-
-    __slots__ = ("get", "default")
-
-    def __init__(self, get, default):
-        self.get, self.default = get, default
-
-    def __get__(self, obj, cls=None):
-        return self.default if obj is None else self.get(obj)
-
-
 class Frozen(tuple):
     """An immutable value held as the tuple of its fields.
 
     A subclass's fields are the parameters of its ``__new__``, in order:
     ``__new__`` checks them and returns ``tuple.__new__(cls, fields)``.  Each
-    field reads as an attribute through a C item getter, and a field with a
-    default reads as that default on the class.  No attribute can be set.  Two
-    values are equal, and hash equal, when they are of one class with equal
-    fields.  A subclass without ``__slots__ = ()`` gets an instance dict, where
-    its ``cached_property`` entries live.  ``__new__`` may keep items derived
-    from the fields after them: they take part in equality and hashing, and
-    copies and pickles rebuild them from the fields.
+    field reads as an attribute through a C item getter.  No attribute can be
+    set.  Two values are equal, and hash equal, when they are of one class with
+    equal fields.  A subclass without ``__slots__ = ()`` gets an instance dict,
+    where its ``cached_property`` entries live.  ``__new__`` may keep items
+    derived from the fields after them: they take part in equality and
+    hashing, and copies and pickles rebuild them from the fields.
     """
 
     __slots__ = ()
@@ -100,12 +87,8 @@ class Frozen(tuple):
     def __init_subclass__(cls):
         new = cls.__new__
         cls._fields = new.__code__.co_varnames[1:new.__code__.co_argcount]
-        defaults = new.__defaults__ or ()
-        first_default = len(cls._fields) - len(defaults)
         for i, name in enumerate(cls._fields):
-            get = itemgetter(i)
-            setattr(cls, name, property(get) if i < first_default
-                    else _Default(get, defaults[i - first_default]))
+            setattr(cls, name, property(itemgetter(i)))
 
     def __eq__(self, other):
         # Not NotImplemented: the reflected tuple.__eq__ would then equal plain tuples.

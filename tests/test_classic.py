@@ -49,6 +49,11 @@ class TestShannonEntropy:
     def test_degenerate(self):
         assert shannon_entropy((1.0,)) == pytest.approx(0.0, abs=TOL)
 
+    @pytest.mark.parametrize("dist", [(1.0,), (1, 0), (Fraction(0), Fraction(1), Fraction(0))])
+    def test_certain_outcome_is_positive_zero(self, dist):
+        assert math.copysign(1.0, shannon_entropy(dist)) == 1.0
+        assert math.copysign(1.0, volume_entropy_demo((*dist, 0), 2, seed=1).entropy_bound) == 1.0
+
     def test_three_point(self):
         assert shannon_entropy((0.5, 0.25, 0.25)) == pytest.approx(1.5, abs=TOL)
 

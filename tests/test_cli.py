@@ -478,16 +478,6 @@ class TestCoverage:
         assert code == 1
         assert "not a sub-information" in err
 
-    def test_guard_env_override(self, capsys, ex1_path, fixtures_dir, monkeypatch):
-        monkeypatch.setenv("OIT_GUARD", "1")
-        code, _, err = run(
-            capsys, "coverage", ex1_path,
-            "--target", str(fixtures_dir / "ex1_s1r1.json"),
-            "--mode", "union", "--brute-force",
-        )
-        assert code == 1
-        assert "too large for exhaustive" in err
-
     def brute_union(self, capsys, ex1_path, fixtures_dir, *extra):
         return run(
             capsys, "coverage", ex1_path,
@@ -495,39 +485,22 @@ class TestCoverage:
             "--mode", "union", "--brute-force", *extra,
         )
 
+    def test_guard_env_is_ignored(self, capsys, ex1_path, fixtures_dir, monkeypatch):
+        monkeypatch.setenv("OIT_GUARD", "1")
+        code, out, err = self.brute_union(capsys, ex1_path, fixtures_dir)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == "2/3"
+
     def test_replica_brute_force_guard(self, capsys, ex1_path, fixtures_dir):
         code, out, err = run(capsys, "coverage", ex1_path, "--target",
                              str(fixtures_dir / "ex1_s1r1.json"), "--brute-force", "--guard", "0")
         assert (code, out, err) == (
             1, "", "error: instance too large for exhaustive synonymy (1 records over guard 0)\n")
 
-    def test_guard_zero_is_kept(self, capsys, ex1_path, fixtures_dir, monkeypatch):
-        monkeypatch.delenv("OIT_GUARD", raising=False)
+    def test_guard_zero_is_kept(self, capsys, ex1_path, fixtures_dir):
         code, _, err = self.brute_union(capsys, ex1_path, fixtures_dir, "--guard", "0")
         assert code == 1
         assert "over guard 0" in err
-
-    def test_guard_flag_beats_env(self, capsys, ex1_path, fixtures_dir, monkeypatch):
-        monkeypatch.setenv("OIT_GUARD", "1")
-        code, out, _ = self.brute_union(capsys, ex1_path, fixtures_dir, "--guard", "15")
-        assert code == 0
-        assert json.loads(out)["value"] == "2/3"
-
-    def test_long_guard_env_is_echoed_briefly(self, capsys, ex1_path, fixtures_dir, monkeypatch):
-        monkeypatch.setenv("OIT_GUARD", "x" * 5000)
-        code, _, err = self.brute_union(capsys, ex1_path, fixtures_dir)
-        assert code == 2
-        assert "OIT_GUARD must be an integer, got 'xxx" in err
-        assert len(err.splitlines()[-1]) < 120
-
-    def test_non_integer_guard_env_is_usage_error(
-        self, capsys, ex1_path, fixtures_dir, monkeypatch
-    ):
-        monkeypatch.setenv("OIT_GUARD", "many")
-        code, out, err = self.brute_union(capsys, ex1_path, fixtures_dir)
-        assert code == 2
-        assert "OIT_GUARD" in err
-        assert out == ""
 
 
 class TestAlgebraCommands:
@@ -652,6 +625,55 @@ class TestClassicCommands:
         assert doc["volume"] == 8
         assert doc["hartley"] == pytest.approx(8.0)
         assert doc["entropy_bound"] == pytest.approx(8.0)
+
+
+LONG = "x" * 5000
+
+
+class TestUsageErrors:
+    """argparse echoes the offending argument; a long one is cut, a short message kept."""
+
+    @pytest.mark.parametrize("argv, head", [
+        (["hartley", "--n", LONG, "--s", "2"],
+         "oit hartley: error: argument --n: invalid int value: 'xxx"),
+        (["gen", "--seed", "0", "--aggregation", LONG, "-o", "-"],
+         "oit gen: error: argument --aggregation: invalid float value: 'xxx"),
+        (["coverage", "{ex1}", "--target", "{ex1}", "--guard", LONG],
+         "oit coverage: error: argument --guard: invalid int value: 'xxx"),
+        ([LONG], "oit: error: argument command: invalid choice: 'xxx"),
+        (["metrics", "{ex1}", "--coverage-mode", LONG],
+         "oit metrics: error: argument --coverage-mode: invalid choice: 'xxx"),
+        (["coverage", "{ex1}", "--target", "{ex1}", "--mode", LONG],
+         "oit coverage: error: argument --mode: invalid choice: 'xxx"),
+        (["metrics", "{ex1}", "--out", LONG], "oit metrics: error: argument --out: invalid choice: 'xxx"),
+        (["demo", LONG], "oit demo: error: argument demo: invalid choice: 'xxx"),
+        (["validate", "{ex1}", LONG], "oit: error: unrecognized arguments: xxx"),
+        (["validate", "{ex1}", *["x"] * 2500], "oit: error: unrecognized arguments: x x x"),
+    ], ids=["int", "float", "guard", "command", "coverage-mode", "mode", "out", "demo",
+            "unrecognized", "many-unrecognized"])
+    def test_a_long_argument_is_cut(self, capsys, ex1_path, argv, head):
+        code, out, err = run(capsys, *[arg.format(ex1=ex1_path) for arg in argv])
+        assert (code, out) == (2, "")
+        last = err.splitlines()[-1]
+        assert last.startswith(head) and "..." in last
+        assert len(last) < len("oit coverage: error: ") + oit.cli.USAGE_BOUND
+        assert all(len(line) < LINE_BOUND for line in err.splitlines())
+
+    def test_a_short_message_is_kept(self, capsys):
+        code, _, err = run(capsys, "hartley", "--n", "x", "--s", "2")
+        assert code == 2
+        assert err.splitlines()[-1] == "oit hartley: error: argument --n: invalid int value: 'x'"
+
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_the_bound_is_on_the_message(self, capsys, excess):
+        bound = oit.cli.USAGE_BOUND
+        message = "".join(chr(ord("a") + i % 26) for i in range(bound + excess))
+        with pytest.raises(SystemExit):
+            oit.cli.build_parser().error(message)
+        last = capsys.readouterr().err.splitlines()[-1]
+        half = (bound - 3) // 2
+        kept = message[:half] + "..." + message[-half:] if excess else message
+        assert last == "oit: error: " + kept
 
 
 class TestArithmeticErrors:
@@ -920,3 +942,55 @@ class TestContractUnderMutation:
                 assert code in (0, 1, 2), argv
                 assert code == 0 or err.getvalue(), argv
                 assert all(len(line) < LINE_BOUND for line in err.getvalue().splitlines()), argv
+
+
+# Command-line numbers: valid and invalid literals, signs, exponents that no
+# float or exact reading holds, non-numbers and arguments of any length.
+_NUMBER_TEXT = st.one_of(
+    st.integers(-3, 20).map(str),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.fractions(max_denominator=99).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "1e-400", "1e100000000", "-0", "0x10", "1_0", "",
+                     "9" * 5000, LONG]),
+    st.text(max_size=6),
+)
+_PROBS_TEXT = st.one_of(
+    st.sampled_from(["1", "1,0", "0.5,0.5", "1/3,2/3", "0.25,0.25,0.5"]),
+    st.lists(_NUMBER_TEXT, min_size=1, max_size=4).map(",".join),
+)
+
+
+class TestContractOnNumbers:
+    """Every number option ends in exit 0, 1 or 2, and explains a failure on
+    stderr in bounded lines."""
+
+    @given(st.fixed_dictionaries({
+        "guard": _NUMBER_TEXT,
+        "suit_weights": st.lists(_NUMBER_TEXT, min_size=6, max_size=6),
+        "probs": _PROBS_TEXT,
+        "base": _NUMBER_TEXT,
+        "k": _NUMBER_TEXT,
+        "n": _NUMBER_TEXT,
+        "s": _NUMBER_TEXT,
+        "demo_n": st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["", "x", "1e3", LONG])),
+        "seed": _NUMBER_TEXT,
+    }))
+    @settings(max_examples=60, deadline=None)
+    def test_numbers_end_in_a_known_exit_code(self, v):
+        ex1, target = str(FIXTURES / "ex1.json"), str(FIXTURES / "ex1_s1r1.json")
+        commands = [
+            ["metrics", ex1, "--target", target, "--coverage-mode", "union", "--brute-force",
+             "--guard", v["guard"], "--suit-weights", *v["suit_weights"]],
+            ["coverage", ex1, "--target", target, "--brute-force", "--guard", v["guard"]],
+            ["entropy", "--probs", v["probs"], "--base", v["base"], "--k", v["k"]],
+            ["hartley", "--n", v["n"], "--s", v["s"], "--base", v["base"]],
+            ["demo", "shannon", "--probs", v["probs"], "--n", v["demo_n"], "--seed", v["seed"]],
+        ]
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+            assert code in (0, 1, 2), argv
+            assert code == 0 or err.getvalue(), argv
+            assert all(len(line) < LINE_BOUND for line in err.getvalue().splitlines()), argv

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oit import (
@@ -175,8 +175,7 @@ class TestValueClasses:
             assert copied == value and type(copied) is cls
 
     @pytest.mark.parametrize("cls, defaults, required", DEFAULTS)
-    def test_defaults_are_class_attributes(self, cls, defaults, required):
-        assert {name: getattr(cls, name) for name in defaults} == defaults
+    def test_omitted_fields_take_their_defaults(self, cls, defaults, required):
         value = cls(*required)
         assert {name: getattr(value, name) for name in defaults} == defaults
         assert value == cls(*required, **defaults)
@@ -747,3 +746,59 @@ class TestEndpointIndex:
         assert rescanned_overlap(a, b, combine(a, b, "lax")) == "s1"
         with pytest.raises(InconsistentOverlap, match="^inconsistent overlap at s1$"):
             combine(a, b, "strict")
+
+
+def contents(info: Information) -> frozenset:
+    """The content triples of the instance's records."""
+    return frozenset(rec.identity for rec in info.states | info.reflections)
+
+
+@st.composite
+def overlapping_operands(draw, count=2):
+    """``count`` instances drawn independently from few contents, each with its
+    own id prefix; the first two share at least one record's content."""
+    few = informations(values=st.just("x"), ticks=st.integers(0, 1))
+    operands = [draw(few) for _ in range(count)]
+    assume(contents(operands[0]) & contents(operands[1]))
+    return [renamed(info, prefix) for info, prefix in zip(operands, ("a_", "b_", "c_"))]
+
+
+def split_state(a: Information, b: Information) -> bool:
+    """Whether some state has links in both operands and neither operand holds all of them."""
+    def successors(info):
+        out = {}
+        for state, reflection in info.link_identities:
+            out.setdefault(state, set()).add(reflection)
+        return out
+
+    links_a, links_b = successors(a), successors(b)
+    return any(not (links_a[s] <= links_b[s] or links_b[s] <= links_a[s])
+               for s in links_a.keys() & links_b.keys())
+
+
+class TestCombineLaws:
+    """``combine`` on operands that overlap in content under other ids, compared by content."""
+
+    @given(overlapping_operands())
+    def test_lax_is_commutative_and_contains_its_operands(self, operands):
+        a, b = operands
+        ab = combine(a, b, "lax")
+        assert ab.link_identities == combine(b, a, "lax").link_identities
+        assert ab.link_identities == a.link_identities | b.link_identities
+        assert is_sub_information(a, ab) and is_sub_information(b, ab)
+
+    @given(overlapping_operands(count=3))
+    def test_lax_is_associative(self, operands):
+        a, b, c = operands
+        left = combine(combine(a, b, "lax"), c, "lax")
+        right = combine(a, combine(b, c, "lax"), "lax")
+        assert left.link_identities == right.link_identities
+
+    @given(overlapping_operands())
+    def test_strict_is_lax_unless_a_state_is_split(self, operands):
+        a, b = operands
+        if split_state(a, b):
+            with pytest.raises(InconsistentOverlap):
+                combine(a, b, "strict")
+        else:
+            assert combine(a, b, "strict") == combine(a, b, "lax")
