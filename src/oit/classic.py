@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import random
 from .measures import volume
-from .model import Frozen, Information, OitError, ReflectionRecord, StateRecord, assemble, brief_ids
+from .model import (Frozen, Information, OitError, ReflectionRecord, StateRecord, assemble,
+                    brief_ids, brief_repr)
 
 PROB_TOL = 1e-9
 
@@ -70,7 +71,14 @@ def hartley_information(n: int, s: int, base: float = 2.0) -> float:
         raise ValueError("alphabet size s must be >= 2, got %r" % s)
     if not 1 < base < math.inf:
         raise ValueError("log base must exceed 1, got %r" % base)
-    return n * math.log(s) / math.log(base)
+    try:
+        value = n * math.log(s) / math.log(base)
+    except OverflowError:  # n beyond the float range
+        value = math.inf
+    if value == math.inf:
+        raise OverflowError("n * log(s) is too large for a float: n=%s, s=%s"
+                            % (brief_repr(n), brief_repr(s)))
+    return value
 
 
 class CodingDemo(Frozen):

@@ -28,6 +28,7 @@ from .model import (
     MAX_LITERAL_DIGITS,
     OitError,
     ValidationError,
+    brief,
     brief_repr,
     build,
     combine,
@@ -261,6 +262,17 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+def _guard(text: str) -> int:
+    """A ``--guard`` value: an int of at least 0."""
+    try:
+        guard = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if guard < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %s" % brief(text))
+    return guard
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="oit",
@@ -281,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suit-weights", nargs=6, metavar="W", help="six suitability weights")
     p.add_argument("--coverage-mode", choices=COVERAGE_MODES, default=REPLICA)
     p.add_argument("--brute-force", action="store_true")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
+    p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p.add_argument("--out", choices=["json", "table"], default="json")
     p.set_defaults(func=cmd_metrics)
 
@@ -307,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--mode", choices=COVERAGE_MODES, default=REPLICA)
     p.add_argument("--brute-force", action="store_true")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
+    p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("entropy", help="Shannon entropy of a probability vector")

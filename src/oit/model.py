@@ -185,6 +185,7 @@ UNLINKED_STATE = "unlinked-state"
 UNLINKED_REFLECTION = "unlinked-reflection"
 CLOSURE_MISMATCH = "closure-mismatch"
 UNWRITABLE_RECORD = "unwritable-record"
+MALFORMED_LINK = "malformed-link"
 
 
 class StateRecord(Frozen):
@@ -347,7 +348,7 @@ class RawSextuple(Frozen):
             tuple(media),
             tuple(states),
             tuple(reflections),
-            tuple(tuple(p) for p in links),
+            tuple(tuple(p) if isinstance(p, list) else p for p in links),
         )
 
 
@@ -392,11 +393,20 @@ def _check_records(records, token_field: str, label: str, diags: list):
     return by_id.keys()
 
 
+def _is_pair(link) -> bool:
+    """Whether ``link`` is a tuple of two hashable endpoints."""
+    try:
+        hash(link)
+    except TypeError:
+        return False
+    return isinstance(link, tuple) and len(link) == 2
+
+
 def _check_well_formed(components, states, reflections, links, diags: list):
     """The checks instances and demand sextuples share: each named component
-    is nonvoid, then the two record sets, then every link endpoint names a
-    declared record.  Returns the declared state and reflection ids and the
-    links whose two endpoints are declared.
+    is nonvoid, then the two record sets, then every link is a pair whose
+    endpoints name declared records.  Returns the declared state and
+    reflection ids and the links whose two endpoints are declared.
     """
     for name, component in components:
         if not component:
@@ -405,6 +415,10 @@ def _check_well_formed(components, states, reflections, links, diags: list):
     reflection_ids = _check_records(reflections, "media", "reflection", diags)
     good_links = set()
     for link in links:
+        if not _is_pair(link):
+            message = "malformed link %s: expected a pair of record ids" % brief_repr(link)
+            diags.append(Diagnostic(MALFORMED_LINK, message))
+            continue
         a, b = link
         if a in state_ids and b in reflection_ids:
             good_links.add(link)
@@ -681,27 +695,25 @@ def compose(first: Information, second: Information) -> Information:
 
 
 class Atom(Frozen):
-    """One link together with the one-link instance it induces."""
+    """One link as the two records it joins; ``info`` is its one-link instance."""
 
     __slots__ = ()
 
-    def __new__(cls, link: LinkPair, info: Information):
-        return tuple.__new__(cls, (link, info))
+    def __new__(cls, state: StateRecord, reflection: ReflectionRecord):
+        return tuple.__new__(cls, (state, reflection))
+
+    link = property(lambda self: (self.state.id, self.reflection.id))
+    link_identity = property(lambda self: (self.state.identity, self.reflection.identity))
 
     @property
-    def link_identity(self):
-        a, b = self.link
-        return (
-            self.info.state_by_id[a].identity,
-            self.info.reflection_by_id[b].identity,
-        )
+    def info(self) -> Information:
+        return Information((self.state,), (self.reflection,), LinkRelation((self.link,)))
 
 
 def atoms(info: Information) -> tuple:
     """All atoms of the instance, one per link, sorted by link ids."""
-    return tuple(
-        Atom(pair, restrict_links(info, [pair])) for pair in sorted(info.links)
-    )
+    states, reflections = info.state_by_id, info.reflection_by_id
+    return tuple(Atom(states[a], reflections[b]) for a, b in sorted(info.links))
 
 
 def image(info: Information, state_ids: Iterable[str]) -> frozenset:

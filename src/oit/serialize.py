@@ -82,13 +82,6 @@ def _tagged_value(raw, path, i, diags):
     return None
 
 
-def _token_list(raw, path, diags):
-    if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
-        _diag(diags, path, "expected a list of token strings")
-        return []
-    return raw
-
-
 def _shared_tokens(raw, shared: dict):
     """``raw`` as a token set, one per distinct token list of a document, or None
     when it is not a list of strings.  ``shared`` holds the sets made so far,
@@ -216,9 +209,13 @@ def _document_from_text(text: str) -> dict:
 
 def _raw_from_document(doc: dict, diags) -> RawSextuple:
     """The raw sextuple a document holds; equal token lists share one token set."""
-    entities = _token_list(doc.get("entities", []), "entities", diags)
-    media = _token_list(doc.get("media", []), "media", diags)
     shared: dict = {}
+    declared = []  # the entity and media token lists, each as a tuple
+    for member in ("entities", "media"):
+        tokens = _shared_tokens(doc.get(member, []), shared)
+        if tokens is None:
+            _diag(diags, member, "expected a list of token strings")
+        declared.append(tuple(tokens or ()))
     states = _records(doc.get("state_records", []), "state_records", "entities",
                       StateRecord, shared, diags)
     reflections = _records(doc.get("reflection_records", []), "reflection_records", "media",
@@ -237,8 +234,7 @@ def _raw_from_document(doc: dict, diags) -> RawSextuple:
                 continue
         _diag(diags, "links[%d]" % i, "expected {\"from\": state id, \"to\": reflection id}")
 
-    return RawSextuple(tuple(dict.fromkeys(entities)), tuple(dict.fromkeys(media)),
-                       tuple(states), tuple(reflections), tuple(links))
+    return RawSextuple(*declared, tuple(states), tuple(reflections), tuple(links))
 
 
 def parse_document(text: str):

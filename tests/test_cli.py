@@ -606,6 +606,14 @@ class TestClassicCommands:
         code, out, _ = run(capsys, "hartley", "--n", "4", "--s", "10")
         assert float(out) == pytest.approx(13.287712379549449, abs=1e-9)
 
+    @pytest.mark.parametrize("n, s", [("1" + "0" * 400, "2"), ("1" + "0" * 308, "10")],
+                             ids=["n-beyond-float", "product-beyond-float"])
+    def test_hartley_beyond_a_float_names_n_and_s(self, capsys, n, s):
+        code, out, err = run(capsys, "hartley", "--n", n, "--s", s)
+        assert (code, out) == (1, "")
+        assert err == ("error: n * log(s) is too large for a float: "
+                       "n=100000000000000000...0000000000000000000, s=%s\n" % s)
+
     @pytest.mark.parametrize("argv, message", [
         (["entropy", "--probs", "0.5,0.5", "--base", "nan"], "log base must exceed 1, got nan"),
         (["entropy", "--probs", "0.5,0.5", "--base", "inf"], "log base must exceed 1, got inf"),
@@ -658,6 +666,14 @@ class TestUsageErrors:
         assert last.startswith(head) and "..." in last
         assert len(last) < len("oit coverage: error: ") + oit.cli.USAGE_BOUND
         assert all(len(line) < LINE_BOUND for line in err.splitlines())
+
+    @pytest.mark.parametrize("command", ["metrics", "coverage"])
+    def test_a_negative_guard_is_a_usage_error(self, capsys, ex1_path, command):
+        target = ["--target", ex1_path] if command == "coverage" else []
+        code, out, err = run(capsys, command, ex1_path, *target, "--guard", "-1")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "oit %s: error: argument --guard: must be at least 0, got -1" % command)
 
     def test_a_short_message_is_kept(self, capsys):
         code, _, err = run(capsys, "hartley", "--n", "x", "--s", "2")

@@ -117,6 +117,10 @@ def corpus() -> list:
         ["metrics", _fixture("ex1"), "--target", _fixture("ex1_s1"),
          "--suit-weights", "0", "0", "0", "1", "0", "0"],
         ["coverage", _fixture("ex1"), "--target", "$WORK/foreign.json"],
+        ["coverage", _fixture("ex1"), "--target", _fixture("ex1_s1r1"), "--brute-force",
+         "--guard", "-1"],
+        ["metrics", _fixture("ex1"), "--target", _fixture("ex1_s1r1"), "--brute-force",
+         "--guard", "-1"],
         ["validate", "$WORK/records_not_a_list.json"],
         ["metrics", _fixture("ex1"), "--target", "$WORK/records_not_a_list.json"],
     ]
@@ -134,6 +138,7 @@ def corpus() -> list:
         ["entropy", "--probs", "0.5,0.25,0.25"],
         ["entropy", "--probs", "1"],
         ["hartley", "--n", "4", "--s", "10"],
+        ["hartley", "--n", "1" + "0" * 400, "--s", "2"],
         ["demo", "shannon", "--probs", "0.5,0.5", "--n", "8", "--seed", "7"],
         ["demo", "shannon", "--probs", "1,0", "--n", "2", "--seed", "1"],
     ]

@@ -130,7 +130,7 @@ class TestValueClasses:
                            relation=_LINKS)),
         (RawSextuple, dict(entities=("a",), media=("m1",), states=(_STATE,),
                            reflections=(_REFLECTION,), links=(("s1", "r1"),))),
-        (Atom, dict(link=("s1", "r1"), info=_INFO)),
+        (Atom, dict(state=_STATE, reflection=_REFLECTION)),
         (ReducibilityReport, dict(functional=True, injective=False, reducible=False,
                                   multi_target_states=(), multi_source_reflections=("r1",))),
         (SemanticMapping, dict(kind="table", table={(frozenset({"m1"}), 4, "v1"):
@@ -248,6 +248,24 @@ class TestValidate:
         )
         codes = {d.code for d in validate(bad)}
         assert model.DUPLICATE_RECORD_CONTENT in codes
+
+    @pytest.mark.parametrize("link", [("s1",), "s1r1", ("s1", "r1", "x"), (["s1"], "r1"), 5],
+                             ids=["one", "text", "three", "unhashable", "not-iterable"])
+    def test_malformed_link(self, ex1, link):
+        raw = raw_of(ex1)
+        bad = RawSextuple.of(raw.entities, raw.media, raw.states, raw.reflections,
+                             [*raw.links, link])
+        expected = Diagnostic(model.MALFORMED_LINK, "malformed link %s: expected a pair of "
+                              "record ids" % model.brief_repr(link))
+        assert validate(bad) == [expected]
+        with pytest.raises(ValidationError) as exc:
+            build(bad)
+        assert exc.value.diagnostics == (expected,)
+
+    def test_a_listed_link_is_a_pair(self, ex1):
+        raw = raw_of(ex1)
+        assert build(RawSextuple.of(raw.entities, raw.media, raw.states, raw.reflections,
+                                    [list(link) for link in raw.links])) == ex1
 
     def test_unlinked_records(self):
         states = [StateRecord("s1", {"a"}, 1, "x"), StateRecord("s2", {"a"}, 2, "y")]
@@ -476,6 +494,20 @@ class TestAtomsAndInverse:
         one = restrict_links(ex1, [("s1", "r1")])
         (atom,) = atoms(one)
         assert atom.info == one
+
+    def test_an_atom_is_the_same_in_every_instance_holding_its_link(self, ex1):
+        by_link = {atom.link: atom for atom in atoms(ex1)}
+        for link in ex1.links:
+            (atom,) = atoms(restrict_links(ex1, [link]))
+            assert atom == by_link[link] and hash(atom) == hash(by_link[link])
+
+    @given(informations())
+    def test_atoms_are_the_one_link_restrictions(self, info):
+        got = atoms(info)
+        assert len(got) == len(info.links)
+        for atom in got:
+            assert atom.info == restrict_links(info, [atom.link])
+            assert atom.link_identity in info.link_identities
 
     def test_atoms_of_restriction_are_contained(self, ex1):
         sub = restrict(ex1, lambda s, r: s.id == "s1")
