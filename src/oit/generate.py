@@ -11,6 +11,7 @@ bijective instance (functional relation, every reflection single-sourced).
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 
 from .model import (
     Frozen,
@@ -139,7 +140,7 @@ def identity_relay(info: Information, media_map: dict, tick_shift: int = 0) -> I
     states = []
     reflections = []
     links = []
-    for rec in sorted(info.reflections, key=lambda r: r.id):
+    for rec in sorted(info.reflections, key=attrgetter("id")):
         sid = "t_%s" % rec.id
         rid = "y_%s" % rec.id
         states.append(StateRecord(sid, rec.media, rec.tick, rec.value))

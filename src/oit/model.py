@@ -215,6 +215,11 @@ class ReflectionRecord(Frozen):
         return tuple.__new__(cls, (id, media, tick, value, (media, tick, value)))
 
 
+def _token_union(records) -> frozenset:
+    """Every token of the records' entity or media sets."""
+    return frozenset(chain.from_iterable(map(itemgetter(1), records)))
+
+
 class LinkRelation(Frozen):
     """The link set from state record ids to reflection record ids.
 
@@ -290,7 +295,7 @@ class Information(Frozen):
 
     @cached_property
     def ontology(self) -> frozenset:
-        return frozenset(t for rec in self.states for t in rec.entities)
+        return _token_union(self.states)
 
     @cached_property
     def occurrence_ticks(self) -> frozenset:
@@ -298,7 +303,7 @@ class Information(Frozen):
 
     @cached_property
     def carrier(self) -> frozenset:
-        return frozenset(t for rec in self.reflections for t in rec.media)
+        return _token_union(self.reflections)
 
     @cached_property
     def reflection_ticks(self) -> frozenset:
@@ -353,7 +358,8 @@ class RawSextuple(Frozen):
 
 
 def _check_records(records, token_field: str, label: str, diags: list):
-    """Report empty token sets and id or content clashes; return the declared ids."""
+    """Report empty token sets and id or content clashes; return the declared ids.
+    A record with an unhashable id, tick or value declares none: it is unwritable."""
     by_id: dict = {}  # id -> the content triple it was first declared with
     by_identity: dict = {}
     for rec in records:
@@ -366,7 +372,10 @@ def _check_records(records, token_field: str, label: str, diags: list):
                     (rec_id,),
                 )
             )
-        prev = by_id.get(rec_id)
+        try:
+            prev, prev_id = by_id.get(rec_id), by_identity.get(identity)
+        except TypeError:
+            continue
         if prev is not None:
             code = DUPLICATE_RECORD_ID if prev != identity else DUPLICATE_RECORD_CONTENT
             diags.append(
@@ -378,7 +387,6 @@ def _check_records(records, token_field: str, label: str, diags: list):
             )
         else:
             by_id[rec_id] = identity
-        prev_id = by_identity.get(identity)
         if prev_id is not None and prev_id != rec_id:
             diags.append(
                 Diagnostic(
@@ -496,14 +504,13 @@ def validate(raw: RawSextuple) -> list:
             )
         )
 
-    induced_entities = frozenset(t for rec in raw.states for t in rec.entities)
-    induced_media = frozenset(t for rec in raw.reflections for t in rec.media)
+    induced_entities, induced_media = _token_union(raw.states), _token_union(raw.reflections)
     # Whole parts are checked first, so that valid records are not walked one by one.
-    for label, records, ids, tokens in (
-        ("state", raw.states, state_ids, induced_entities),
-        ("reflection", raw.reflections, reflection_ids, induced_media),
+    for label, records, tokens in (
+        ("state", raw.states, induced_entities),
+        ("reflection", raw.reflections, induced_media),
     ):
-        ticks, values = map(attrgetter("tick"), records), [rec.value for rec in records]
+        ids, ticks, values = (list(map(attrgetter(f), records)) for f in ("id", "tick", "value"))
         if not _writable(ids, tokens, ticks, values):
             diags.extend(
                 Diagnostic(
@@ -552,15 +559,8 @@ def assemble(states, reflections, links) -> Information:
     """Build an instance from records and links, deriving the token sets."""
     states = tuple(states)
     reflections = tuple(reflections)
-    return build(
-        RawSextuple.of(
-            frozenset(t for rec in states for t in rec.entities),
-            frozenset(t for rec in reflections for t in rec.media),
-            states,
-            reflections,
-            links,
-        )
-    )
+    return build(RawSextuple.of(_token_union(states), _token_union(reflections), states,
+                                reflections, links))
 
 
 def is_sub_information(candidate: Information, parent: Information) -> bool:
@@ -628,15 +628,13 @@ def restrict_links(parent: Information, link_ids: Iterable[LinkPair]) -> Informa
 def _merge_record_class(recs_a, recs_b, label: str) -> dict:
     """Content triple -> merged record, the smallest id winning; the smallest
     id bound to two triples raises."""
-    by_id: dict = {}
-    by_identity: dict = {}
-    for rec in sorted((*recs_a, *recs_b), key=lambda r: r.id):
-        if by_id.setdefault(rec.id, rec).identity != rec.identity:
-            raise RecordIdentityClash(
-                "record identity clash: %s record %s" % (label, brief(rec.id))
-            )
-        by_identity.setdefault(rec.identity, rec)
-    return by_identity
+    records = sorted({*recs_a, *recs_b}, key=attrgetter("id"), reverse=True)
+    by_id = dict(zip(map(attrgetter("id"), records), records))
+    if len(by_id) < len(records):  # two unequal records share an id
+        clash = min(rec.id for rec in records if by_id[rec.id] is not rec)
+        raise RecordIdentityClash("record identity clash: %s record %s" % (label, brief(clash)))
+    # Records run from the largest id down, so the smallest id is written last.
+    return dict(zip(map(attrgetter("identity"), records), records))
 
 
 def combine(a: Information, b: Information, mode: str = "strict") -> Information:
@@ -653,18 +651,18 @@ def combine(a: Information, b: Information, mode: str = "strict") -> Information
     states = _merge_record_class(a.states, b.states, "state")
     reflections = _merge_record_class(a.reflections, b.reflections, "reflection")
 
-    def rewritten(info: Information) -> LinkRelation:
-        return LinkRelation((states[s].id, reflections[r].id) for s, r in info.link_identities)
+    def rewritten(info: Information) -> set:
+        return {(states[s].id, reflections[r].id) for s, r in info.link_identities}
 
-    parts = (rewritten(a), rewritten(b))
-    union = LinkRelation(parts[0].links | parts[1].links)
-
+    links_a, links_b = rewritten(a), rewritten(b)
     if mode == "strict":
-        for sid, merged in sorted(union.successors.items()):
-            if all(part.successors.get(sid) != merged for part in parts):
-                raise InconsistentOverlap("inconsistent overlap at %s" % brief(sid))
+        # A state takes its links from one operand alone unless it has a link
+        # that only ``a`` holds and one that only ``b`` holds.
+        split = {s for s, _ in links_a - links_b} & {s for s, _ in links_b - links_a}
+        if split:
+            raise InconsistentOverlap("inconsistent overlap at %s" % brief(min(split)))
 
-    return Information(states.values(), reflections.values(), union)
+    return Information(states.values(), reflections.values(), LinkRelation(links_a | links_b))
 
 
 def compose(first: Information, second: Information) -> Information:
@@ -678,7 +676,7 @@ def compose(first: Information, second: Information) -> Information:
     """
     match: dict = {}
     unmatched_reflections = []
-    for rec in sorted(first.reflections, key=lambda r: r.id):
+    for rec in sorted(first.reflections, key=attrgetter("id")):
         sid = second.state_id_by_identity.get(rec.identity)
         if sid is None:
             unmatched_reflections.append(rec.id)

@@ -10,8 +10,10 @@ Every document and report is written byte for byte as ``json.dumps(doc,
 indent=2, sort_keys=True)`` writes it.  Reports and side documents are written
 by ``json.dumps`` itself; an instance is written straight from its records, one
 fixed template per record kind with its members in sorted order and strings
-quoted by json's C ``encode_basestring_ascii``.  ``instance_digest`` hashes that
-text a few hundred records at a time and never holds the whole text.
+quoted by json's C ``encode_basestring_ascii``.  Each record kind's fields are
+read as C iterators over its records sorted by id and filled into a template of
+``_BATCH`` records by one ``%`` call.  ``instance_digest`` hashes the text one
+such batch at a time and never holds the whole text.
 
 Record values are JSON strings (text), JSON integers, ``{"b64": ...}`` for
 byte strings, or ``{"rational": "p/q"}`` for exact rationals.  Floats are
@@ -25,9 +27,9 @@ from __future__ import annotations
 import base64
 import json
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
+from operator import itemgetter
 from typing import Mapping
 
 from . import model
@@ -272,10 +274,15 @@ _STATE = ('    {\n      "entities": %s,\n      "id": %s,\n'
 _REFLECTION = ('    {\n      "id": %s,\n      "media": %s,\n'
                '      "tick": %s,\n      "value": %s\n    }')
 _LINK = '    {\n      "from": %s,\n      "to": %s\n    }'
+# Each record kind's layout, then the same for records that all hold one token.
+_STATES = (_STATE, _STATE.replace('"entities": %s', '"entities": [\n        %s\n      ]'))
+_REFLECTIONS = (_REFLECTION, _REFLECTION.replace('"media": %s', '"media": [\n        %s\n      ]'))
 _B64 = '{\n        "b64": "%s"\n      }'
 _RATIONAL = '{\n        "rational": %s\n      }'
-# Records per digest update: small enough that hashing never holds much of the text.
+# Records per format call and digest update, so that hashing holds little text.
 _BATCH = 256
+# A record's id, token set, tick and value, as C getters on its tuple.
+_ID, _TOKENS, _TICK, _VALUE = map(itemgetter, range(4))
 
 
 def _tokens_text(tokens, indent: str = "      ") -> str:
@@ -301,32 +308,44 @@ def _value_text(value) -> str:
     return int.__repr__(value)
 
 
-def _record_list(texts):
-    """A top-level list of record texts, in pieces of at most ``_BATCH`` records."""
-    texts = iter(texts)
+def _record_list(template: str, fields):
+    """A top-level list of records, each ``template`` filled from the flat
+    iterator ``fields``, in pieces of ``_BATCH`` records written by one ``%``."""
+    width = template.count("%s")
+    full = ",\n".join([template] * _BATCH)
     opening = "[\n"
-    while batch := list(islice(texts, _BATCH)):
-        yield opening + ",\n".join(batch)
+    while batch := tuple(islice(fields, width * _BATCH)):
+        count = len(batch) // width
+        yield opening + (full if count == _BATCH else ",\n".join([template] * count)) % batch
         opening = ",\n"
     yield "[]" if opening == "[\n" else "\n  ]"
+
+
+def _columns(records, layouts):
+    """The layout of one record kind and the id, token, tick and value texts of
+    its records sorted by id, each a C iterator.  When every record holds one
+    token, tokens are quoted directly into the layout that brackets them, as
+    values are when every one is exactly text."""
+    records = sorted(records, key=_ID)
+    value_text = _quote if {str}.issuperset(map(type, map(_VALUE, records))) else _value_text
+    if {1}.issuperset(map(len, map(_TOKENS, records))):
+        layout, tokens = layouts[1], map(_quote, chain.from_iterable(map(_TOKENS, records)))
+    else:
+        layout, tokens = layouts[0], map(_tokens_text, map(_TOKENS, records))
+    return layout, (map(_quote, map(_ID, records)), tokens, map(int.__repr__, map(_TICK, records)),
+                    map(value_text, map(_VALUE, records)))
 
 
 def _instance_chunks(info: Information, weights: Mapping | None):
     """The canonical text of an instance, written straight from its records."""
     yield '{\n  "entities": %s,\n  "links": ' % _tokens_text(info.ontology, "  ")
-    yield from _record_list(_LINK % (_quote(a), _quote(b)) for a, b in sorted(info.links))
+    yield from _record_list(_LINK, map(_quote, chain.from_iterable(sorted(info.links))))
     yield ',\n  "media": %s,\n  "reflection_records": ' % _tokens_text(info.carrier, "  ")
-    yield from _record_list(
-        _REFLECTION % (_quote(rec.id), _tokens_text(rec.media),
-                       int.__repr__(rec.tick), _value_text(rec.value))
-        for rec in sorted(info.reflections, key=attrgetter("id"))
-    )
+    layout, columns = _columns(info.reflections, _REFLECTIONS)
+    yield from _record_list(layout, chain.from_iterable(zip(*columns)))
     yield ',\n  "state_records": '
-    yield from _record_list(
-        _STATE % (_tokens_text(rec.entities), _quote(rec.id),
-                  int.__repr__(rec.tick), _value_text(rec.value))
-        for rec in sorted(info.states, key=attrgetter("id"))
-    )
+    layout, (ids, tokens, ticks, values) = _columns(info.states, _STATES)
+    yield from _record_list(layout, chain.from_iterable(zip(tokens, ids, ticks, values)))
     yield ',\n  "version": %d' % SCHEMA_VERSION
     if weights:
         tables = {universe: {str(k): str(_read_weight(w)) for k, w in table.items()}

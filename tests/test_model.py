@@ -52,6 +52,12 @@ from oit import model
 
 from .strategies import informations, informations_with_sublinks
 
+# Record ids, ticks and values that cannot be hashed.
+UNHASHABLE = st.one_of(
+    st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
 
 def renamed(info: Information, prefix: str) -> Information:
     """The same instance with every record id prefixed."""
@@ -321,6 +327,40 @@ class TestValidate:
             "surjectivity violation: reflection record r1 has no link",
             "state record 2 has an id, token, tick or value that no instance document can hold",
         ]
+
+    @pytest.mark.parametrize("state", [
+        StateRecord(["s1"], ["a"], 1, "v"),
+        StateRecord({"s1": 1}, ["a"], 1, "v"),
+        StateRecord("s1", ["a"], [1], "v"),
+        StateRecord("s1", ["a"], 1, ["v"]),
+        StateRecord("s1", ["a"], 1, {"v": 1}),
+    ])
+    def test_unhashable_ids_ticks_and_values_are_reported_not_raised(self, state):
+        raw = RawSextuple.of(["a"], ["m"], [state], [ReflectionRecord("r1", ["m"], 1, "v")],
+                             [("s1", "r1")])
+        assert [d.subjects for d in validate(raw) if d.code == model.UNWRITABLE_RECORD] == [
+            (state.id,)]
+        with pytest.raises(ValidationError):
+            build(raw)
+
+    @given(informations(), st.data())
+    @settings(max_examples=80)
+    def test_records_with_unhashable_parts_give_one_diagnostic_each(self, info, data):
+        kind = data.draw(st.sampled_from(["states", "reflections"]))
+        records = sorted(getattr(info, kind), key=lambda r: r.id)
+        broken = data.draw(st.sets(st.sampled_from(range(len(records))), min_size=1))
+        for i in broken:
+            field = data.draw(st.sampled_from(["id", "tick", "value"]))
+            part = data.draw(UNHASHABLE)
+            rec = records[i]
+            records[i] = type(rec)(*(part if f == field else getattr(rec, f) for f in rec._fields))
+        parts = {"states": info.states, "reflections": info.reflections, kind: records}
+        raw = RawSextuple.of(info.ontology, info.carrier, parts["states"], parts["reflections"],
+                             info.links)
+        unwritable = [d.subjects for d in validate(raw) if d.code == model.UNWRITABLE_RECORD]
+        assert unwritable == [(records[i].id,) for i in sorted(broken)]
+        with pytest.raises(ValidationError):
+            build(raw)
 
     def test_empty_record_tokens(self):
         states = [StateRecord("s1", frozenset(), 1, "x")]

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import os
+import pathlib
+import re
 import subprocess
 import sys
 
-from .paths import FIXTURES, SCRIPTS, load_script
+import pytest
+
+from .paths import FIXTURES, REPO_ROOT, SCRIPTS, load_script
+
+# CPython versions the golden corpus is also checked under, each in its own process.
+OTHER_VERSIONS = ("3.10", "3.12", "3.13")
 
 
 def test_make_fixtures_reproduces_the_shipped_fixtures(tmp_path):
@@ -23,3 +31,17 @@ def test_proposition_sweep_runs_clean():
     )
     assert result.returncode == 0, result.stderr
     assert "ok" in result.stdout
+
+
+@pytest.mark.parametrize("version", OTHER_VERSIONS)
+def test_the_golden_corpus_holds_under_other_interpreters(version):
+    """``python -m tests.test_golden_cli --check`` under pyenv's CPython ``version``."""
+    root = pathlib.Path(os.environ.get("PYENV_ROOT", pathlib.Path.home() / ".pyenv")) / "versions"
+    found = sorted(root.glob("%s.*/bin/python%s" % (version, version)))
+    if not found:
+        pytest.skip("no CPython %s under %s" % (version, root))
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run([str(found[-1]), "-m", "tests.test_golden_cli", "--check"],
+                            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert re.search(r"^0 of [1-9]\d* calls differ$", result.stdout, re.M), result.stdout

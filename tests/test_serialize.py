@@ -148,6 +148,29 @@ class TestCanonicalWriter:
         assert parse_document(text) == (info, weights)
         assert instance_digest(info) == text_digest(emit_instance(info))
 
+    @pytest.mark.parametrize("kinds, sizes", [(1, 1), (4, 1), (1, 3), (4, 3)])
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 513])
+    def test_batch_edges_match_the_benchmark_oracle(self, count, kinds, sizes):
+        """``count`` states, reflections and links, at and across the writer's
+        256-record batches; values cycle through the first ``kinds`` of text,
+        integer, bytes and rational, and token sets through 1 to ``sizes`` tokens."""
+        def value(i):
+            return ("v%d" % i, i - 100, b"\x00b%d" % i, Fraction(i, 7))[i % kinds]
+
+        def tokens(prefix, i):
+            return {"%s%d" % (prefix, (i + k) % 5) for k in range(1 + i % sizes)}
+
+        info = assemble(
+            [StateRecord("s%d" % i, tokens("e", i), i, value(i)) for i in range(count)],
+            [ReflectionRecord("r%d" % i, tokens("m", i + 1), i, value(i + 1))
+             for i in range(count)],
+            [("s%d" % i, "r%d" % (count - 1 - i)) for i in range(count)],
+        )
+        assert len(info.states) == len(info.reflections) == len(info.links) == count
+        text = emit_instance(info)
+        assert text == oracle.canonical_text(reference_doc(info))
+        assert instance_digest(info) == text_digest(text)
+
     def test_digest_streams_the_text(self):
         info = generate_synthetic(1, Profile(entities=2000, media=250, replication=3))
         text = emit_instance(info)
