@@ -90,7 +90,24 @@ def _union_media_brute(info: Information, target: Information, guard: int) -> fr
     return frozenset(media)
 
 
-def _replica_media(info: Information, wanted: frozenset, brute_force: bool, guard: int) -> set:
+def _replica_media(info: Information, wanted: frozenset) -> set:
+    """The media on which the records whose sources all lie among the ``wanted``
+    states together reach every one of them.  Such a record is linked from a
+    wanted state, so only those records are read."""
+    reached = {b for a, b in info.links if a in wanted}
+    sources: dict = {}  # each reached record -> all its source states
+    for a, b in info.links:
+        if b in reached:
+            sources.setdefault(b, set()).add(a)
+    covered: dict = {}  # medium -> the wanted states its qualifying records reach
+    for rid, found in sources.items():
+        if found <= wanted:
+            for medium in info.reflection_by_id[rid].media:
+                covered.setdefault(medium, set()).update(found)
+    return {medium for medium, states in covered.items() if states == wanted}
+
+
+def _replica_media_brute(info: Information, wanted: frozenset, guard: int) -> set:
     preimages = info.relation.predecessors
     hosted: dict = {}
     for rec in info.reflections:
@@ -98,24 +115,16 @@ def _replica_media(info: Information, wanted: frozenset, brute_force: bool, guar
             hosted.setdefault(medium, []).append(rec.id)
     good = set()
     for medium in info.carrier:
-        records = hosted.get(medium, [])
-        if brute_force:
-            if len(records) > guard:
-                raise EnumerationGuardExceeded(
-                    "instance too large for exhaustive synonymy (%d records over guard %d)"
-                    % (len(records), guard)
-                )
-            for subset in _nonempty_subsets(records):
-                if set().union(*(preimages[r] for r in subset)) == wanted:
-                    good.add(medium)
-                    break
-        else:
-            covered: set = set()
-            for rid in records:
-                if wanted.issuperset(preimages[rid]):
-                    covered.update(preimages[rid])
-            if covered == wanted:
+        records = hosted[medium]
+        if len(records) > guard:
+            raise EnumerationGuardExceeded(
+                "instance too large for exhaustive synonymy (%d records over guard %d)"
+                % (len(records), guard)
+            )
+        for subset in _nonempty_subsets(records):
+            if set().union(*(preimages[r] for r in subset)) == wanted:
                 good.add(medium)
+                break
     return good
 
 
@@ -144,5 +153,8 @@ def coverage(
         else:
             media = _union_media_fast(info, wanted)
         return Fraction(len(media), denominator)
-    good = _replica_media(info, wanted, brute_force, guard)
+    if brute_force:
+        good = _replica_media_brute(info, wanted, guard)
+    else:
+        good = _replica_media(info, wanted)
     return Fraction(len(good), denominator)

@@ -322,6 +322,10 @@ class Information(Frozen):
         return {rec.identity: rec.id for rec in self.states}
 
     @cached_property
+    def reflection_id_by_identity(self) -> dict:
+        return {rec.identity: rec.id for rec in self.reflections}
+
+    @cached_property
     def state_identities(self) -> frozenset:
         return frozenset(rec.identity for rec in self.states)
 
@@ -357,9 +361,18 @@ class RawSextuple(Frozen):
         )
 
 
+def _hashable(item) -> bool:
+    try:
+        hash(item)
+    except TypeError:
+        return False
+    return True
+
+
 def _check_records(records, token_field: str, label: str, diags: list):
     """Report empty token sets and id or content clashes; return the declared ids.
-    A record with an unhashable id, tick or value declares none: it is unwritable."""
+    A record with an unhashable id declares none, and one with an unhashable
+    tick or value clashes with no content: either is unwritable."""
     by_id: dict = {}  # id -> the content triple it was first declared with
     by_identity: dict = {}
     for rec in records:
@@ -373,7 +386,7 @@ def _check_records(records, token_field: str, label: str, diags: list):
                 )
             )
         try:
-            prev, prev_id = by_id.get(rec_id), by_identity.get(identity)
+            prev = by_id.get(rec_id)
         except TypeError:
             continue
         if prev is not None:
@@ -387,6 +400,10 @@ def _check_records(records, token_field: str, label: str, diags: list):
             )
         else:
             by_id[rec_id] = identity
+        try:
+            prev_id = by_identity.get(identity)
+        except TypeError:
+            continue
         if prev_id is not None and prev_id != rec_id:
             diags.append(
                 Diagnostic(
@@ -522,12 +539,17 @@ def validate(raw: RawSextuple) -> list:
                 for rec in records
                 if not _writable([rec.id], rec.identity[0], [rec.tick], [rec.value])
             )
-    for name, declared, induced in (
-        ("entities", frozenset(raw.entities), induced_entities),
-        ("media", frozenset(raw.media), induced_media),
+    for name, tokens, induced in (
+        ("entities", raw.entities, induced_entities),
+        ("media", raw.media, induced_media),
     ):
-        if declared != induced:
-            extra = sorted(declared - induced, key=_id_order)
+        try:
+            declared, unhashable = frozenset(tokens), []
+        except TypeError:  # such a token is in no record's set: it is declared only
+            declared = frozenset(t for t in tokens if _hashable(t))
+            unhashable = [t for t in tokens if not _hashable(t)]
+        if declared != induced or unhashable:
+            extra = sorted([*(declared - induced), *unhashable], key=_id_order)
             missing = sorted(induced - declared, key=_id_order)
             diags.append(
                 Diagnostic(
@@ -567,9 +589,15 @@ def is_sub_information(candidate: Information, parent: Information) -> bool:
     """True when every link of ``candidate`` appears in ``parent`` by content.
 
     Link containment plus canonical closure implies containment of all six
-    components, so nothing else needs checking.
+    components, so nothing else needs checking.  Each candidate record is
+    mapped to the parent's record of the same content, and each mapped link is
+    looked up among the parent's links.
     """
-    return candidate.link_identities <= parent.link_identities
+    state_ids, reflection_ids = parent.state_id_by_identity, parent.reflection_id_by_identity
+    states = {rec.id: state_ids.get(rec.identity) for rec in candidate.states}
+    reflections = {rec.id: reflection_ids.get(rec.identity) for rec in candidate.reflections}
+    links = parent.links
+    return all((states[a], reflections[b]) in links for a, b in candidate.links)
 
 
 def is_proper_sub_information(candidate: Information, parent: Information) -> bool:

@@ -15,6 +15,10 @@ read as C iterators over its records sorted by id and filled into a template of
 ``_BATCH`` records by one ``%`` call.  ``instance_digest`` hashes the text one
 such batch at a time and never holds the whole text.
 
+Instance and target documents are read one top-level member at a time: each
+member's JSON tree is turned into records, and freed, before the next member
+is decoded, so a reader never holds the whole document's tree.
+
 Record values are JSON strings (text), JSON integers, ``{"b64": ...}`` for
 byte strings, or ``{"rational": "p/q"}`` for exact rationals.  Floats are
 rejected: they have no exact rational reading.  Weights are written as
@@ -27,7 +31,10 @@ from __future__ import annotations
 import base64
 import json
 from fractions import Fraction
+from functools import partial
 from itertools import chain, islice
+from json import JSONDecoder
+from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Mapping
@@ -125,12 +132,20 @@ def _triple(raw: dict, path: str, i: int, token_field: str, shared: dict, diags)
     return tokens, tick, value
 
 
-def _records(raw_records, member: str, token_field: str, cls, shared: dict, diags) -> list:
+def _declared_tokens(raw, shared: dict, diags, member: str) -> tuple:
+    """The document's ``entities`` or ``media`` list, each token once."""
+    tokens = _shared_tokens(raw, shared)
+    if tokens is None:
+        _diag(diags, member, "expected a list of token strings")
+    return tuple(tokens or ())
+
+
+def _records(raw_records, shared: dict, diags, member: str, token_field: str, cls) -> tuple:
     """One record kind's records, read in one pass from the document's ``member``."""
     records = []
     if type(raw_records) is not list:
         _diag(diags, member, "expected a list of record objects")
-        return records
+        return ()
     path = member + "[%d]"
     for i, raw in enumerate(raw_records):
         if type(raw) is not dict:
@@ -143,7 +158,23 @@ def _records(raw_records, member: str, token_field: str, cls, shared: dict, diag
         triple = _triple(raw, path, i, token_field, shared, diags)
         if triple is not None:
             records.append(cls(rid, *triple))
-    return records
+    return tuple(records)
+
+
+def _links(raw_links, diags) -> tuple:
+    """The document's links, in first-seen order, each once."""
+    links: dict = {}
+    if type(raw_links) is not list:
+        _diag(diags, "links", "expected a list of {from, to} objects")
+        raw_links = ()
+    for i, raw in enumerate(raw_links):
+        if type(raw) is dict:
+            a, b = raw.get("from"), raw.get("to")
+            if type(a) is str and type(b) is str:
+                links[a, b] = None
+                continue
+        _diag(diags, "links[%d]" % i, "expected {\"from\": state id, \"to\": reflection id}")
+    return tuple(links)
 
 
 def _weights_from_json(raw, diags) -> dict:
@@ -183,10 +214,68 @@ def _weights_from_json(raw, diags) -> dict:
     return tables
 
 
-def _object_from_text(text: str) -> dict:
-    """Decode JSON whose top level must be an object; malformed or too deep is a diagnostic."""
+class _NotTaken(Exception):
+    """Text that the member loop leaves to json's own decoder."""
+
+
+_WHITESPACE = WHITESPACE.match
+
+
+class _MemberReader(JSONDecoder):
+    """Decodes a top-level object one member at a time, handing each member's
+    value to ``read(name, value)`` as soon as json's C scanner has decoded it, so
+    that no member's JSON tree outlives its reading.  ``decode`` returns
+    ``{name: read(name, value)}``, the last of a repeated name winning, as in
+    json's own objects.  Text the loop does not take cleanly, such as a top level
+    that is not an object or a syntax error between members, is decoded whole by
+    ``JSONDecoder.decode``, so that every value and every error message is json's.
+    """
+
+    def __init__(self, read):
+        super().__init__()
+        self.read = read
+
+    def decode(self, s):
+        try:
+            return self._members(s)
+        except _NotTaken:
+            doc = super().decode(s)
+        if type(doc) is not dict:
+            return doc
+        return {name: self.read(name, value) for name, value in doc.items()}
+
+    def _members(self, s) -> dict:
+        members = {}
+        end, sep = _past(s, 0, "{"), ","
+        while sep == ",":
+            try:
+                name, end = scanstring(s, _past(s, end, '"'))
+                value, end = self.scan_once(s, _WHITESPACE(s, _past(s, end, ":")).end())
+            except (StopIteration, ValueError, RecursionError):
+                raise _NotTaken from None
+            members[name] = self.read(name, value)
+            del value  # so that this member's tree is freed before the next is decoded
+            end = _WHITESPACE(s, end).end() + 1
+            sep = s[end - 1:end]
+        if sep != "}" or _WHITESPACE(s, end).end() != len(s):
+            raise _NotTaken
+        return members
+
+
+def _past(s: str, end: int, char: str) -> int:
+    """The index just past ``char``, which must be the first character at or
+    after ``end`` that is not JSON whitespace."""
+    end = _WHITESPACE(s, end).end()
+    if s[end:end + 1] != char:
+        raise _NotTaken
+    return end + 1
+
+
+def _object_from_text(text: str, **decoder) -> dict:
+    """Decode JSON whose top level must be an object, through ``json.loads(text,
+    **decoder)``; malformed or too deep is a diagnostic."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, **decoder)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError([Diagnostic(MALFORMED, "malformed JSON: %s" % exc, ())]) from None
     except ValueError:  # the int digit limit; JSONDecodeError, a subclass, is caught above
@@ -198,9 +287,9 @@ def _object_from_text(text: str) -> dict:
     return doc
 
 
-def _document_from_text(text: str) -> dict:
+def _document_from_text(text: str, **decoder) -> dict:
     """The reader front of instance, target and decoder documents."""
-    doc = _object_from_text(text)
+    doc = _object_from_text(text, **decoder)
     version = doc.get("version")
     if version != SCHEMA_VERSION:
         raise ValidationError(
@@ -209,45 +298,61 @@ def _document_from_text(text: str) -> dict:
     return doc
 
 
-def _raw_from_document(doc: dict, diags) -> RawSextuple:
-    """The raw sextuple a document holds; equal token lists share one token set."""
+# The members of a demand's raw sextuple, in the order their diagnostics are
+# reported, each with its reader: (JSON value, shared token sets, diagnostics)
+# -> the sextuple's part.  An instance document adds its weight tables.
+_TARGET_READERS = {
+    "entities": partial(_declared_tokens, member="entities"),
+    "media": partial(_declared_tokens, member="media"),
+    "state_records": partial(_records, member="state_records", token_field="entities",
+                             cls=StateRecord),
+    "reflection_records": partial(_records, member="reflection_records", token_field="media",
+                                  cls=ReflectionRecord),
+    "links": lambda raw, shared, diags: _links(raw, diags),
+}
+_INSTANCE_READERS = dict(_TARGET_READERS,
+                         weights=lambda raw, shared, diags: _weights_from_json(raw, diags))
+
+
+def _members_from_text(text: str, readers: dict) -> dict:
+    """A document's members, each read as soon as it is decoded: name -> (what
+    its reader made of it, the reader's diagnostics).  ``version`` is kept as
+    it is; members without a reader are dropped.  Equal token lists in any
+    member share one token set."""
     shared: dict = {}
-    declared = []  # the entity and media token lists, each as a tuple
-    for member in ("entities", "media"):
-        tokens = _shared_tokens(doc.get(member, []), shared)
-        if tokens is None:
-            _diag(diags, member, "expected a list of token strings")
-        declared.append(tuple(tokens or ()))
-    states = _records(doc.get("state_records", []), "state_records", "entities",
-                      StateRecord, shared, diags)
-    reflections = _records(doc.get("reflection_records", []), "reflection_records", "media",
-                           ReflectionRecord, shared, diags)
 
-    links: dict = {}  # first-seen order, each link once
-    raw_links = doc.get("links", [])
-    if type(raw_links) is not list:
-        _diag(diags, "links", "expected a list of {from, to} objects")
-        raw_links = ()
-    for i, raw in enumerate(raw_links):
-        if type(raw) is dict:
-            a, b = raw.get("from"), raw.get("to")
-            if type(a) is str and type(b) is str:
-                links[a, b] = None
-                continue
-        _diag(diags, "links[%d]" % i, "expected {\"from\": state id, \"to\": reflection id}")
+    def read(name, value):
+        reader = readers.get(name)
+        if reader is None:
+            return value if name == "version" else None
+        diags: list = []
+        return reader(value, shared, diags), diags
 
-    return RawSextuple(*declared, tuple(states), tuple(reflections), tuple(links))
+    return _document_from_text(text, cls=_MemberReader, read=read)
+
+
+def _raw_from_members(members: dict, diags) -> RawSextuple:
+    """The raw sextuple of a document's read members; an absent member is empty."""
+    parts = []
+    for name in _TARGET_READERS:
+        part, found = members.get(name, ((), ()))
+        parts.append(part)
+        diags.extend(found)
+    return RawSextuple(*parts)
 
 
 def parse_document(text: str):
     """Parse an instance document; returns the instance and its weight tables.
 
-    Schema diagnostics come first, then the model's, from its one validation.
+    Schema diagnostics come first, in member order, then the model's, from its
+    one validation.  The text is dropped once its members are read.
     """
-    doc = _document_from_text(text)
+    members = _members_from_text(text, _INSTANCE_READERS)
+    del text
     diags: list = []
-    raw = _raw_from_document(doc, diags)
-    weights = _weights_from_json(doc.get("weights"), diags)
+    raw = _raw_from_members(members, diags)
+    weights, found = members.get("weights", ({}, ()))
+    diags.extend(found)
     try:
         info = model.build(raw)
     except ValidationError as exc:
@@ -382,7 +487,7 @@ def parse_target(text: str) -> RawSextuple:
     components and links that name declared records, but no totality,
     surjectivity or closure; its ``weights`` member is not read."""
     diags: list = []
-    raw = _raw_from_document(_document_from_text(text), diags)
+    raw = _raw_from_members(_members_from_text(text, _TARGET_READERS), diags)
     if not diags:
         # A demand's tick sets are its records' ticks, so they are empty with them.
         model._check_well_formed(

@@ -15,13 +15,17 @@ from oit import (
     atoms,
     coverage,
     delay,
+    emit_instance,
     generate_synthetic,
     nested_link_subsets,
     restrict_links,
     synonymy_class,
 )
 
+from .paths import REPO_ROOT, load_script
 from .strategies import informations_with_sublinks
+
+oracle = load_script("oracle", REPO_ROOT / "bench")
 
 
 class TestDelay:
@@ -138,14 +142,18 @@ class TestCoverage:
         brute = coverage(info, target, "union", brute_force=True, guard=20)
         assert fast == brute
 
-    @given(informations_with_sublinks(max_states=3, max_reflections=3))
-    @settings(max_examples=60)
+    @given(informations_with_sublinks(max_states=4, max_reflections=4))
+    @settings(max_examples=80)
     def test_replica_fast_path_equals_brute_force(self, case):
+        """Non-brute replica coverage, which reads only the records linked from
+        target states, against the exhaustive walk and the plain-JSON reference."""
         info, links = case
         target = restrict_links(info, links)
         fast = coverage(info, target, "replica")
         brute = coverage(info, target, "replica", brute_force=True, guard=20)
         assert fast == brute
+        assert fast == oracle.coverage(oracle.Doc.load(emit_instance(info)),
+                                       oracle.Doc.load(emit_instance(target)), "replica")
 
 
 class TestReplicaMonotonicity:

@@ -336,10 +336,36 @@ class TestValidate:
         StateRecord("s1", ["a"], 1, {"v": 1}),
     ])
     def test_unhashable_ids_ticks_and_values_are_reported_not_raised(self, state):
+        """A record whose id is hashable still declares it, so only the record is
+        reported; one whose id is not declares none, so its link dangles too."""
         raw = RawSextuple.of(["a"], ["m"], [state], [ReflectionRecord("r1", ["m"], 1, "v")],
                              [("s1", "r1")])
+        expected = [] if isinstance(state.id, str) else [
+            "dangling link source: s1 is not a declared state record",
+            "surjectivity violation: reflection record r1 has no link",
+        ]
+        expected.append("state record %s has an id, token, tick or value that no instance "
+                        "document can hold" % model.brief(state.id))
+        assert [d.message for d in validate(raw)] == expected
         assert [d.subjects for d in validate(raw) if d.code == model.UNWRITABLE_RECORD] == [
             (state.id,)]
+        with pytest.raises(ValidationError):
+            build(raw)
+
+    @pytest.mark.parametrize("component", ["entities", "media"])
+    @pytest.mark.parametrize("token", [["a"], {"m": 1}])
+    def test_unhashable_declared_tokens_are_a_closure_mismatch(self, component, token):
+        parts = {"entities": ["a"], "media": ["m"]}
+        (induced,) = parts[component]
+        parts[component] = [token]
+        raw = RawSextuple.of(parts["entities"], parts["media"], [StateRecord("s1", ["a"], 1, "v")],
+                             [ReflectionRecord("r1", ["m"], 1, "v")], [("s1", "r1")])
+        assert validate(raw) == [Diagnostic(
+            model.CLOSURE_MISMATCH,
+            "canonical closure violated for %s (declared-only: [%s]; record-only: [%r])"
+            % (component, model.brief_repr(token), induced),
+            (token, induced),
+        )]
         with pytest.raises(ValidationError):
             build(raw)
 
@@ -398,6 +424,18 @@ class TestSubInformation:
         sub = restrict_links(full, [("s1", "r1"), ("s2", "r1"), ("s2", "r2")])
         assert is_sub_information(sub, full)
         assert not is_proper_sub_information(sub, full)
+
+    @given(informations(), informations(), st.data())
+    @settings(max_examples=150)
+    def test_link_containment_by_content(self, a, b, data):
+        """Against the whole-instance link identity sets, on independent pairs,
+        which are mostly not subs, and on restrictions, which always are."""
+        links = data.draw(st.sets(st.sampled_from(sorted(a.links)), min_size=1))
+        sub = restrict_links(a, links)
+        for candidate, parent in ((a, b), (b, a), (sub, a), (sub, b), (a, sub)):
+            assert is_sub_information(candidate, parent) == (
+                candidate.link_identities <= parent.link_identities)
+        assert is_sub_information(sub, a)
 
     def test_content_based_comparison_ignores_ids(self, ex1):
         renamed = assemble(

@@ -33,15 +33,29 @@ def test_proposition_sweep_runs_clean():
     assert "ok" in result.stdout
 
 
-@pytest.mark.parametrize("version", OTHER_VERSIONS)
-def test_the_golden_corpus_holds_under_other_interpreters(version):
-    """``python -m tests.test_golden_cli --check`` under pyenv's CPython ``version``."""
+def _run_under(version: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -m <args>`` from the repository root under pyenv's CPython ``version``."""
     root = pathlib.Path(os.environ.get("PYENV_ROOT", pathlib.Path.home() / ".pyenv")) / "versions"
     found = sorted(root.glob("%s.*/bin/python%s" % (version, version)))
     if not found:
         pytest.skip("no CPython %s under %s" % (version, root))
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run([str(found[-1]), "-m", "tests.test_golden_cli", "--check"],
-                            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([str(found[-1]), "-m", *args], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("version", OTHER_VERSIONS)
+def test_the_golden_corpus_holds_under_other_interpreters(version):
+    """``python -m tests.test_golden_cli --check`` under pyenv's CPython ``version``."""
+    result = _run_under(version, "tests.test_golden_cli", "--check")
     assert result.returncode == 0, result.stdout + result.stderr
     assert re.search(r"^0 of [1-9]\d* calls differ$", result.stdout, re.M), result.stdout
+
+
+@pytest.mark.parametrize("version", OTHER_VERSIONS)
+def test_the_member_reader_decodes_as_json_under_other_interpreters(version):
+    """``python -m tests.reader_differential`` under pyenv's CPython ``version``:
+    json's messages differ between versions, and the reader must give each one's."""
+    result = _run_under(version, "tests.reader_differential")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert re.search(r"^0 of [1-9]\d* texts differ$", result.stdout, re.M), result.stdout

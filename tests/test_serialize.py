@@ -34,10 +34,14 @@ from oit.serialize import (
     text_digest,
 )
 
+from . import reader_differential as differential
 from .paths import FIXTURES, REPO_ROOT, load_script
 from .strategies import ANY_NAMES, ANY_TICKS, ANY_VALUES, informations, weight_tables
 
 oracle = load_script("oracle", REPO_ROOT / "bench")
+BASE_MEMBERS = differential.base_members()
+# The profile of the benchmark's 8k-link ingest document.
+INGEST_PROFILE = Profile(entities=2000, media=250, tick_span=64, replication=3, aggregation=0.25)
 
 # Text that json writes in every way it has: plain, non-ASCII, control characters
 # and lone surrogates, each escaped by the C quoting the writer uses.
@@ -219,6 +223,67 @@ class TestRepeatedLinks:
             "dangling link source: s9 is not a declared state record",
             "dangling link source: s8 is not a declared state record",
         ]
+
+
+def parse_outcome(parse, text):
+    """What ``parse(text)`` returns, or the diagnostics it raises."""
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return exc.diagnostics
+
+
+class TestMemberReader:
+    """Instance and target documents are read one top-level member at a time,
+    and read as json reads them."""
+
+    @given(st.randoms(use_true_random=True))
+    @settings(max_examples=300)
+    def test_decodes_what_json_loads_decodes(self, rng):
+        text = differential.mutated_text(rng, BASE_MEMBERS)
+        assert (differential.outcome(differential.read_members, text)
+                == differential.outcome(json.loads, text))
+
+    @given(st.randoms(use_true_random=True))
+    @settings(max_examples=150)
+    def test_documents_read_as_json_reads_them(self, rng):
+        """A text json decodes is read as json's own reading of it, written
+        again: repeated names, whitespace and escapes change nothing."""
+        text = differential.mutated_text(rng, BASE_MEMBERS)
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError):
+            return
+        for parse in (parse_document, parse_target):
+            assert parse_outcome(parse, text) == parse_outcome(parse, json.dumps(doc))
+
+    def test_well_formed_documents_are_read_member_by_member(self):
+        texts = [path.read_text() for path in sorted(FIXTURES.glob("*.json"))]
+        texts += [json.dumps(json.loads(texts[0])), " \r\n%s\t" % texts[0]]
+        assert all(map(differential.taken, texts))
+
+    def test_the_last_of_a_repeated_member_wins(self, ex1):
+        text = emit_instance(ex1)
+        first = text.replace("{", '{"state_records": [{"id": 1}],', 1)
+        assert parse_document(first)[0] == ex1
+        last = text[:-3] + ',\n  "state_records": 5' + text[-3:]
+        with pytest.raises(ValidationError) as exc:
+            parse_document(last)
+        assert [d.message for d in exc.value.diagnostics if d.code == SCHEMA] == [
+            "state_records: expected a list of record objects"]
+
+    def test_parse_holds_one_member_tree_at_a_time(self):
+        """Parsing the ingest document allocates little beyond the instance it
+        returns: no whole-document JSON tree is held."""
+        text = emit_instance(generate_synthetic(1, INGEST_PROFILE))
+        tracemalloc.start()
+        try:
+            info, _ = parse_document(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(info.links) > 8000
+        assert peak - held < 2.5 * 2**20
 
 
 class TestValues:
