@@ -9,7 +9,6 @@ from .model import (
     InconsistentOverlap,
     Information,
     InterfaceMismatch,
-    LinkRelation,
     OitError,
     RawSextuple,
     RecordIdentityClash,

@@ -36,7 +36,7 @@ def delay(info: Information) -> int:
     """Worst lag over all atoms; negative values mean prediction."""
     return max(
         info.reflection_by_id[b].tick - info.state_by_id[a].tick
-        for a, b in info.relation
+        for a, b in info.links
     )
 
 
@@ -64,7 +64,7 @@ def synonymy_class(
     itself is always a member.
     """
     wanted = _target_state_ids(info, target)
-    relevant = [(a, b) for a in sorted(wanted) for b in info.relation.successors[a]]
+    relevant = [(a, b) for a in sorted(wanted) for b in info.successors[a]]
     if len(relevant) > guard:
         raise EnumerationGuardExceeded(
             "instance too large for exhaustive synonymy (%d links over guard %d)"
@@ -78,8 +78,9 @@ def synonymy_class(
 
 
 def _union_media_fast(info: Information, wanted: frozenset) -> frozenset:
+    successors = info.successors
     return frozenset(
-        t for rid in info.relation.image_of(wanted) for t in info.reflection_by_id[rid].media
+        t for a in wanted for rid in successors[a] for t in info.reflection_by_id[rid].media
     )
 
 
@@ -108,7 +109,7 @@ def _replica_media(info: Information, wanted: frozenset) -> set:
 
 
 def _replica_media_brute(info: Information, wanted: frozenset, guard: int) -> set:
-    preimages = info.relation.predecessors
+    preimages = info.predecessors
     hosted: dict = {}
     for rec in info.reflections:
         for medium in rec.media:

@@ -1,11 +1,12 @@
 """Immutable record/link instances and their algebra.
 
-An instance (:class:`Information`) couples two finite record sets through a
-link relation: state records, valued observations of entity sets at integer
-ticks, and reflection records, valued entries hosted on media sets at ticks.
-The relation is total on state records and surjective onto reflection
-records; every component set is nonempty; and the entity, medium and tick
-sets are exactly the ones induced by the records (canonical closure).
+An instance (:class:`Information`) couples two finite record sets through its
+links, a set of (state id, reflection id) pairs: state records, valued
+observations of entity sets at integer ticks, and reflection records, valued
+entries hosted on media sets at ticks.  The link relation is total on state
+records and surjective onto reflection records; every component set is
+nonempty; and the entity, medium and tick sets are exactly the ones induced by
+the records (canonical closure).
 
 Records compare across instances by content, the (token set, tick, value)
 triple.  Ids are local handles: restriction and combination keep them, but
@@ -221,46 +222,17 @@ def _token_union(records) -> frozenset:
 
 
 class LinkRelation(Frozen):
-    """The link set from state record ids to reflection record ids.
-
-    It iterates, counts and tests membership over its links.
-    """
+    """A view of an instance's link set: its size and its two endpoint sets,
+    which ``bench/tracing.py`` reads."""
 
     def __new__(cls, links: Iterable[LinkPair]):
         return tuple.__new__(cls, (frozenset(links),))
 
-    def __iter__(self):
-        return iter(self.links)
-
     def __len__(self):
         return len(self.links)
 
-    def __contains__(self, pair):
-        return tuple(pair) in self.links
-
-    @cached_property
-    def successors(self) -> dict:
-        """State id -> sorted tuple of the reflection ids it links to."""
-        return _grouped(self.links)
-
-    @cached_property
-    def predecessors(self) -> dict:
-        """Reflection id -> sorted tuple of the state ids linked to it."""
-        return _grouped((b, a) for a, b in self.links)
-
-    @cached_property
-    def sources(self) -> frozenset:
-        return frozenset(self.successors)
-
-    @cached_property
-    def targets(self) -> frozenset:
-        return frozenset(self.predecessors)
-
-    def image_of(self, state_ids: Iterable[str]) -> frozenset:
-        return frozenset(b for a in state_ids for b in self.successors.get(a, ()))
-
-    def preimage_of(self, reflection_ids: Iterable[str]) -> frozenset:
-        return frozenset(a for b in reflection_ids for a in self.predecessors.get(b, ()))
+    sources = property(lambda self: frozenset(a for a, _ in self.links))
+    targets = property(lambda self: frozenset(b for _, b in self.links))
 
 
 def _grouped(pairs) -> dict:
@@ -271,27 +243,30 @@ def _grouped(pairs) -> dict:
 
 
 class Information(Frozen):
-    """A validated instance: states, reflections and a total surjective relation.
+    """A validated instance: states, reflections and the set of (state id,
+    reflection id) links, a total surjective relation.
 
     The four token/tick components (ontology, occurrence ticks, carrier,
     reflection ticks) are derived from the records, which canonical closure
-    makes the only consistent choice.
+    makes the only consistent choice.  The other indexes, the endpoint maps
+    ``successors`` and ``predecessors`` among them, are built on first use.
     """
 
     def __new__(cls, states: Iterable[StateRecord], reflections: Iterable[ReflectionRecord],
-                relation: LinkRelation):
-        return tuple.__new__(cls, (frozenset(states), frozenset(reflections), relation))
+                links: Iterable[LinkPair]):
+        return tuple.__new__(cls, (frozenset(states), frozenset(reflections), frozenset(links)))
 
     def __repr__(self):
         return "Information(states=%d, reflections=%d, links=%d)" % (
             len(self.states),
             len(self.reflections),
-            len(self.relation),
+            len(self.links),
         )
 
     @property
-    def links(self) -> frozenset:
-        return self.relation.links
+    def relation(self) -> LinkRelation:
+        # Not cached: bench/tracing.py reads it inside its wrapper of every cached index.
+        return LinkRelation(self.links)
 
     @cached_property
     def ontology(self) -> frozenset:
@@ -337,8 +312,18 @@ class Information(Frozen):
     def link_identities(self) -> frozenset:
         return frozenset(
             (self.state_by_id[a].identity, self.reflection_by_id[b].identity)
-            for a, b in self.relation
+            for a, b in self.links
         )
+
+    @cached_property
+    def successors(self) -> dict:
+        """State id -> sorted tuple of the reflection ids it links to."""
+        return _grouped(self.links)
+
+    @cached_property
+    def predecessors(self) -> dict:
+        """Reflection id -> sorted tuple of the state ids linked to it."""
+        return _grouped((b, a) for a, b in self.links)
 
 
 class RawSextuple(Frozen):
@@ -420,11 +405,7 @@ def _check_records(records, token_field: str, label: str, diags: list):
 
 def _is_pair(link) -> bool:
     """Whether ``link`` is a tuple of two hashable endpoints."""
-    try:
-        hash(link)
-    except TypeError:
-        return False
-    return isinstance(link, tuple) and len(link) == 2
+    return isinstance(link, tuple) and len(link) == 2 and _hashable(link)
 
 
 def _check_well_formed(components, states, reflections, links, diags: list):
@@ -572,9 +553,7 @@ def build(raw: RawSextuple) -> Information:
     diags = validate(raw)
     if diags:
         raise ValidationError(diags)
-    return Information(
-        frozenset(raw.states), frozenset(raw.reflections), LinkRelation(frozenset(raw.links))
-    )
+    return Information(raw.states, raw.reflections, raw.links)
 
 
 def assemble(states, reflections, links) -> Information:
@@ -622,14 +601,14 @@ def is_proper_sub_information(candidate: Information, parent: Information) -> bo
 def _induced(parent: Information, selected) -> Information:
     states = {parent.state_by_id[a] for a, _ in selected}
     reflections = {parent.reflection_by_id[b] for _, b in selected}
-    return Information(states, reflections, LinkRelation(selected))
+    return Information(states, reflections, selected)
 
 
 def restrict(parent: Information, keep: Callable) -> Information:
     """Sub-information induced by the links for which ``keep(state, reflection)`` holds."""
     selected = {
         (a, b)
-        for a, b in parent.relation
+        for a, b in parent.links
         if keep(parent.state_by_id[a], parent.reflection_by_id[b])
     }
     if not selected:
@@ -690,7 +669,7 @@ def combine(a: Information, b: Information, mode: str = "strict") -> Information
         if split:
             raise InconsistentOverlap("inconsistent overlap at %s" % brief(min(split)))
 
-    return Information(states.values(), reflections.values(), LinkRelation(links_a | links_b))
+    return Information(states.values(), reflections.values(), links_a | links_b)
 
 
 def compose(first: Information, second: Information) -> Information:
@@ -715,9 +694,9 @@ def compose(first: Information, second: Information) -> Information:
     if unmatched_reflections or unmatched_states:
         raise InterfaceMismatch(unmatched_reflections, unmatched_states)
 
-    successors = second.relation.successors
-    links = {(a, c) for a, b in first.relation for c in successors[match[b]]}
-    return Information(first.states, second.reflections, LinkRelation(links))
+    successors = second.successors
+    links = {(a, c) for a, b in first.links for c in successors[match[b]]}
+    return Information(first.states, second.reflections, links)
 
 
 class Atom(Frozen):
@@ -733,7 +712,7 @@ class Atom(Frozen):
 
     @property
     def info(self) -> Information:
-        return Information((self.state,), (self.reflection,), LinkRelation((self.link,)))
+        return Information((self.state,), (self.reflection,), (self.link,))
 
 
 def atoms(info: Information) -> tuple:
@@ -746,7 +725,7 @@ def image(info: Information, state_ids: Iterable[str]) -> frozenset:
     """Reflection record ids linked from any of the given state records."""
     wanted = set(state_ids)
     _check_known("state records", wanted, info.state_by_id.keys())
-    return info.relation.image_of(wanted)
+    return frozenset(b for a in wanted for b in info.successors.get(a, ()))
 
 
 def preimage(info: Information, reflection_ids: Iterable[str]) -> frozenset:
@@ -757,7 +736,7 @@ def preimage(info: Information, reflection_ids: Iterable[str]) -> frozenset:
     """
     wanted = set(reflection_ids)
     _check_known("reflection records", wanted, info.reflection_by_id.keys())
-    return info.relation.preimage_of(wanted)
+    return frozenset(a for b in wanted for a in info.predecessors.get(b, ()))
 
 
 class ReducibilityReport(Frozen):
@@ -780,8 +759,8 @@ def is_reducible(info: Information) -> ReducibilityReport:
     Exact lossless reduction (preimage after image is the identity on
     singletons) holds iff the relation is both functional and injective.
     """
-    multi_target = tuple(sorted(a for a, bs in info.relation.successors.items() if len(bs) > 1))
-    multi_source = tuple(sorted(b for b, xs in info.relation.predecessors.items() if len(xs) > 1))
+    multi_target = tuple(sorted(a for a, bs in info.successors.items() if len(bs) > 1))
+    multi_source = tuple(sorted(b for b, xs in info.predecessors.items() if len(xs) > 1))
     functional = not multi_target
     injective = not multi_source
     return ReducibilityReport(

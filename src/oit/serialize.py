@@ -395,10 +395,8 @@ def _tokens_text(tokens, indent: str = "      ") -> str:
     if len(tokens) == 1:  # the common case, which needs no sort
         (token,) = tokens
         body = _quote(token)
-    elif tokens:
-        body = (",\n  " + indent).join(map(_quote, sorted(tokens)))
     else:
-        return "[]"
+        body = (",\n  " + indent).join(map(_quote, sorted(tokens)))
     return "[\n  %s%s\n%s]" % (indent, body, indent)
 
 

@@ -19,7 +19,6 @@ from oit import (
     InconsistentOverlap,
     Information,
     InterfaceMismatch,
-    LinkRelation,
     Profile,
     RawSextuple,
     RecordIdentityClash,
@@ -49,6 +48,7 @@ from oit import (
     validate,
 )
 from oit import model
+from oit.model import LinkRelation
 
 from .strategies import informations, informations_with_sublinks
 
@@ -121,7 +121,7 @@ class TestRecords:
 
 
 _STATE, _REFLECTION = StateRecord("s1", {"a"}, 1, "v1"), ReflectionRecord("r1", {"m1"}, 4, "v1")
-_LINKS = LinkRelation({("s1", "r1")})
+_LINKS = frozenset({("s1", "r1")})
 _INFO = Information({_STATE}, {_REFLECTION}, _LINKS)
 
 
@@ -133,7 +133,7 @@ class TestValueClasses:
         (Diagnostic, dict(code="unlinked-state", message="m", subjects=("s1",))),
         (LinkRelation, dict(links=frozenset({("s1", "r1"), ("s1", "r2")}))),
         (Information, dict(states=frozenset({_STATE}), reflections=frozenset({_REFLECTION}),
-                           relation=_LINKS)),
+                           links=_LINKS)),
         (RawSextuple, dict(entities=("a",), media=("m1",), states=(_STATE,),
                            reflections=(_REFLECTION,), links=(("s1", "r1"),))),
         (Atom, dict(state=_STATE, reflection=_REFLECTION)),
@@ -190,11 +190,12 @@ class TestValueClasses:
         assert repr(_INFO) == "Information(states=1, reflections=1, links=1)"
 
     def test_indexes_are_cached_in_each_instance(self):
-        info = Information(_INFO.states, _INFO.reflections, LinkRelation(_LINKS.links))
-        assert isinstance(vars(Information)["state_by_id"], functools.cached_property)
-        assert isinstance(vars(LinkRelation)["successors"], functools.cached_property)
+        info = Information(_INFO.states, _INFO.reflections, _LINKS)
+        for name in ("state_by_id", "successors", "predecessors"):
+            assert isinstance(vars(Information)[name], functools.cached_property)
         assert info.state_by_id is info.state_by_id and "state_by_id" in vars(info)
-        assert info.relation.successors == {"s1": ("r1",)} and "successors" in vars(info.relation)
+        assert info.successors == {"s1": ("r1",)} and "successors" in vars(info)
+        assert info.predecessors == {"r1": ("s1",)} and "predecessors" in vars(info)
 
 
 class TestValidate:
@@ -368,6 +369,14 @@ class TestValidate:
         )]
         with pytest.raises(ValidationError):
             build(raw)
+
+    def test_an_unhashable_token_beside_declared_ones_is_declared_only(self):
+        raw = RawSextuple.of(["a", ["x"]], ["m"], [StateRecord("s1", ["a"], 1, "v")],
+                             [ReflectionRecord("r1", ["m"], 1, "v")], [("s1", "r1")])
+        assert ["%s: %s" % (d.code, d.message) for d in validate(raw)] == [
+            "closure-mismatch: canonical closure violated for entities "
+            "(declared-only: [['x']]; record-only: none)"
+        ]
 
     @given(informations(), st.data())
     @settings(max_examples=80)
@@ -798,13 +807,16 @@ def rescanned_overlap(a: Information, b: Information, merged: Information):
 
 
 class TestEndpointIndex:
-    """The link relation's endpoint index against plain scans of ``info.links``."""
+    """The instance's endpoint index against plain scans of ``info.links``."""
 
     @given(informations(), st.integers(0, 2**16))
     def test_lookups_match_a_scan_of_the_links(self, info, salt):
+        assert info.successors == scanned_successors(info.links)
+        assert info.predecessors == scanned_predecessors(info.links)
         relation = info.relation
-        assert relation.successors == scanned_successors(info.links)
-        assert relation.predecessors == scanned_predecessors(info.links)
+        assert len(relation) == len(info.links)
+        assert relation.sources == {a for a, _ in info.links}
+        assert relation.targets == {b for _, b in info.links}
         rng = random.Random(salt)
         state_ids = {s.id for s in info.states if rng.random() < 0.5}
         reflection_ids = {r.id for r in info.reflections if rng.random() < 0.5}

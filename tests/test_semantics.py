@@ -62,6 +62,14 @@ class TestDecode:
         with pytest.raises(ValueError):
             SemanticMapping("oracle")
 
+    @pytest.mark.parametrize("kind, message", [
+        ("other", "decoder kind must be 'preimage' or 'table'"),
+        ("table", "table decoder needs a table"),
+    ])
+    def test_each_bad_argument_names_its_fault(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            SemanticMapping(kind)
+
     def test_mappings_hash_by_value(self, ex1):
         a, b = constant_decoder(ex1, S1), constant_decoder(ex1, S1)
         assert a == b and hash(a) == hash(b)

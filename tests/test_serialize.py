@@ -448,6 +448,8 @@ class TestReaderDiagnostics:
         ({"value": {"rational": 3}}, [(SCHEMA, SHAPE)]),
         ({"value": {"rational": "1/x"}}, [(SCHEMA, "{r}.value: invalid rational literal '1/x'")]),
         ({"value": {"rational": "1/0"}}, [(SCHEMA, "{r}.value: invalid rational literal '1/0'")]),
+        ({"value": {"rational": "1e1.5"}},
+         [(SCHEMA, "{r}.value: invalid rational literal '1e1.5'")]),
     ]
     LINK = 'links[4]: expected {"from": state id, "to": reflection id}'
 
@@ -577,6 +579,12 @@ class TestWeights:
     def test_standalone_weights_file(self, ex1, fixtures_dir):
         tables = parse_weights_file((fixtures_dir / "weights_ex1.json").read_text())
         assert volume(ex1, tables["media"]) == 250
+
+    def test_null_weights_give_no_tables(self, ex1):
+        doc = json.loads(emit_instance(ex1))
+        doc["weights"] = None
+        assert parse_document(json.dumps(doc)) == (ex1, {})
+        assert parse_weights_file('{"weights": null}') == {}
 
 
 class TestSideDocuments:
