@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import re
 import sys
 from fractions import Fraction
 
@@ -262,12 +263,23 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """A command-line integer: ASCII digits after an optional sign.  ``int`` alone
+    also takes ``1_0``, ``" 7 "`` and non-ASCII digits; its digit limit applies."""
+    try:
+        if _INTEGER.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int reads
+        pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 def _guard(text: str) -> int:
     """A ``--guard`` value: an int of at least 0."""
-    try:
-        guard = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    guard = _int(text)
     if guard < 0:
         raise argparse.ArgumentTypeError("must be at least 0, got %s" % brief(text))
     return guard
@@ -329,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("hartley", help="log-count information of n symbols over s")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--s", type=_int, required=True)
     p.add_argument("--base", type=float, default=2.0)
     p.set_defaults(func=cmd_hartley)
 
@@ -338,17 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
     demo_sub = p.add_subparsers(dest="demo", required=True)
     q = demo_sub.add_parser("shannon", help="fixed-length coding volume demo")
     q.add_argument("--probs", required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("--n", type=_int, required=True)
+    q.add_argument("--seed", type=_int, required=True)
     q.set_defaults(func=cmd_demo_shannon)
 
     p = sub.add_parser("gen", help="generate a seeded synthetic instance")
     defaults = Profile()
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--entities", type=int, default=defaults.entities)
-    p.add_argument("--media", type=int, default=defaults.media)
-    p.add_argument("--tick-span", type=int, default=defaults.tick_span)
-    p.add_argument("--replication", type=int, default=defaults.replication)
+    p.add_argument("--seed", type=_int, required=True)
+    p.add_argument("--entities", type=_int, default=defaults.entities)
+    p.add_argument("--media", type=_int, default=defaults.media)
+    p.add_argument("--tick-span", type=_int, default=defaults.tick_span)
+    p.add_argument("--replication", type=_int, default=defaults.replication)
     p.add_argument("--aggregation", type=float, default=defaults.aggregation)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)

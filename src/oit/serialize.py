@@ -463,18 +463,28 @@ def emit_instance(info: Information, weights: Mapping | None = None) -> str:
     return "".join(_instance_chunks(info, weights))
 
 
+def _sha256(data: bytes = b""):
+    """A sha256 object fed ``data``, from CPython's built-in module, not ``hashlib``,
+    which loads OpenSSL (about 3.5 MiB); ``hashlib`` only in a CPython built without
+    it.  Imported here: a command that writes no digest loads no hash module."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
+
+
 def text_digest(text: str) -> str:
     """The ``sha256:`` digest reports give a text: the hash of its UTF-8 bytes."""
-    import hashlib  # here, not at the top: loading OpenSSL slows calls that write no digest
-
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return "sha256:" + _sha256(text.encode("utf-8")).hexdigest()
 
 
 def instance_digest(info: Information) -> str:
     """``text_digest(emit_instance(info))``, hashed piece by piece as it is written."""
-    import hashlib
-
-    digest = hashlib.sha256()
+    digest = _sha256()
     for chunk in _instance_chunks(info, None):
         digest.update(chunk.encode("ascii"))
     return "sha256:" + digest.hexdigest()

@@ -644,6 +644,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, head", [
         (["hartley", "--n", LONG, "--s", "2"],
          "oit hartley: error: argument --n: invalid int value: 'xxx"),
+        (["hartley", "--n", "9" * 5000, "--s", "2"],
+         "oit hartley: error: argument --n: invalid int value: '999"),
         (["gen", "--seed", "0", "--aggregation", LONG, "-o", "-"],
          "oit gen: error: argument --aggregation: invalid float value: 'xxx"),
         (["coverage", "{ex1}", "--target", "{ex1}", "--guard", LONG],
@@ -657,7 +659,7 @@ class TestUsageErrors:
         (["demo", LONG], "oit demo: error: argument demo: invalid choice: 'xxx"),
         (["validate", "{ex1}", LONG], "oit: error: unrecognized arguments: xxx"),
         (["validate", "{ex1}", *["x"] * 2500], "oit: error: unrecognized arguments: x x x"),
-    ], ids=["int", "float", "guard", "command", "coverage-mode", "mode", "out", "demo",
+    ], ids=["int", "int-digits", "float", "guard", "command", "coverage-mode", "mode", "out", "demo",
             "unrecognized", "many-unrecognized"])
     def test_a_long_argument_is_cut(self, capsys, ex1_path, argv, head):
         code, out, err = run(capsys, *[arg.format(ex1=ex1_path) for arg in argv])
@@ -674,6 +676,24 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == (
             "oit %s: error: argument --guard: must be at least 0, got -1" % command)
+
+    @pytest.mark.parametrize("argv", [
+        ["hartley", "--n", "{}", "--s", "2"],
+        ["hartley", "--n", "4", "--s", "{}"],
+        ["demo", "shannon", "--probs", "1", "--n", "{}", "--seed", "1"],
+        ["demo", "shannon", "--probs", "1", "--n", "2", "--seed", "{}"],
+        *(["gen", *option, "-o", "-"] for option in (
+            ["--seed", "{}"], ["--seed", "0", "--entities", "{}"], ["--seed", "0", "--media", "{}"],
+            ["--seed", "0", "--tick-span", "{}"], ["--seed", "0", "--replication", "{}"])),
+        ["metrics", "{ex1}", "--guard", "{}"],
+        ["coverage", "{ex1}", "--target", "{ex1}", "--guard", "{}"],
+    ])
+    def test_integers_are_ascii_digits_after_an_optional_sign(self, capsys, ex1_path, argv):
+        for value in ("1_0", " 7 ", "\u0661\u0665", "0x1", "+-1", ""):
+            code, out, err = run(capsys, *[a.format(value, ex1=ex1_path) for a in argv])
+            assert (code, out) == (2, ""), value
+            assert err.splitlines()[-1].endswith(": invalid int value: %r" % value)
+        assert run(capsys, *[a.format("+3", ex1=ex1_path) for a in argv])[0] != 2
 
     def test_a_short_message_is_kept(self, capsys):
         code, _, err = run(capsys, "hartley", "--n", "x", "--s", "2")
@@ -826,16 +846,25 @@ class TestModuleEntryPoints:
 
     # Run the CLI, then print which of these modules the process had loaded at exit.
     LOADED_AT_EXIT = ("import atexit, sys; atexit.register(lambda: print(sorted("
-                      "set(sys.modules) & {'dataclasses', 'inspect', 'hashlib'})));"
+                      "set(sys.modules) & {'dataclasses', 'inspect', 'hashlib', '_hashlib'})));"
                       "from oit.cli import main; main()")
 
-    @pytest.mark.parametrize("command, loaded", [("validate", []), ("metrics", ["hashlib"])])
-    def test_cli_loads_no_class_machinery_and_hashlib_only_for_a_digest(
-            self, ex1_path, command, loaded):
-        result = subprocess.run([sys.executable, "-c", self.LOADED_AT_EXIT, command, ex1_path],
-                                capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    @pytest.mark.parametrize("argv", [
+        ["validate", "fixtures/ex1.json"],
+        ["metrics", "fixtures/ex1.json", "--target", "fixtures/ex1_s1r1.json",
+         "--decoder", "fixtures/decoder_const_s1.json"],
+        ["atoms", "fixtures/ex1.json"],
+        ["coverage", "fixtures/ex1.json", "--target", "fixtures/ex1_s1r1.json"],
+        ["demo", "shannon", "--probs", "0.5,0.5", "--n", "8", "--seed", "7"],
+    ], ids=["validate", "metrics", "atoms", "coverage", "demo"])
+    def test_cli_loads_no_class_machinery_and_no_openssl(self, argv):
+        """Digests come from CPython's built-in SHA-256, so no command loads
+        ``hashlib`` and, through it, OpenSSL."""
+        result = subprocess.run([sys.executable, "-c", self.LOADED_AT_EXIT, *argv],
+                                cwd=REPO_ROOT, capture_output=True, text=True, timeout=60,
+                                env=_subprocess_env())
         assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout.splitlines()[-1] == repr(loaded)
+        assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestCollectorPolicy:

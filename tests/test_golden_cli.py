@@ -142,6 +142,16 @@ def corpus() -> list:
         ["demo", "shannon", "--probs", "0.5,0.5", "--n", "8", "--seed", "7"],
         ["demo", "shannon", "--probs", "1,0", "--n", "2", "--seed", "1"],
     ]
+    # Integers that int() reads but the CLI does not: an underscore, padding, non-ASCII digits.
+    calls += [
+        ["hartley", "--n", "1_0", "--s", "2"],
+        ["hartley", "--n", " 7 ", "--s", "2"],
+        ["hartley", "--n", "\u0661\u0665", "--s", "2"],
+        ["demo", "shannon", "--probs", "0.5,0.5", "--n", "8", "--seed", "1_0"],
+        ["gen", "--seed", "0", "--entities", " 7 ", "-o", "-"],
+        ["coverage", _fixture("ex1"), "--target", _fixture("ex1_s1r1"), "--guard",
+         "\u0661\u0665"],
+    ]
     return calls
 
 

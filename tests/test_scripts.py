@@ -10,7 +10,7 @@ import pytest
 
 from .paths import FIXTURES, REPO_ROOT, SCRIPTS, load_script
 
-# CPython versions the golden corpus is also checked under, each in its own process.
+# CPython versions the pytest-free checks also run under, each in its own process.
 OTHER_VERSIONS = ("3.10", "3.12", "3.13")
 
 
@@ -59,3 +59,14 @@ def test_the_member_reader_decodes_as_json_under_other_interpreters(version):
     result = _run_under(version, "tests.reader_differential")
     assert result.returncode == 0, result.stdout + result.stderr
     assert re.search(r"^0 of [1-9]\d* texts differ$", result.stdout, re.M), result.stdout
+
+
+@pytest.mark.parametrize("version", OTHER_VERSIONS)
+def test_digests_load_no_openssl_under_other_interpreters(version):
+    """``python -m tests.digest_check`` under pyenv's CPython ``version``: the
+    built-in SHA-256 module has another name from 3.12, and a wrong one would
+    silently load OpenSSL through ``hashlib``."""
+    result = _run_under(version, "tests.digest_check")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "hash libraries loaded: none\n" in result.stdout
+    assert re.search(r"^0 of [1-9]\d* digests differ$", result.stdout, re.M), result.stdout

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -27,6 +29,7 @@ from oit import (
     validity,
     volume,
 )
+from oit import serialize
 from oit.serialize import (
     MALFORMED,
     SCHEMA,
@@ -42,6 +45,26 @@ oracle = load_script("oracle", REPO_ROOT / "bench")
 BASE_MEMBERS = differential.base_members()
 # The profile of the benchmark's 8k-link ingest document.
 INGEST_PROFILE = Profile(entities=2000, media=250, tick_span=64, replication=3, aggregation=0.25)
+# (count, kinds, sizes) at and across the writer's 256-record batches.
+BATCH_EDGES = [(count, kinds, sizes) for count in (1, 255, 256, 257, 513)
+               for kinds, sizes in ((1, 1), (4, 1), (1, 3), (4, 3))]
+
+
+def batch_edge_instance(count: int, kinds: int, sizes: int):
+    """``count`` states, reflections and links; values cycle through the first
+    ``kinds`` of text, integer, bytes and rational, and token sets through 1 to
+    ``sizes`` tokens."""
+    def value(i):
+        return ("v%d" % i, i - 100, b"\x00b%d" % i, Fraction(i, 7))[i % kinds]
+
+    def tokens(prefix, i):
+        return {"%s%d" % (prefix, (i + k) % 5) for k in range(1 + i % sizes)}
+
+    return assemble(
+        [StateRecord("s%d" % i, tokens("e", i), i, value(i)) for i in range(count)],
+        [ReflectionRecord("r%d" % i, tokens("m", i + 1), i, value(i + 1)) for i in range(count)],
+        [("s%d" % i, "r%d" % (count - 1 - i)) for i in range(count)],
+    )
 
 # Text that json writes in every way it has: plain, non-ASCII, control characters
 # and lone surrogates, each escaped by the C quoting the writer uses.
@@ -152,28 +175,27 @@ class TestCanonicalWriter:
         assert parse_document(text) == (info, weights)
         assert instance_digest(info) == text_digest(emit_instance(info))
 
-    @pytest.mark.parametrize("kinds, sizes", [(1, 1), (4, 1), (1, 3), (4, 3)])
-    @pytest.mark.parametrize("count", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("count, kinds, sizes", BATCH_EDGES)
     def test_batch_edges_match_the_benchmark_oracle(self, count, kinds, sizes):
-        """``count`` states, reflections and links, at and across the writer's
-        256-record batches; values cycle through the first ``kinds`` of text,
-        integer, bytes and rational, and token sets through 1 to ``sizes`` tokens."""
-        def value(i):
-            return ("v%d" % i, i - 100, b"\x00b%d" % i, Fraction(i, 7))[i % kinds]
-
-        def tokens(prefix, i):
-            return {"%s%d" % (prefix, (i + k) % 5) for k in range(1 + i % sizes)}
-
-        info = assemble(
-            [StateRecord("s%d" % i, tokens("e", i), i, value(i)) for i in range(count)],
-            [ReflectionRecord("r%d" % i, tokens("m", i + 1), i, value(i + 1))
-             for i in range(count)],
-            [("s%d" % i, "r%d" % (count - 1 - i)) for i in range(count)],
-        )
+        info = batch_edge_instance(count, kinds, sizes)
         assert len(info.states) == len(info.reflections) == len(info.links) == count
         text = emit_instance(info)
         assert text == oracle.canonical_text(reference_doc(info))
         assert instance_digest(info) == text_digest(text)
+
+    @pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")])
+    def test_digests_equal_hashlib_with_or_without_the_built_in_hash(self, monkeypatch,
+                                                                      blocked):
+        """The built-in SHA-256, and ``hashlib`` when no built-in module imports,
+        give ``hashlib``'s digest of every batch-edge text."""
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)
+        assert (type(serialize._sha256()) is type(hashlib.sha256())) == bool(blocked)
+        for edges in BATCH_EDGES:
+            text = emit_instance(batch_edge_instance(*edges))
+            expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert serialize._sha256(text.encode("utf-8")).hexdigest() == expected
+            assert text_digest(text) == "sha256:" + expected
 
     def test_digest_streams_the_text(self):
         info = generate_synthetic(1, Profile(entities=2000, media=250, replication=3))
