@@ -11,15 +11,20 @@ bijective instance (functional relation, every reflection single-sourced).
 from __future__ import annotations
 
 import random
-from operator import attrgetter
+from operator import itemgetter
 
 from .model import (
     Frozen,
     Information,
     OitError,
+    RawSextuple,
     ReflectionRecord,
     StateRecord,
+    ValidationError,
+    _token_union,
+    _writable,
     assemble,
+    validate,
 )
 
 
@@ -89,7 +94,9 @@ def generate_synthetic(seed: int, profile: Profile = Profile()) -> Information:
         for _ in range(rng.randrange(replication)):
             links.append((state.id, fresh_reflection(state).id))
 
-    return assemble(states, reflections, links)
+    # Valid by construction: every state is linked, every reflection is made
+    # linked, and the values and the tick walk keep every content triple distinct.
+    return Information(states, reflections, links)
 
 
 def random_link_subset(info: Information, rng: random.Random) -> frozenset:
@@ -134,23 +141,29 @@ def identity_relay(info: Information, media_map: dict, tick_shift: int = 0) -> I
 
     The relay's states mirror the reflections content for content (media
     tokens acting as entities), so composing ``info`` with the relay always
-    satisfies the interface precondition.  ``media_map`` must be injective
-    over the carrier.
+    satisfies the interface precondition.
+
+    Mirrored from a valid instance, the relay is valid unless ``media_map`` or
+    ``tick_shift`` makes two relay reflections equal in content, a medium that
+    no document can hold, or a tick that is not an int.  Only those are checked;
+    a relay failing them is validated whole and raises its
+    :class:`ValidationError`.  So a map that is not injective is refused only
+    where it makes two reflections equal.
     """
     states = []
     reflections = []
     links = []
-    for rec in sorted(info.reflections, key=attrgetter("id")):
-        sid = "t_%s" % rec.id
-        rid = "y_%s" % rec.id
-        states.append(StateRecord(sid, rec.media, rec.tick, rec.value))
+    for rec_id, media, tick, value, _ in sorted(info.reflections, key=itemgetter(0)):
+        sid = "t_%s" % rec_id
+        rid = "y_%s" % rec_id
+        states.append(StateRecord(sid, media, tick, value))
         reflections.append(
-            ReflectionRecord(
-                rid,
-                frozenset(media_map[m] for m in rec.media),
-                rec.tick + tick_shift,
-                rec.value,
-            )
+            ReflectionRecord(rid, frozenset(media_map[m] for m in media), tick + tick_shift, value)
         )
         links.append((sid, rid))
-    return assemble(states, reflections, links)
+    media = _token_union(reflections)
+    if not (_writable((), media, [rec.tick for rec in reflections], ())
+            and len({rec.identity for rec in reflections}) == len(reflections)):
+        raise ValidationError(validate(RawSextuple.of(
+            _token_union(states), media, states, reflections, links)))
+    return Information(states, reflections, links)

@@ -78,7 +78,8 @@ class Frozen(tuple):
     field reads as an attribute through a C item getter.  No attribute can be
     set.  Two values are equal, and hash equal, when they are of one class with
     equal fields.  A subclass without ``__slots__ = ()`` gets an instance dict,
-    where its ``cached_property`` entries live.  ``__new__`` may keep items
+    where its ``cached_property`` entries live; copies and pickles leave that
+    dict behind.  ``__new__`` may keep items
     derived from the fields after them: they take part in equality and
     hashing, and copies and pickles rebuild them from the fields.
     """
@@ -107,6 +108,9 @@ class Frozen(tuple):
 
     def __getnewargs__(self):
         return self[:len(self._fields)]
+
+    def __getstate__(self):
+        return None  # cached entries are rebuilt on use, not copied or pickled
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
@@ -139,22 +143,26 @@ def brief_repr(value) -> str:
 MAX_LITERAL_DIGITS = 4300
 
 
+# The one number grammar of weights, rationals and command-line numbers, in ASCII
+# digits: a decimal with an optional exponent, or ``p/q``.  ``Fraction`` alone
+# would also read ``1_0`` from 3.11 on, padding, and any Unicode digit.
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+
+
 def read_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, refusing first a literal whose exponent would expand it
-    beyond ``MAX_LITERAL_DIGITS`` digits: ``1e10000000`` alone takes seconds.
+    """``Fraction(text)`` for a literal of the ``_NUMBER`` grammar, refusing first
+    one whose exponent would expand it beyond ``MAX_LITERAL_DIGITS`` digits:
+    ``1e10000000`` alone takes seconds.
 
     The mantissa's digits and point plus the exponent's magnitude bound both
     numerator and denominator (``.3e-4299`` needs the point), so every accepted
     literal can be written back as text.
     """
+    if not _NUMBER.fullmatch(text):
+        raise ValueError("invalid number literal %s" % brief_repr(text))
     mantissa, e, exponent = text.lower().partition("e")
-    if e:
-        try:
-            size = sum(c.isdigit() or c == "." for c in mantissa) + abs(int(exponent))
-        except ValueError:
-            size = 0  # no integer exponent: Fraction rejects the literal itself
-        if size > MAX_LITERAL_DIGITS:
-            raise ValueError("literal exceeds %d digits" % MAX_LITERAL_DIGITS)
+    if e and len(mantissa.lstrip("+-")) + abs(int(exponent)) > MAX_LITERAL_DIGITS:
+        raise ValueError("literal exceeds %d digits" % MAX_LITERAL_DIGITS)
     return Fraction(text)
 
 
@@ -632,16 +640,24 @@ def restrict_links(parent: Information, link_ids: Iterable[LinkPair]) -> Informa
     return _induced(parent, selected)
 
 
-def _merge_record_class(recs_a, recs_b, label: str) -> dict:
-    """Content triple -> merged record, the smallest id winning; the smallest
-    id bound to two triples raises."""
-    records = sorted({*recs_a, *recs_b}, key=attrgetter("id"), reverse=True)
-    by_id = dict(zip(map(attrgetter("id"), records), records))
+_ID, _IDENTITY = itemgetter(0), itemgetter(4)
+
+
+def _merge_record_class(recs_a, recs_b, label: str) -> tuple:
+    """The records of both operands, one per content triple with the smallest id
+    winning, and the renames: each losing id -> its winner's id.  The smallest id
+    bound to two triples raises."""
+    records = sorted({*recs_a, *recs_b}, key=_ID, reverse=True)
+    by_id = dict(zip(map(_ID, records), records))
     if len(by_id) < len(records):  # two unequal records share an id
         clash = min(rec.id for rec in records if by_id[rec.id] is not rec)
         raise RecordIdentityClash("record identity clash: %s record %s" % (label, brief(clash)))
     # Records run from the largest id down, so the smallest id is written last.
-    return dict(zip(map(attrgetter("identity"), records), records))
+    merged = dict(zip(map(_IDENTITY, records), records))
+    renames = {}
+    if len(merged) < len(records):
+        renames = {rec[0]: merged[rec[4]][0] for rec in records if merged[rec[4]] is not rec}
+    return merged.values(), renames
 
 
 def combine(a: Information, b: Information, mode: str = "strict") -> Information:
@@ -651,17 +667,23 @@ def combine(a: Information, b: Information, mode: str = "strict") -> Information
     Strict mode additionally requires each state of the result to take its
     full link set from one operand alone, so a state whose replicas are
     split across the operands is rejected; lax mode keeps every link.
+
+    Links are rewritten only when some record lost its id to a smaller one of
+    the same content; otherwise, as for two restrictions of one instance, both
+    operands' link sets are taken as they are.
     """
     if mode not in ("strict", "lax"):
         raise ValueError("combine mode must be 'strict' or 'lax', got %s" % brief_repr(mode))
 
-    states = _merge_record_class(a.states, b.states, "state")
-    reflections = _merge_record_class(a.reflections, b.reflections, "reflection")
+    states, state_renames = _merge_record_class(a.states, b.states, "state")
+    reflections, reflection_renames = _merge_record_class(a.reflections, b.reflections,
+                                                          "reflection")
+    links_a, links_b = a.links, b.links
+    if state_renames or reflection_renames:
+        def rewritten(links) -> set:
+            return {(state_renames.get(s, s), reflection_renames.get(r, r)) for s, r in links}
 
-    def rewritten(info: Information) -> set:
-        return {(states[s].id, reflections[r].id) for s, r in info.link_identities}
-
-    links_a, links_b = rewritten(a), rewritten(b)
+        links_a, links_b = rewritten(links_a), rewritten(links_b)
     if mode == "strict":
         # A state takes its links from one operand alone unless it has a link
         # that only ``a`` holds and one that only ``b`` holds.
@@ -669,7 +691,7 @@ def combine(a: Information, b: Information, mode: str = "strict") -> Information
         if split:
             raise InconsistentOverlap("inconsistent overlap at %s" % brief(min(split)))
 
-    return Information(states.values(), reflections.values(), links_a | links_b)
+    return Information(states, reflections, links_a | links_b)
 
 
 def compose(first: Information, second: Information) -> Information:

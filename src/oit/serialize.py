@@ -12,8 +12,10 @@ by ``json.dumps`` itself; an instance is written straight from its records, one
 fixed template per record kind with its members in sorted order and strings
 quoted by json's C ``encode_basestring_ascii``.  Each record kind's fields are
 read as C iterators over its records sorted by id and filled into a template of
-``_BATCH`` records by one ``%`` call.  ``instance_digest`` hashes the text one
-such batch at a time and never holds the whole text.
+``_BATCH`` records by one ``%`` call.  ``emit_instance`` keeps the text it
+writes without weights on the instance; ``instance_digest`` hashes that text in
+slices, or else the text one batch at a time as it is written, and never
+encodes the whole text.
 
 Instance and target documents are read one top-level member at a time: each
 member's JSON tree is turned into records, and freed, before the next member
@@ -31,7 +33,7 @@ from __future__ import annotations
 import base64
 import json
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, islice
 from json import JSONDecoder
 from json.decoder import WHITESPACE, scanstring
@@ -375,19 +377,21 @@ def document_to_text(doc: dict) -> str:
 # The instance text's fixed layouts: one per record kind, with members in sorted
 # order, and a record's tagged values, which sit at indent 6.
 _STATE = ('    {\n      "entities": %s,\n      "id": %s,\n'
-          '      "tick": %s,\n      "value": %s\n    }')
+          '      "tick": %d,\n      "value": %s\n    }')
 _REFLECTION = ('    {\n      "id": %s,\n      "media": %s,\n'
-               '      "tick": %s,\n      "value": %s\n    }')
+               '      "tick": %d,\n      "value": %s\n    }')
 _LINK = '    {\n      "from": %s,\n      "to": %s\n    }'
-# Each record kind's layout, then the same for records that all hold one token.
-_STATES = (_STATE, _STATE.replace('"entities": %s', '"entities": [\n        %s\n      ]'))
-_REFLECTIONS = (_REFLECTION, _REFLECTION.replace('"media": %s', '"media": [\n        %s\n      ]'))
 _B64 = '{\n        "b64": "%s"\n      }'
 _RATIONAL = '{\n        "rational": %s\n      }'
 # Records per format call and digest update, so that hashing holds little text.
 _BATCH = 256
+# Characters of a kept text hashed per update, so that hashing it holds little more.
+_SLICE = 1 << 16
 # A record's id, token set, tick and value, as C getters on its tuple.
 _ID, _TOKENS, _TICK, _VALUE = map(itemgetter, range(4))
+# Where an instance keeps the text ``emit_instance`` wrote for it: a plain entry
+# of its ``__dict__``, which is not an index and takes no part in equality.
+_TEXT = "_emitted_text"
 
 
 def _tokens_text(tokens, indent: str = "      ") -> str:
@@ -414,7 +418,7 @@ def _value_text(value) -> str:
 def _record_list(template: str, fields):
     """A top-level list of records, each ``template`` filled from the flat
     iterator ``fields``, in pieces of ``_BATCH`` records written by one ``%``."""
-    width = template.count("%s")
+    width = template.count("%")
     full = ",\n".join([template] * _BATCH)
     opening = "[\n"
     while batch := tuple(islice(fields, width * _BATCH)):
@@ -424,19 +428,17 @@ def _record_list(template: str, fields):
     yield "[]" if opening == "[\n" else "\n  ]"
 
 
-def _columns(records, layouts):
-    """The layout of one record kind and the id, token, tick and value texts of
-    its records sorted by id, each a C iterator.  When every record holds one
-    token, tokens are quoted directly into the layout that brackets them, as
-    values are when every one is exactly text."""
+def _columns(records):
+    """The id, token, tick and value columns of records sorted by id, each a C
+    iterator.  A token set's text is written once while it is among the last
+    ``_BATCH`` distinct sets written, so that records sharing few sets write each
+    once and a digest holds few texts; values are quoted directly when every one
+    is exactly text."""
     records = sorted(records, key=_ID)
     value_text = _quote if {str}.issuperset(map(type, map(_VALUE, records))) else _value_text
-    if {1}.issuperset(map(len, map(_TOKENS, records))):
-        layout, tokens = layouts[1], map(_quote, chain.from_iterable(map(_TOKENS, records)))
-    else:
-        layout, tokens = layouts[0], map(_tokens_text, map(_TOKENS, records))
-    return layout, (map(_quote, map(_ID, records)), tokens, map(int.__repr__, map(_TICK, records)),
-                    map(value_text, map(_VALUE, records)))
+    tokens_text = lru_cache(maxsize=_BATCH)(_tokens_text)
+    return (map(_quote, map(_ID, records)), map(tokens_text, map(_TOKENS, records)),
+            map(_TICK, records), map(value_text, map(_VALUE, records)))
 
 
 def _instance_chunks(info: Information, weights: Mapping | None):
@@ -444,11 +446,10 @@ def _instance_chunks(info: Information, weights: Mapping | None):
     yield '{\n  "entities": %s,\n  "links": ' % _tokens_text(info.ontology, "  ")
     yield from _record_list(_LINK, map(_quote, chain.from_iterable(sorted(info.links))))
     yield ',\n  "media": %s,\n  "reflection_records": ' % _tokens_text(info.carrier, "  ")
-    layout, columns = _columns(info.reflections, _REFLECTIONS)
-    yield from _record_list(layout, chain.from_iterable(zip(*columns)))
+    yield from _record_list(_REFLECTION, chain.from_iterable(zip(*_columns(info.reflections))))
     yield ',\n  "state_records": '
-    layout, (ids, tokens, ticks, values) = _columns(info.states, _STATES)
-    yield from _record_list(layout, chain.from_iterable(zip(tokens, ids, ticks, values)))
+    ids, tokens, ticks, values = _columns(info.states)
+    yield from _record_list(_STATE, chain.from_iterable(zip(tokens, ids, ticks, values)))
     yield ',\n  "version": %d' % SCHEMA_VERSION
     if weights:
         tables = {universe: {str(k): str(_read_weight(w)) for k, w in table.items()}
@@ -459,8 +460,15 @@ def _instance_chunks(info: Information, weights: Mapping | None):
 
 
 def emit_instance(info: Information, weights: Mapping | None = None) -> str:
-    """Serialize an instance to its canonical byte-stable document text."""
-    return "".join(_instance_chunks(info, weights))
+    """Serialize an instance to its canonical byte-stable document text.
+
+    Without weights the text is also kept on the instance, for
+    :func:`instance_digest` to hash instead of writing it again.
+    """
+    text = "".join(_instance_chunks(info, weights))
+    if not weights:
+        info.__dict__[_TEXT] = text
+    return text
 
 
 def _sha256(data: bytes = b""):
@@ -483,10 +491,17 @@ def text_digest(text: str) -> str:
 
 
 def instance_digest(info: Information) -> str:
-    """``text_digest(emit_instance(info))``, hashed piece by piece as it is written."""
+    """``text_digest(emit_instance(info))``: the text ``emit_instance`` kept on
+    ``info``, else the text hashed piece by piece as it is written.  Either way
+    at most one piece is encoded at a time."""
     digest = _sha256()
-    for chunk in _instance_chunks(info, None):
-        digest.update(chunk.encode("ascii"))
+    text = info.__dict__.get(_TEXT)
+    if text is None:
+        pieces = _instance_chunks(info, None)
+    else:
+        pieces = (text[i:i + _SLICE] for i in range(0, len(text), _SLICE))
+    for piece in pieces:
+        digest.update(piece.encode("ascii"))
     return "sha256:" + digest.hexdigest()
 
 

@@ -4,9 +4,10 @@
 3.12 and ``_sha2`` from 3.12, and falls back to ``hashlib``, which loads
 OpenSSL, when it finds neither.  That fallback is silent: a module name wrong
 on one version would only make that version heavier.  So this check runs every
-digest-writing command under each interpreter, fails if a hash library was
-loaded, and only then imports ``hashlib`` to compare each digest with its
-digest of the same bytes.  It needs no pytest.  From the repository root::
+digest-writing command under each interpreter, and digests one emitted
+instance from the text it keeps, fails if a hash library was loaded, and only
+then imports ``hashlib`` to compare each digest with its digest of the same
+bytes.  It needs no pytest.  From the repository root::
 
     PYTHONPATH=src python -m tests.digest_check
 
@@ -21,7 +22,15 @@ import json
 import sys
 from pathlib import Path
 
-from oit import emit_instance, parse_document, run_cli, volume_entropy_demo
+from oit import (
+    Profile,
+    emit_instance,
+    generate_synthetic,
+    instance_digest,
+    parse_document,
+    run_cli,
+    volume_entropy_demo,
+)
 
 from .paths import FIXTURES
 
@@ -64,6 +73,10 @@ def written_digests() -> list:
     demo = report("demo", "shannon", "--probs", "0.5,0.25,0.25", "--n", "8", "--seed", "7")
     text = emit_instance(volume_entropy_demo((0.5, 0.25, 0.25), 8, 7).info)
     digests.append(("demo instance", demo["instance"], text.encode("ascii")))
+    # An emitted instance keeps its text, and its digest hashes that text in slices.
+    info = generate_synthetic(0, Profile(entities=500))
+    text = emit_instance(info)
+    digests.append(("emitted instance", instance_digest(info), text.encode("ascii")))
     return digests
 
 

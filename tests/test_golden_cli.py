@@ -71,6 +71,10 @@ def write_generated(work: Path) -> None:
     dump("decoder_bad_tick.json", {"version": 1, "kind": "table", "entries": [
         {"reflection": {"media": ["m1"], "tick": "4", "value": "v1"},
          "state": {"entities": ["a"], "tick": 1, "value": "v1"}}]})
+    dump("weights_grammar.json", {"weights": {"entities": {"a": "1_0", "b": "\u0661"}}})
+    rational = json.loads(json.dumps(doc))
+    rational["state_records"][0]["value"] = {"rational": "1_0/3"}
+    dump("rational_grammar.json", rational)
     decoder = json.loads((FIXTURES / "decoder_const_s1.json").read_text())
     clash = json.loads(json.dumps(decoder["entries"][0]))
     clash["state"]["value"] = "other"
@@ -151,6 +155,18 @@ def corpus() -> list:
         ["gen", "--seed", "0", "--entities", " 7 ", "-o", "-"],
         ["coverage", _fixture("ex1"), "--target", _fixture("ex1_s1r1"), "--guard",
          "\u0661\u0665"],
+    ]
+    # Numbers that Fraction reads on some interpreters but the one number grammar
+    # does not: an underscore, padding, non-ASCII digits.
+    suit = ["metrics", _fixture("ex1"), "--target", _fixture("ex1_s1"), "--suit-weights"]
+    calls += [
+        ["metrics", _fixture("ex1"), "--weights", "$WORK/weights_grammar.json"],
+        ["validate", "$WORK/rational_grammar.json"],
+        ["entropy", "--probs", "0.5,0.2_5,0.25"],
+        ["entropy", "--probs", "0.5, 0.5"],
+        ["entropy", "--probs", "\u0661"],
+        suit + ["0", "0", "0", "1_0", "0", "0"],
+        suit + ["0", "0", "0", "\u0661", "0", "0"],
     ]
     return calls
 

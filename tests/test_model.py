@@ -47,7 +47,7 @@ from oit import (
     restrict_links,
     validate,
 )
-from oit import model
+from oit import generate, model
 from oit.model import LinkRelation
 
 from .strategies import informations, informations_with_sublinks
@@ -72,6 +72,23 @@ def raw_of(info: Information) -> RawSextuple:
     return RawSextuple.of(
         info.ontology, info.carrier, info.states, info.reflections, info.links
     )
+
+
+def validated_relay(info: Information, media_map: dict, tick_shift=0) -> Information:
+    """``identity_relay``'s records and links, put through ``assemble``'s validation."""
+    records = sorted(info.reflections, key=lambda r: r.id)
+    return assemble(
+        [StateRecord("t_" + r.id, r.media, r.tick, r.value) for r in records],
+        [ReflectionRecord("y_" + r.id, {media_map[m] for m in r.media}, r.tick + tick_shift,
+                          r.value) for r in records],
+        [("t_" + r.id, "y_" + r.id) for r in records],
+    )
+
+
+# Generation profiles small enough to draw many of.
+PROFILES = st.builds(Profile, entities=st.integers(1, 6), media=st.integers(1, 4),
+                     tick_span=st.integers(1, 8), replication=st.integers(1, 3),
+                     aggregation=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
 
 
 class TestRecords:
@@ -179,6 +196,15 @@ class TestValueClasses:
         for copied in (copy.copy(value), copy.deepcopy(value),
                        pickle.loads(pickle.dumps(value))):
             assert copied == value and type(copied) is cls
+
+    def test_copies_and_pickles_leave_cached_entries_behind(self):
+        """An instance's indexes and its kept text are rebuilt on use, not copied."""
+        info = generate_synthetic(3)
+        fresh = pickle.dumps(info)
+        info.successors, emit_instance(info)
+        assert pickle.dumps(info) == fresh
+        for copied in (copy.copy(info), copy.deepcopy(info), pickle.loads(fresh)):
+            assert copied == info and vars(copied) == {}
 
     @pytest.mark.parametrize("cls, defaults, required", DEFAULTS)
     def test_omitted_fields_take_their_defaults(self, cls, defaults, required):
@@ -518,6 +544,16 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine(ex1, ex1, "loose")
 
+    def test_restrictions_of_one_instance_combine_without_content_links(self, ex1):
+        """No record of one instance's restrictions loses its id, so combine takes
+        both link sets as they are and builds neither operand's content links."""
+        a = restrict(ex1, lambda s, r: s.tick <= 2)
+        b = restrict(ex1, lambda s, r: s.tick >= 2)
+        for mode in ("strict", "lax"):
+            assert combine(a, b, mode) == ex1
+        assert "link_identities" not in vars(a)
+        assert "link_identities" not in vars(b)
+
     def test_operands_are_sub_informations(self, ex1):
         a = restrict_links(ex1, [("s1", "r1")])
         b = restrict_links(ex1, [("s2", "r2"), ("s3", "r2")])
@@ -561,6 +597,57 @@ class TestCompose:
         left = compose(compose(ex1, b), c)
         right = compose(ex1, compose(b, c))
         assert left == right
+
+    # Each map's outcome: the relay's carrier, or the diagnostics it is refused with.
+    RELAY_OUTCOMES = [
+        ({"m1": "x", "m2": "x", "m3": "y"}, 0, {"x", "y"}),
+        ({"m1": "x", "m2": "x", "m3": "x"}, 0, [
+            ("duplicate-record-content",
+             "reflection records y_r1 and y_r3 share one content triple", ("y_r1", "y_r3"))]),
+        ({"m1": "m4", "m2": 5, "m3": "m6"}, 0, [
+            ("unwritable-record", "reflection record y_r2 has an id, token, tick or value "
+             "that no instance document can hold", ("y_r2",))]),
+        ({"m1": "\ud800\udc00", "m2": "m5", "m3": "m6"}, 0, [
+            ("unwritable-record", "reflection record y_r1 has an id, token, tick or value "
+             "that no instance document can hold", ("y_r1",))]),
+        (MEDIA_MAP, 0.5, [
+            ("unwritable-record", "reflection record %s has an id, token, tick or value "
+             "that no instance document can hold" % rid, (rid,)) for rid in ("y_r1", "y_r2", "y_r3")]),
+    ]
+
+    @pytest.mark.parametrize("media_map, tick_shift, outcome", RELAY_OUTCOMES,
+                             ids=["non-injective", "clash", "non-string", "surrogate-pair",
+                                  "float-shift"])
+    def test_relay_outcomes(self, ex1, media_map, tick_shift, outcome):
+        if isinstance(outcome, set):
+            relay = identity_relay(ex1, media_map, tick_shift)
+            assert relay.carrier == outcome
+            assert validate(raw_of(relay)) == []
+            return
+        with pytest.raises(ValidationError) as exc:
+            identity_relay(ex1, media_map, tick_shift)
+        assert [tuple(d) for d in exc.value.diagnostics] == outcome
+
+    def test_relay_of_an_unmapped_medium_raises_key_error(self, ex1):
+        with pytest.raises(KeyError, match="m2"):
+            identity_relay(ex1, {"m1": "x"})
+
+    @given(informations(), st.data())
+    @settings(max_examples=80)
+    def test_relay_is_refused_exactly_when_validation_refuses_it(self, info, data):
+        """Against the relay's records validated whole, over maps that often merge
+        media and shifts that are not ints."""
+        targets = st.one_of(st.sampled_from(["x", "y", 0, "\ud800\udc00"]), st.text(max_size=1))
+        media_map = {m: data.draw(targets) for m in sorted(info.carrier)}
+        tick_shift = data.draw(st.sampled_from([0, 1, -3, True, 0.5, Fraction(1, 2)]))
+        try:
+            expected = validated_relay(info, media_map, tick_shift)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                identity_relay(info, media_map, tick_shift)
+            assert got.value.diagnostics == exc.diagnostics
+        else:
+            assert identity_relay(info, media_map, tick_shift) == expected
 
     @given(informations())
     @settings(max_examples=40)
@@ -624,6 +711,36 @@ class TestAtomsAndInverse:
 # An error message lists at most LISTED_IDS items, each cut to 40 characters, so
 # none needs more than this, however large the input.
 MESSAGE_BOUND = 600
+
+
+class TestNumberGrammar:
+    """Weights, rationals and command-line numbers are read by one ASCII grammar
+    on every interpreter: a decimal with an optional exponent, or ``p/q``."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("7", 7), ("+1", 1), ("-0", 0), ("1.", 1), (".5", Fraction(1, 2)),
+        ("-2.50", Fraction(-5, 2)), ("1e-3", Fraction(1, 1000)), ("1E+3", 1000),
+        ("3/4", Fraction(3, 4)), ("-3/6", Fraction(-1, 2)),
+    ])
+    def test_accepted(self, text, value):
+        assert model.read_fraction(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1_0", "\u0661", "\uff11", " 1", "1 ", "1\n", "0x10", "1e", "e3", ".", "1/2e3",
+        "1.5/2", "1 / 2", "+-1", "1e1.5", "nan", "inf", "",
+    ])
+    def test_rejected(self, text):
+        with pytest.raises(ValueError):
+            model.read_fraction(text)
+
+    @given(st.text(alphabet="0123456789+-./eE_ \u0661", max_size=8))
+    def test_reads_a_part_of_fractions_own_grammar_in_ascii(self, text):
+        try:
+            value = model.read_fraction(text)
+        except (ValueError, ZeroDivisionError):
+            return
+        assert value == Fraction(text)
+        assert text.isascii() and "_" not in text and " " not in text
 
 
 class TestBoundedMessages:
@@ -714,20 +831,23 @@ class TestProperties:
         for rec in info.reflections:
             assert rec.id in image(info, preimage(info, {rec.id}))
 
-    @given(informations_with_sublinks(), st.integers(0, 2**16))
+    @given(informations_with_sublinks(), st.integers(0, 2**16), PROFILES)
     @settings(max_examples=50)
-    def test_algebra_results_are_valid_by_construction(self, case, salt):
+    def test_algebra_results_are_valid_by_construction(self, case, salt, profile):
         info, l1 = case
         rng = random.Random(salt)
         l2 = frozenset(rng.sample(sorted(info.links), rng.randint(1, len(info.links))))
         a = restrict_links(info, l1)
         b = renamed(restrict_links(info, l2), "a_")  # equal content under smaller ids
+        relay = identity_relay(info, {m: m + "'" for m in info.carrier}, salt % 3)
         results = [
             a,
             restrict(info, lambda s, r: s.tick <= r.tick or (s.id, r.id) in l1),
             combine(a, info, "strict"),
             combine(a, b, "lax"),
-            compose(info, identity_relay(info, {m: m + "'" for m in info.carrier})),
+            relay,
+            compose(info, relay),
+            generate_synthetic(salt, profile),
         ]
         try:
             results.append(combine(a, b, "strict"))
@@ -745,8 +865,8 @@ class TestProperties:
             return real_validate(raw)
 
         real_validate = model.validate
-        relay = identity_relay(ex1, {"m1": "m4", "m2": "m5", "m3": "m6"})
         monkeypatch.setattr(model, "validate", counted)
+        monkeypatch.setattr(generate, "validate", counted)
         text = emit_instance(ex1)
         parse_document(text)
         assert len(calls) == 1
@@ -758,8 +878,9 @@ class TestProperties:
         restrict(ex1, lambda s, r: s.tick > 1)
         combine(sub, ex1, "strict")
         combine(sub, ex1, "lax")
-        compose(ex1, relay)
+        compose(ex1, identity_relay(ex1, {"m1": "m4", "m2": "m5", "m3": "m6"}))
         atoms(ex1)
+        generate_synthetic(0)
         assert len(calls) == 2
 
     @given(informations())

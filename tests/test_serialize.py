@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oit import (
+    Information,
     Profile,
     ReflectionRecord,
     StateRecord,
@@ -177,11 +178,22 @@ class TestCanonicalWriter:
 
     @pytest.mark.parametrize("count, kinds, sizes", BATCH_EDGES)
     def test_batch_edges_match_the_benchmark_oracle(self, count, kinds, sizes):
+        """Emitted, and digested both from the streamed text and from the text
+        that emitting keeps."""
         info = batch_edge_instance(count, kinds, sizes)
         assert len(info.states) == len(info.reflections) == len(info.links) == count
+        streamed = instance_digest(info)
         text = emit_instance(info)
+        assert vars(info)[serialize._TEXT] is text
         assert text == oracle.canonical_text(reference_doc(info))
-        assert instance_digest(info) == text_digest(text)
+        assert instance_digest(info) == streamed == text_digest(text)
+
+    def test_text_is_kept_only_without_weights(self, ex1):
+        info = Information(ex1.states, ex1.reflections, ex1.links)
+        emit_instance(info, {"entities": {"a": 1, "b": 2}})
+        assert serialize._TEXT not in vars(info)
+        assert instance_digest(info) == text_digest(emit_instance(info))
+        assert serialize._TEXT in vars(info)
 
     @pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")])
     def test_digests_equal_hashlib_with_or_without_the_built_in_hash(self, monkeypatch,
@@ -198,17 +210,22 @@ class TestCanonicalWriter:
             assert text_digest(text) == "sha256:" + expected
 
     def test_digest_streams_the_text(self):
+        """Hashing holds a bounded part of the text, whether it is written as it
+        is hashed or was kept by ``emit_instance``."""
         info = generate_synthetic(1, Profile(entities=2000, media=250, replication=3))
         text = emit_instance(info)
         assert len(info.links) > 7500
-        tracemalloc.start()
-        try:
-            digest = instance_digest(info)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert digest == text_digest(text)
-        assert peak < len(text) / 4
+        fresh = Information(info.states, info.reflections, info.links)
+        for instance in (fresh, info):
+            tracemalloc.start()
+            try:
+                digest = instance_digest(instance)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert digest == text_digest(text)
+            assert peak < len(text) / 4
+        assert serialize._TEXT not in vars(fresh)
 
     def test_documents_round_trip_byte_for_byte(self):
         texts = [path.read_text() for path in sorted(FIXTURES.glob("ex1*.json"))]
