@@ -3,8 +3,9 @@
 The demo ties the carrier-volume metric to the classical quantities: a
 seeded message is laid out as one state record per position, each encoded
 into fixed-length binary code cells (one medium per cell), so the counting
-volume is exactly the number of cells and can be compared against the
-log-count value and the entropy lower bound.
+volume is exactly the number of cells.  It is reported beside the log-count
+value and the entropy bound, which it dominates only for an exactly
+normalised vector, and no inequality is checked.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import math
 import random
 from .measures import volume
-from .model import (Frozen, Information, OitError, ReflectionRecord, StateRecord, assemble,
-                    brief_ids, brief_repr)
+from .model import (Frozen, Information, OitError, ReflectionRecord, StateRecord, brief_ids,
+                    brief_repr)
 
 PROB_TOL = 1e-9
 
@@ -58,9 +59,13 @@ def shannon_entropy(dist, base: float = 2.0, k: float = 1.0) -> float:
         raise ValueError("scale k must be positive, got %r" % k)
     log_base = math.log(base)
     # 0.0 - x, not -x: a certain outcome has entropy 0.0, never -0.0.
-    return 0.0 - k * sum(
+    value = 0.0 - k * sum(
         float(p) * math.log(float(p)) / log_base for p in dist.probabilities if p > 0
     )
+    if value == math.inf:
+        raise OverflowError("k * H is too large for a float: k=%s, base=%s"
+                            % (brief_repr(k), brief_repr(base)))
+    return value
 
 
 def hartley_information(n: int, s: int, base: float = 2.0) -> float:
@@ -93,13 +98,13 @@ class CodingDemo(Frozen):
 
 
 def volume_entropy_demo(dist, n: int, seed: int) -> CodingDemo:
-    """Encode a seeded n-symbol message and compare volume with the bounds.
+    """Encode a seeded n-symbol message and report its volume with the bounds.
 
     Each position becomes a state record on its own entity at tick i; each
     symbol is spelled into ceil(log2 S) single-medium code cells with unit
-    weight.  The counting volume is then n * ceil(log2 S), which always
-    dominates both n * H(dist) and the log-count value, with equality to
-    the latter exactly when S is a power of two.
+    weight, valid by construction.  The counting volume is n * ceil(log2 S):
+    at least the log-count value, equal to it exactly when S is a power of
+    two, and at least n * H(dist) when dist sums exactly to 1.
     """
     dist = _as_distribution(dist)
     s = len(dist)
@@ -124,15 +129,10 @@ def volume_entropy_demo(dist, n: int, seed: int) -> CodingDemo:
                 ReflectionRecord(rid, frozenset({"cell_%d_%d" % (i, j)}), i, (symbol >> j) & 1)
             )
             links.append((sid, rid))
-    info = assemble(states, reflections, links)
-
+    info = Information(states, reflections, links)
     vol = int(volume(info))
     hartley = hartley_information(n, s)
     bound = n * shannon_entropy(dist)
-    if vol < bound - PROB_TOL:
-        raise OitError("volume %r fell below the entropy bound %r" % (vol, bound))
-    if vol < hartley - PROB_TOL:
-        raise OitError("volume %r fell below the log-count value %r" % (vol, hartley))
     return CodingDemo(
         alphabet_size=s,
         length=n,

@@ -17,9 +17,9 @@ writes without weights on the instance; ``instance_digest`` hashes that text in
 slices, or else the text one batch at a time as it is written, and never
 encodes the whole text.
 
-Instance and target documents are read one top-level member at a time: each
-member's JSON tree is turned into records, and freed, before the next member
-is decoded, so a reader never holds the whole document's tree.
+Every document is read one top-level member at a time, through one front: a
+member with a reader is turned into records, and its JSON tree freed, before
+the next member is decoded; a member without one is kept as json decoded it.
 
 Record values are JSON strings (text), JSON integers, ``{"b64": ...}`` for
 byte strings, or ``{"rational": "p/q"}`` for exact rationals.  Floats are
@@ -273,11 +273,23 @@ def _past(s: str, end: int, char: str) -> int:
     return end + 1
 
 
-def _object_from_text(text: str, **decoder) -> dict:
-    """Decode JSON whose top level must be an object, through ``json.loads(text,
-    **decoder)``; malformed or too deep is a diagnostic."""
+def _members_from_text(text: str, readers: dict) -> dict:
+    """The reader front of every document: JSON whose top level must be an
+    object, each member read as soon as it is decoded.  A member with a reader
+    becomes (what its reader made of it, the reader's diagnostics), and equal
+    token lists in any member share one token set; a member without one is kept
+    as json decoded it.  Malformed or too deep JSON is a diagnostic."""
+    shared: dict = {}
+
+    def read(name, value):
+        reader = readers.get(name)
+        if reader is None:
+            return value
+        diags: list = []
+        return reader(value, shared, diags), diags
+
     try:
-        doc = json.loads(text, **decoder)
+        doc = json.loads(text, cls=_MemberReader, read=read)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError([Diagnostic(MALFORMED, "malformed JSON: %s" % exc, ())]) from None
     except ValueError:  # the int digit limit; JSONDecodeError, a subclass, is caught above
@@ -289,9 +301,10 @@ def _object_from_text(text: str, **decoder) -> dict:
     return doc
 
 
-def _document_from_text(text: str, **decoder) -> dict:
-    """The reader front of instance, target and decoder documents."""
-    doc = _object_from_text(text, **decoder)
+def _document_from_text(text: str, readers: dict) -> dict:
+    """The members of an instance, target or decoder document, which must be of
+    version 1."""
+    doc = _members_from_text(text, readers)
     version = doc.get("version")
     if version != SCHEMA_VERSION:
         raise ValidationError(
@@ -316,23 +329,6 @@ _INSTANCE_READERS = dict(_TARGET_READERS,
                          weights=lambda raw, shared, diags: _weights_from_json(raw, diags))
 
 
-def _members_from_text(text: str, readers: dict) -> dict:
-    """A document's members, each read as soon as it is decoded: name -> (what
-    its reader made of it, the reader's diagnostics).  ``version`` is kept as
-    it is; members without a reader are dropped.  Equal token lists in any
-    member share one token set."""
-    shared: dict = {}
-
-    def read(name, value):
-        reader = readers.get(name)
-        if reader is None:
-            return value if name == "version" else None
-        diags: list = []
-        return reader(value, shared, diags), diags
-
-    return _document_from_text(text, cls=_MemberReader, read=read)
-
-
 def _raw_from_members(members: dict, diags) -> RawSextuple:
     """The raw sextuple of a document's read members; an absent member is empty."""
     parts = []
@@ -349,7 +345,7 @@ def parse_document(text: str):
     Schema diagnostics come first, in member order, then the model's, from its
     one validation.  The text is dropped once its members are read.
     """
-    members = _members_from_text(text, _INSTANCE_READERS)
+    members = _document_from_text(text, _INSTANCE_READERS)
     del text
     diags: list = []
     raw = _raw_from_members(members, diags)
@@ -510,7 +506,7 @@ def parse_target(text: str) -> RawSextuple:
     components and links that name declared records, but no totality,
     surjectivity or closure; its ``weights`` member is not read."""
     diags: list = []
-    raw = _raw_from_members(_members_from_text(text, _TARGET_READERS), diags)
+    raw = _raw_from_members(_document_from_text(text, _TARGET_READERS), diags)
     if not diags:
         # A demand's tick sets are its records' ticks, so they are empty with them.
         model._check_well_formed(
@@ -527,7 +523,7 @@ def parse_target(text: str) -> RawSextuple:
 def parse_decoder(text: str) -> SemanticMapping:
     """Parse a decoder document into its mapping, which carries the document's distance."""
     diags: list = []
-    doc = _document_from_text(text)
+    doc = _document_from_text(text, {})
     kind = doc.get("kind")
     distance = doc.get("distance", JACCARD)
     if distance not in (JACCARD, NUMERIC_L1):
@@ -568,7 +564,7 @@ def parse_decoder(text: str) -> SemanticMapping:
 def parse_weights_file(text: str) -> dict:
     """Parse a standalone weights document into per-universe weight tables."""
     diags: list = []
-    doc = _object_from_text(text)
+    doc = _members_from_text(text, {})
     tables = _weights_from_json(doc.get("weights", doc), diags)
     if diags:
         raise ValidationError(diags)

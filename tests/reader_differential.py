@@ -1,11 +1,11 @@
-"""The member reader against ``json.loads`` on mutated instance texts.
+"""The member reader against ``json.loads`` on mutated document texts.
 
-``serialize`` reads instance and target documents one top-level member at a
-time, and leaves every text its loop does not take cleanly to json's own
-decoder.  On any text the two must agree: the same value, or the same error
-type and message.  json's messages differ between CPython versions, so this
-check runs under each of them, and it needs no pytest.  From the repository
-root::
+``serialize`` reads every document, instance, target, decoder or weights, one
+top-level member at a time, and leaves every text its loop does not take
+cleanly to json's own decoder.  On any text the two must agree: the same
+value, or the same error type and message.  json's messages differ between
+CPython versions, so this check runs under each of them, and it needs no
+pytest.  From the repository root::
 
     PYTHONPATH=src python -m tests.reader_differential [COUNT]
 
@@ -42,10 +42,12 @@ TOP_LEVELS = ("[%s]", "[]", '"text"', "5", "null", "{}", "", " \n", "%s %s")
 
 
 def base_members() -> list:
-    """The (name, value) members of the instance fixtures, and of ex1 with weights."""
-    docs = [json.loads((FIXTURES / name).read_text()) for name in ("ex1.json", "ex1_s1r1.json")]
+    """The (name, value) members of the instance and decoder fixtures, of ex1
+    with weights, and of a weights file without its ``weights`` wrapper."""
+    docs = [json.loads((FIXTURES / name).read_text()) for name in (
+        "ex1.json", "ex1_s1r1.json", "decoder_const_s1.json", "decoder_preimage.json")]
     weights = json.loads((FIXTURES / "weights_ex1.json").read_text())
-    docs.append(dict(docs[0], **weights))
+    docs += [dict(docs[0], **weights), weights["weights"]]
     return [list(doc.items()) for doc in docs]
 
 
@@ -55,7 +57,7 @@ def _slot(rng: random.Random, texts: tuple, fault: float = 0.03) -> str:
 
 
 def mutated_text(rng: random.Random, bases: list) -> str:
-    """An instance text with repeated names, a deeply nested value, bad separators,
+    """A document text with repeated names, a deeply nested value, bad separators,
     a BOM, another top level or random edits, each as ``rng`` chooses."""
     members = [(name, json.dumps(value)) for name, value in rng.choice(bases)]
     for _ in range(rng.randrange(3)):  # a repeated name, often with another member's value

@@ -77,6 +77,11 @@ class TestShannonEntropy:
         with pytest.raises(ValueError, match="^%s$" % message):
             shannon_entropy((0.5, 0.5), **params)
 
+    def test_beyond_a_float_raises(self):
+        with pytest.raises(OverflowError, match="^k \\* H is too large for a float: "
+                                                "k=1e\\+308, base=1.0000001$"):
+            shannon_entropy((0.5, 0.5), base=1.0000001, k=1e308)
+
     def test_uniform_maximizes(self):
         rng = random.Random(99)
         for n in range(2, 7):
@@ -148,6 +153,14 @@ class TestCodingDemo:
         assert power_of_two.volume == pytest.approx(power_of_two.hartley, abs=TOL)
         rounded = volume_entropy_demo((Fraction(1, 3),) * 3, 3, seed=4)
         assert rounded.volume > rounded.hartley
+
+    def test_a_sum_within_tolerance_gives_a_report(self):
+        """``Distribution`` accepts a sum a little above 1, whose entropy bound
+        may then exceed the volume; the demo reports it as it is."""
+        demo = volume_entropy_demo((0.2500000002,) * 4, 4, seed=0)
+        assert demo.volume == 8
+        assert demo.entropy_bound == pytest.approx(8.000000001783375, abs=TOL)
+        assert demo.entropy_bound > demo.volume
 
     def test_deterministic_for_seed(self):
         a = volume_entropy_demo((0.7, 0.3), 6, seed=5)

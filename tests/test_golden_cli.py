@@ -145,6 +145,9 @@ def corpus() -> list:
         ["hartley", "--n", "1" + "0" * 400, "--s", "2"],
         ["demo", "shannon", "--probs", "0.5,0.5", "--n", "8", "--seed", "7"],
         ["demo", "shannon", "--probs", "1,0", "--n", "2", "--seed", "1"],
+        # A sum within the tolerance of 1, whose entropy bound exceeds the volume.
+        ["demo", "shannon", "--probs", ",".join(["0.2500000002"] * 4), "--n", "4", "--seed", "0"],
+        ["entropy", "--probs", "0.5,0.5", "--k", "1e308", "--base", "1.0000001"],
     ]
     # Integers that int() reads but the CLI does not: an underscore, padding, non-ASCII digits.
     calls += [

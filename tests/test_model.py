@@ -46,11 +46,12 @@ from oit import (
     restrict,
     restrict_links,
     validate,
+    volume_entropy_demo,
 )
 from oit import generate, model
 from oit.model import LinkRelation
 
-from .strategies import informations, informations_with_sublinks
+from .strategies import distributions, informations, informations_with_sublinks
 
 # Record ids, ticks and values that cannot be hashed.
 UNHASHABLE = st.one_of(
@@ -831,9 +832,9 @@ class TestProperties:
         for rec in info.reflections:
             assert rec.id in image(info, preimage(info, {rec.id}))
 
-    @given(informations_with_sublinks(), st.integers(0, 2**16), PROFILES)
+    @given(informations_with_sublinks(), st.integers(0, 2**16), PROFILES, distributions())
     @settings(max_examples=50)
-    def test_algebra_results_are_valid_by_construction(self, case, salt, profile):
+    def test_algebra_results_are_valid_by_construction(self, case, salt, profile, dist):
         info, l1 = case
         rng = random.Random(salt)
         l2 = frozenset(rng.sample(sorted(info.links), rng.randint(1, len(info.links))))
@@ -848,6 +849,7 @@ class TestProperties:
             relay,
             compose(info, relay),
             generate_synthetic(salt, profile),
+            volume_entropy_demo((*dist, 0), 1 + salt % 8, salt).info,
         ]
         try:
             results.append(combine(a, b, "strict"))
@@ -881,6 +883,7 @@ class TestProperties:
         compose(ex1, identity_relay(ex1, {"m1": "m4", "m2": "m5", "m3": "m6"}))
         atoms(ex1)
         generate_synthetic(0)
+        volume_entropy_demo((0.5, 0.25, 0.25), 5, seed=6)
         assert len(calls) == 2
 
     @given(informations())

@@ -273,8 +273,8 @@ def parse_outcome(parse, text):
 
 
 class TestMemberReader:
-    """Instance and target documents are read one top-level member at a time,
-    and read as json reads them."""
+    """Every document is read one top-level member at a time, and read as json
+    reads it."""
 
     @given(st.randoms(use_true_random=True))
     @settings(max_examples=300)
@@ -293,13 +293,27 @@ class TestMemberReader:
             doc = json.loads(text)
         except (ValueError, RecursionError):
             return
-        for parse in (parse_document, parse_target):
+        for parse in (parse_document, parse_target, parse_decoder, parse_weights_file):
             assert parse_outcome(parse, text) == parse_outcome(parse, json.dumps(doc))
 
-    def test_well_formed_documents_are_read_member_by_member(self):
+    def test_well_formed_documents_are_read_member_by_member(self, monkeypatch):
         texts = [path.read_text() for path in sorted(FIXTURES.glob("*.json"))]
         texts += [json.dumps(json.loads(texts[0])), " \r\n%s\t" % texts[0]]
         assert all(map(differential.taken, texts))
+        members, taken = serialize._MemberReader._members, []
+
+        def spy(self, s):
+            doc = members(self, s)
+            taken.extend(doc)
+            return doc
+
+        monkeypatch.setattr(serialize._MemberReader, "_members", spy)
+        for parse, name in ((parse_document, "ex1"), (parse_target, "ex1_s1"),
+                            (parse_decoder, "decoder_const_s1"), (parse_weights_file, "weights_ex1")):
+            text = (FIXTURES / (name + ".json")).read_text()
+            taken.clear()
+            parse(text)
+            assert taken == list(json.loads(text)), parse.__name__
 
     def test_the_last_of_a_repeated_member_wins(self, ex1):
         text = emit_instance(ex1)
