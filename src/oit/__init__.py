@@ -17,7 +17,6 @@ from .model import (
     StateRecord,
     UnknownRecord,
     ValidationError,
-    assemble,
     atoms,
     build,
     combine,

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import random
 from .measures import volume
-from .model import (Frozen, Information, OitError, ReflectionRecord, StateRecord, brief_ids,
-                    brief_repr)
+from .model import (Frozen, Information, OitError, ReflectionRecord, StateRecord, _information,
+                    brief_ids, brief_repr)
 
 PROB_TOL = 1e-9
 
@@ -129,7 +129,7 @@ def volume_entropy_demo(dist, n: int, seed: int) -> CodingDemo:
                 ReflectionRecord(rid, frozenset({"cell_%d_%d" % (i, j)}), i, (symbol >> j) & 1)
             )
             links.append((sid, rid))
-    info = Information(states, reflections, links)
+    info = _information(states, reflections, links)
     vol = int(volume(info))
     hartley = hartley_information(n, s)
     bound = n * shannon_entropy(dist)

@@ -121,9 +121,14 @@ def cmd_metrics(args) -> int:
         target_digest = text_digest(target_text)
         try:
             target_info = build(target)
-        except ValidationError:
-            target_info = None
-        if target_info is not None and is_sub_information(target_info, info):
+        except ValidationError as exc:
+            first = exc.diagnostics[0]
+            skipped = "not an instance (%s: %s)" % (first.code, brief(first.message))
+        else:
+            skipped = None if is_sub_information(target_info, info) else (
+                "not a sub-information (the input lacks its link %s -> %s)"
+                % _lacking_link(target_info, info))
+        if skipped is None:
             value = coverage(
                 info,
                 target_info,
@@ -137,9 +142,7 @@ def cmd_metrics(args) -> int:
                 "target": target_digest,
             }))
         else:
-            sys.stderr.write(
-                "note: target is not a sub-information; coverage skipped\n"
-            )
+            sys.stderr.write("note: target is %s; coverage skipped\n" % skipped)
         suit_weights = (
             tuple(_fraction(w) for w in args.suit_weights)
             if args.suit_weights
@@ -168,6 +171,14 @@ def cmd_metrics(args) -> int:
     else:
         _report(tool="oit %s" % __version__, instance=instance_digest(info), metrics=entries)
     return 0
+
+
+def _lacking_link(target, info) -> tuple:
+    """The smallest link of ``target`` whose content ``info`` lacks, its ids through ``brief``."""
+    states, reflections = target.state_by_id, target.reflection_by_id
+    a, b = min((a, b) for a, b in target.links
+               if (states[a].identity, reflections[b].identity) not in info.link_identities)
+    return brief(a), brief(b)
 
 
 def cmd_atoms(args) -> int:
@@ -382,6 +393,9 @@ def run_cli(argv=None) -> int:
         return 1
     except (OitError, OSError, ValueError, ArithmeticError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 1
+    except MemoryError:  # its message is empty
+        sys.stderr.write("error: out of memory\n")
         return 1
 
 

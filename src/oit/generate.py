@@ -17,14 +17,11 @@ from .model import (
     Frozen,
     Information,
     OitError,
-    RawSextuple,
     ReflectionRecord,
     StateRecord,
-    ValidationError,
+    _information,
     _token_union,
     _writable,
-    assemble,
-    validate,
 )
 
 
@@ -96,7 +93,7 @@ def generate_synthetic(seed: int, profile: Profile = Profile()) -> Information:
 
     # Valid by construction: every state is linked, every reflection is made
     # linked, and the values and the tick walk keep every content triple distinct.
-    return Information(states, reflections, links)
+    return _information(states, reflections, links)
 
 
 def random_link_subset(info: Information, rng: random.Random) -> frozenset:
@@ -133,7 +130,7 @@ def example_instance() -> Information:
         ReflectionRecord("r3", frozenset({"m3"}), 4, "v1"),
     ]
     links = [("s1", "r1"), ("s1", "r3"), ("s2", "r2"), ("s3", "r2")]
-    return assemble(states, reflections, links)
+    return Information(states, reflections, links)
 
 
 def identity_relay(info: Information, media_map: dict, tick_shift: int = 0) -> Information:
@@ -146,9 +143,9 @@ def identity_relay(info: Information, media_map: dict, tick_shift: int = 0) -> I
     Mirrored from a valid instance, the relay is valid unless ``media_map`` or
     ``tick_shift`` makes two relay reflections equal in content, a medium that
     no document can hold, or a tick that is not an int.  Only those are checked;
-    a relay failing them is validated whole and raises its
-    :class:`ValidationError`.  So a map that is not injective is refused only
-    where it makes two reflections equal.
+    a relay failing them goes through the validating :class:`Information`
+    constructor and raises its :class:`ValidationError`.  So a map that is not
+    injective is refused only where it makes two reflections equal.
     """
     states = []
     reflections = []
@@ -161,9 +158,7 @@ def identity_relay(info: Information, media_map: dict, tick_shift: int = 0) -> I
             ReflectionRecord(rid, frozenset(media_map[m] for m in media), tick + tick_shift, value)
         )
         links.append((sid, rid))
-    media = _token_union(reflections)
-    if not (_writable((), media, [rec.tick for rec in reflections], ())
+    if not (_writable((), _token_union(reflections), [rec.tick for rec in reflections], ())
             and len({rec.identity for rec in reflections}) == len(reflections)):
-        raise ValidationError(validate(RawSextuple.of(
-            _token_union(states), media, states, reflections, links)))
-    return Information(states, reflections, links)
+        return Information(states, reflections, links)
+    return _information(states, reflections, links)

@@ -254,6 +254,10 @@ class Information(Frozen):
     """A validated instance: states, reflections and the set of (state id,
     reflection id) links, a total surjective relation.
 
+    Construction validates, as :func:`build` does, over the entity and media
+    sets the records induce, and raises :class:`ValidationError` on invalid
+    input; so do copies and pickles.
+
     The four token/tick components (ontology, occurrence ticks, carrier,
     reflection ticks) are derived from the records, which canonical closure
     makes the only consistent choice.  The other indexes, the endpoint maps
@@ -262,7 +266,9 @@ class Information(Frozen):
 
     def __new__(cls, states: Iterable[StateRecord], reflections: Iterable[ReflectionRecord],
                 links: Iterable[LinkPair]):
-        return tuple.__new__(cls, (frozenset(states), frozenset(reflections), frozenset(links)))
+        states, reflections = tuple(states), tuple(reflections)
+        return build(RawSextuple.of(_token_union(states), _token_union(reflections), states,
+                                    reflections, links))
 
     def __repr__(self):
         return "Information(states=%d, reflections=%d, links=%d)" % (
@@ -556,20 +562,17 @@ def build(raw: RawSextuple) -> Information:
     """Validate ``raw`` and return the canonical instance, else raise.
 
     This is the one validation boundary.  The algebra below builds its
-    results directly: its operations keep every invariant of valid operands.
+    results unchecked: its operations keep every invariant of valid operands.
     """
     diags = validate(raw)
     if diags:
         raise ValidationError(diags)
-    return Information(raw.states, raw.reflections, raw.links)
+    return _information(raw.states, raw.reflections, raw.links)
 
 
-def assemble(states, reflections, links) -> Information:
-    """Build an instance from records and links, deriving the token sets."""
-    states = tuple(states)
-    reflections = tuple(reflections)
-    return build(RawSextuple.of(_token_union(states), _token_union(reflections), states,
-                                reflections, links))
+def _information(states, reflections, links) -> Information:
+    """The instance of parts known to be valid, built without checking them."""
+    return tuple.__new__(Information, (frozenset(states), frozenset(reflections), frozenset(links)))
 
 
 def is_sub_information(candidate: Information, parent: Information) -> bool:
@@ -609,7 +612,7 @@ def is_proper_sub_information(candidate: Information, parent: Information) -> bo
 def _induced(parent: Information, selected) -> Information:
     states = {parent.state_by_id[a] for a, _ in selected}
     reflections = {parent.reflection_by_id[b] for _, b in selected}
-    return Information(states, reflections, selected)
+    return _information(states, reflections, selected)
 
 
 def restrict(parent: Information, keep: Callable) -> Information:
@@ -691,7 +694,7 @@ def combine(a: Information, b: Information, mode: str = "strict") -> Information
         if split:
             raise InconsistentOverlap("inconsistent overlap at %s" % brief(min(split)))
 
-    return Information(states, reflections, links_a | links_b)
+    return _information(states, reflections, links_a | links_b)
 
 
 def compose(first: Information, second: Information) -> Information:
@@ -718,7 +721,7 @@ def compose(first: Information, second: Information) -> Information:
 
     successors = second.successors
     links = {(a, c) for a, b in first.links for c in successors[match[b]]}
-    return Information(first.states, second.reflections, links)
+    return _information(first.states, second.reflections, links)
 
 
 class Atom(Frozen):
@@ -734,7 +737,7 @@ class Atom(Frozen):
 
     @property
     def info(self) -> Information:
-        return Information((self.state,), (self.reflection,), (self.link,))
+        return _information((self.state,), (self.reflection,), (self.link,))
 
 
 def atoms(info: Information) -> tuple:

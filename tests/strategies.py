@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from oit import ReflectionRecord, StateRecord, assemble
+from oit import Information, ReflectionRecord, StateRecord
 
 ENTITY_POOL = ["ea", "eb", "ec"]
 MEDIA_POOL = ["ma", "mb", "mc"]
@@ -86,7 +86,26 @@ def informations(draw, max_states=4, max_reflections=4, values=st.sampled_from(V
         if rec.id not in linked:
             source = draw(st.sampled_from([s.id for s in states]))
             links.add((source, rec.id))
-    return assemble(states, reflections, links)
+    return Information(states, reflections, links)
+
+
+@st.composite
+def record_sets(draw):
+    """States, reflections and links drawn with no regard to validity: ids from
+    one small pool, so that they clash and dangle, token sets that may be empty,
+    a tick that no document holds, and links that may be no pairs."""
+    ids = st.sampled_from(["s1", "s2", "r1", "r2", 3])
+    ticks = st.one_of(st.integers(0, 1), st.just(0.5))
+
+    def records(cls, pool):
+        tokens = st.frozensets(st.sampled_from(pool), max_size=2)
+        return st.lists(st.builds(cls, ids, tokens, ticks, st.sampled_from(VALUES[:2])),
+                        max_size=3)
+
+    states = draw(records(StateRecord, ENTITY_POOL[:2]))
+    reflections = draw(records(ReflectionRecord, MEDIA_POOL[:2]))
+    return states, reflections, draw(st.lists(st.one_of(st.tuples(ids, ids), st.tuples(ids)),
+                                              max_size=4))
 
 
 @st.composite

@@ -346,15 +346,21 @@ class TestMetrics:
 
     def test_non_sub_target_skips_coverage(self, capsys, ex1_path, tmp_path):
         foreign = tmp_path / "foreign.json"
-        doc = json.loads(emit_instance(example_instance()))
-        doc["state_records"][0]["value"] = "changed"
-        foreign.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "metrics", ex1_path, "--target", str(foreign))
-        assert code == 0
-        names = {m["name"] for m in json.loads(out)["metrics"]}
-        assert "coverage" not in names
-        assert "suitability" in names
-        assert "coverage skipped" in err
+        for state_id, shown in (("s1", "s1"), ("s" * 50, "s" * 37 + "...")):
+            doc = json.loads(emit_instance(example_instance()))
+            doc["state_records"][0]["value"] = "changed"
+            doc["state_records"][0]["id"] = state_id
+            for link in doc["links"]:
+                link["from"] = state_id if link["from"] == "s1" else link["from"]
+            foreign.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "metrics", ex1_path, "--target", str(foreign))
+            assert code == 0
+            names = {m["name"] for m in json.loads(out)["metrics"]}
+            assert "coverage" not in names
+            assert "suitability" in names
+            # Both of the changed state's links are missing; the smaller is named.
+            assert err == ("note: target is not a sub-information (the input lacks its link "
+                           "%s -> r1); coverage skipped\n" % shown)
 
     def test_valid_demand_that_is_no_instance_gets_only_the_note(
         self, capsys, ex1_path, tmp_path
@@ -366,7 +372,8 @@ class TestMetrics:
         code, out, err = run(capsys, "metrics", ex1_path, "--target", str(target))
         assert code == 0
         assert "suitability" in {m["name"] for m in json.loads(out)["metrics"]}
-        assert err == "note: target is not a sub-information; coverage skipped\n"
+        assert err == ("note: target is not an instance (unlinked-state: totality "
+                       "violation: state record s3 h...); coverage skipped\n")
 
     def test_unread_target_weights_do_not_skip_coverage(self, capsys, ex1_path, tmp_path):
         target = tmp_path / "target.json"
@@ -818,6 +825,13 @@ class TestLibraryErrors:
         [line] = err.splitlines()
         assert line.startswith(prefix)
         assert len(line) < 200
+
+    def test_running_out_of_memory_ends_in_one_diagnostic(self, capsys, monkeypatch, ex1_path):
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(oit.cli, "parse_document", exhausted)
+        assert run(capsys, "validate", ex1_path) == (1, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("option, expected", [
         ("--decoder", "error: partial decoder: no entry for reflection record r1\n"),

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 
 from oit import (
     EnumerationGuardExceeded,
+    Information,
     Profile,
     ReflectionRecord,
     StateRecord,
-    assemble,
     atoms,
     coverage,
     delay,
@@ -33,7 +33,7 @@ class TestDelay:
         assert delay(ex1) == 3
 
     def test_prediction_is_negative(self):
-        info = assemble(
+        info = Information(
             [StateRecord("s", {"a"}, 5, "x")],
             [ReflectionRecord("r", {"m"}, 3, "x")],
             [("s", "r")],
@@ -83,7 +83,7 @@ class TestSynonymy:
             synonymy_class(ex1, target, guard=1)
 
     def test_non_sub_target_rejected(self, ex1):
-        foreign = assemble(
+        foreign = Information(
             [StateRecord("q", {"qq"}, 1, "q")],
             [ReflectionRecord("w", {"ww"}, 2, "q")],
             [("q", "w")],
@@ -120,7 +120,7 @@ class TestCoverage:
         assert 0 <= value <= 1
 
     def test_single_medium_whole_target_is_one(self):
-        info = assemble(
+        info = Information(
             [StateRecord("s1", {"a"}, 1, "x"), StateRecord("s2", {"b"}, 2, "y")],
             [ReflectionRecord("r1", {"m"}, 3, "x"), ReflectionRecord("r2", {"m"}, 4, "y")],
             [("s1", "r1"), ("s2", "r2")],

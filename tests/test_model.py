@@ -28,7 +28,6 @@ from oit import (
     StateRecord,
     UnknownRecord,
     ValidationError,
-    assemble,
     atoms,
     build,
     combine,
@@ -48,10 +47,10 @@ from oit import (
     validate,
     volume_entropy_demo,
 )
-from oit import generate, model
+from oit import model
 from oit.model import LinkRelation
 
-from .strategies import distributions, informations, informations_with_sublinks
+from .strategies import distributions, informations, informations_with_sublinks, record_sets
 
 # Record ids, ticks and values that cannot be hashed.
 UNHASHABLE = st.one_of(
@@ -62,7 +61,7 @@ UNHASHABLE = st.one_of(
 
 def renamed(info: Information, prefix: str) -> Information:
     """The same instance with every record id prefixed."""
-    return assemble(
+    return Information(
         [StateRecord(prefix + r.id, r.entities, r.tick, r.value) for r in info.states],
         [ReflectionRecord(prefix + r.id, r.media, r.tick, r.value) for r in info.reflections],
         [(prefix + a, prefix + b) for a, b in info.links],
@@ -76,9 +75,9 @@ def raw_of(info: Information) -> RawSextuple:
 
 
 def validated_relay(info: Information, media_map: dict, tick_shift=0) -> Information:
-    """``identity_relay``'s records and links, put through ``assemble``'s validation."""
+    """``identity_relay``'s records and links, put through ``Information``'s validation."""
     records = sorted(info.reflections, key=lambda r: r.id)
-    return assemble(
+    return Information(
         [StateRecord("t_" + r.id, r.media, r.tick, r.value) for r in records],
         [ReflectionRecord("y_" + r.id, {media_map[m] for m in r.media}, r.tick + tick_shift,
                           r.value) for r in records],
@@ -225,6 +224,44 @@ class TestValueClasses:
         assert info.predecessors == {"r1": ("s1",)} and "predecessors" in vars(info)
 
 
+class TestConstruction:
+    """``Information(states, reflections, links)`` is the one checked way in: it
+    raises exactly where ``validate`` reports, with the same diagnostics."""
+
+    @pytest.mark.parametrize("states, reflections, links, codes", [
+        ([], [], [], [model.EMPTY_COMPONENT] * 5),
+        ([_STATE], [_REFLECTION], [("s1", "r1"), ("s1", "r9")], [model.DANGLING_LINK_TARGET]),
+        ([_STATE], [_REFLECTION, ReflectionRecord("r2", {"m1"}, 4, "v1")], [("s1", "r1")],
+         [model.DUPLICATE_RECORD_CONTENT, model.UNLINKED_REFLECTION]),
+    ])
+    def test_invalid_parts_raise(self, states, reflections, links, codes):
+        with pytest.raises(ValidationError) as caught:
+            Information(states, reflections, links)
+        assert [d.code for d in caught.value.diagnostics] == codes
+
+    @given(st.one_of(record_sets(), informations().map(
+        lambda info: (sorted(info.states), sorted(info.reflections), sorted(info.links)))))
+    def test_construction_validates_as_build_does(self, parts):
+        states, reflections, links = parts
+        raw = RawSextuple.of({t for rec in states for t in rec.entities},
+                             {t for rec in reflections for t in rec.media},
+                             states, reflections, links)
+        diagnostics = validate(raw)
+        if diagnostics:
+            with pytest.raises(ValidationError) as caught:
+                Information(states, reflections, links)
+            assert list(caught.value.diagnostics) == diagnostics
+        else:
+            assert Information(states, reflections, links) == build(raw)
+
+    def test_copies_and_pickles_of_an_invalid_instance_raise(self):
+        unchecked = model._information([], [], [])
+        for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            with pytest.raises(ValidationError) as caught:
+                copier(unchecked)
+            assert [d.code for d in caught.value.diagnostics] == [model.EMPTY_COMPONENT] * 5
+
+
 class TestValidate:
     def test_example_is_valid(self, ex1):
         assert validate(raw_of(ex1)) == []
@@ -338,8 +375,8 @@ class TestValidate:
 
     def test_surrogates_that_form_no_pair_round_trip(self):
         odd = chr(0xDC00) + chr(0xD800) + "\0" + chr(0xDC00)
-        info = assemble([StateRecord(odd, {odd}, 1, odd)], [ReflectionRecord("r", {odd}, 1, odd)],
-                        [(odd, "r")])
+        info = Information([StateRecord(odd, {odd}, 1, odd)],
+                           [ReflectionRecord("r", {odd}, 1, odd)], [(odd, "r")])
         assert parse_document(emit_instance(info))[0] == info
 
     def test_ids_that_are_no_strings_are_reported_not_raised(self):
@@ -443,7 +480,7 @@ class TestSubInformation:
         assert is_proper_sub_information(sub, ex1)
 
     def test_foreign_link_is_not_sub(self, ex1):
-        other = assemble(
+        other = Information(
             ex1.states,
             ex1.reflections,
             list(ex1.links) + [("s1", "r2")],
@@ -456,7 +493,7 @@ class TestSubInformation:
         # link keeps every component set equal, so nothing is strict
         states = [StateRecord("s1", {"a"}, 1, "x"), StateRecord("s2", {"a"}, 1, "y")]
         refl = [ReflectionRecord("r1", {"m"}, 2, "x"), ReflectionRecord("r2", {"m"}, 2, "y")]
-        full = assemble(states, refl, [("s1", "r1"), ("s1", "r2"), ("s2", "r1"), ("s2", "r2")])
+        full = Information(states, refl, [("s1", "r1"), ("s1", "r2"), ("s2", "r1"), ("s2", "r2")])
         sub = restrict_links(full, [("s1", "r1"), ("s2", "r1"), ("s2", "r2")])
         assert is_sub_information(sub, full)
         assert not is_proper_sub_information(sub, full)
@@ -474,7 +511,7 @@ class TestSubInformation:
         assert is_sub_information(sub, a)
 
     def test_content_based_comparison_ignores_ids(self, ex1):
-        renamed = assemble(
+        renamed = Information(
             [StateRecord("z1", {"a"}, 1, "v1")],
             [ReflectionRecord("w1", {"m1"}, 4, "v1")],
             [("z1", "w1")],
@@ -524,7 +561,7 @@ class TestCombine:
         assert lax.links == {("s1", "r1"), ("s1", "r3")}
 
     def test_id_clash(self, ex1):
-        other = assemble(
+        other = Information(
             [StateRecord("s1", {"q"}, 9, "other")],
             [ReflectionRecord("rx", {"mx"}, 9, "other")],
             [("s1", "rx")],
@@ -533,7 +570,7 @@ class TestCombine:
             combine(ex1, other, "lax")
 
     def test_identifies_equal_content_across_ids(self, ex1):
-        clone = assemble(
+        clone = Information(
             [StateRecord("zz", {"a"}, 1, "v1")],
             [ReflectionRecord("ww", {"m1"}, 4, "v1")],
             [("zz", "ww")],
@@ -775,7 +812,7 @@ class TestReducibility:
         assert report.multi_source_reflections == ("r2",)
 
     def test_one_to_one_chain(self):
-        info = assemble(
+        info = Information(
             [StateRecord("s1", {"a"}, 1, "x")],
             [ReflectionRecord("r1", {"m"}, 2, "x")],
             [("s1", "r1")],
@@ -783,7 +820,7 @@ class TestReducibility:
         assert is_reducible(info).reducible
 
     def test_functional_but_merging(self):
-        info = assemble(
+        info = Information(
             [StateRecord("s1", {"a"}, 1, "x"), StateRecord("s2", {"b"}, 1, "y")],
             [ReflectionRecord("r1", {"m"}, 2, "xy")],
             [("s1", "r1"), ("s2", "r1")],
@@ -868,7 +905,6 @@ class TestProperties:
 
         real_validate = model.validate
         monkeypatch.setattr(model, "validate", counted)
-        monkeypatch.setattr(generate, "validate", counted)
         text = emit_instance(ex1)
         parse_document(text)
         assert len(calls) == 1
@@ -982,7 +1018,7 @@ class TestEndpointIndex:
                 combine(a, b, "strict")
 
     def test_the_first_split_state_is_named(self):
-        info = assemble(
+        info = Information(
             [StateRecord("s%d" % i, {"e"}, i, "v") for i in (1, 2)],
             [ReflectionRecord("r%d" % i, {"m"}, i, "v") for i in (1, 2, 3, 4)],
             [("s1", "r1"), ("s1", "r2"), ("s2", "r3"), ("s2", "r4")],

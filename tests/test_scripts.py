@@ -70,3 +70,15 @@ def test_digests_load_no_openssl_under_other_interpreters(version):
     assert result.returncode == 0, result.stdout + result.stderr
     assert "hash libraries loaded: none\n" in result.stdout
     assert re.search(r"^0 of [1-9]\d* digests differ$", result.stdout, re.M), result.stdout
+
+
+def test_every_traced_name_is_a_callable_of_oit(monkeypatch):
+    """The benchmark's tracer swaps each of these module attributes for a timing
+    wrapper, so each must stay a function of its module."""
+    import oit
+
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    tracing = load_script("tracing", REPO_ROOT / "bench")
+    names = [(module, name) for module, names in tracing.TRACED.items() for name in names]
+    for module, name in names + [("model", "combine"), ("flow", "coverage")]:
+        assert callable(getattr(getattr(oit, module), name, None)), "%s.%s" % (module, name)

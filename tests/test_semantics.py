@@ -148,9 +148,9 @@ class TestSuitability:
 
     def test_disjoint_target_is_one(self, ex1):
         other = restrict(ex1, lambda s, r: True)  # copy
-        from oit import ReflectionRecord, StateRecord, assemble
+        from oit import Information, ReflectionRecord, StateRecord
 
-        foreign = assemble(
+        foreign = Information(
             [StateRecord("q1", {"zz"}, 77, "qq")],
             [ReflectionRecord("w1", {"yy"}, 88, "qq")],
             [("q1", "w1")],

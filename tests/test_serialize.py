@@ -18,7 +18,6 @@ from oit import (
     ReflectionRecord,
     StateRecord,
     ValidationError,
-    assemble,
     emit_instance,
     generate_synthetic,
     instance_digest,
@@ -61,7 +60,7 @@ def batch_edge_instance(count: int, kinds: int, sizes: int):
     def tokens(prefix, i):
         return {"%s%d" % (prefix, (i + k) % 5) for k in range(1 + i % sizes)}
 
-    return assemble(
+    return Information(
         [StateRecord("s%d" % i, tokens("e", i), i, value(i)) for i in range(count)],
         [ReflectionRecord("r%d" % i, tokens("m", i + 1), i, value(i + 1)) for i in range(count)],
         [("s%d" % i, "r%d" % (count - 1 - i)) for i in range(count)],
@@ -341,7 +340,7 @@ class TestMemberReader:
 
 class TestValues:
     def test_bytes_and_rationals_round_trip(self):
-        info = assemble(
+        info = Information(
             [StateRecord("s1", {"a"}, 1, b"\x00\x01"), StateRecord("s2", {"a"}, 2, Fraction(1, 3))],
             [ReflectionRecord("r1", {"m"}, 3, 7)],
             [("s1", "r1"), ("s2", "r1")],
