@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from .measures import volume
+from . import measures
 from .model import (Frozen, Information, OitError, ReflectionRecord, StateRecord, _information,
                     brief_ids, brief_repr)
 
@@ -87,14 +87,20 @@ def hartley_information(n: int, s: int, base: float = 2.0) -> float:
 
 
 class CodingDemo(Frozen):
-    """Results of one seeded fixed-length coding run."""
+    """One seeded fixed-length coding run: the distribution, the seed, the message
+    drawn and its coded instance.  ``alphabet_size``, ``length``, ``volume``,
+    ``hartley`` and ``entropy_bound`` are properties derived from them."""
 
     __slots__ = ()
 
-    def __new__(cls, alphabet_size: int, length: int, seed: int, message: tuple,
-                info: Information, volume: int, hartley: float, entropy_bound: float):
-        return tuple.__new__(
-            cls, (alphabet_size, length, seed, message, info, volume, hartley, entropy_bound))
+    def __new__(cls, dist: Distribution, seed: int, message: tuple, info: Information):
+        return tuple.__new__(cls, (dist, seed, message, info))
+
+    alphabet_size = property(lambda self: len(self.dist))
+    length = property(lambda self: len(self.message))
+    volume = property(lambda self: int(measures.volume(self.info)))
+    hartley = property(lambda self: hartley_information(self.length, self.alphabet_size))
+    entropy_bound = property(lambda self: self.length * shannon_entropy(self.dist))
 
 
 def volume_entropy_demo(dist, n: int, seed: int) -> CodingDemo:
@@ -129,17 +135,4 @@ def volume_entropy_demo(dist, n: int, seed: int) -> CodingDemo:
                 ReflectionRecord(rid, frozenset({"cell_%d_%d" % (i, j)}), i, (symbol >> j) & 1)
             )
             links.append((sid, rid))
-    info = _information(states, reflections, links)
-    vol = int(volume(info))
-    hartley = hartley_information(n, s)
-    bound = n * shannon_entropy(dist)
-    return CodingDemo(
-        alphabet_size=s,
-        length=n,
-        seed=seed,
-        message=message,
-        info=info,
-        volume=vol,
-        hartley=hartley,
-        entropy_bound=bound,
-    )
+    return CodingDemo(dist, seed, message, _information(states, reflections, links))

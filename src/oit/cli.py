@@ -30,6 +30,7 @@ from .model import (
     OitError,
     ValidationError,
     brief,
+    brief_ids,
     brief_repr,
     build,
     combine,
@@ -123,7 +124,7 @@ def cmd_metrics(args) -> int:
             target_info = build(target)
         except ValidationError as exc:
             first = exc.diagnostics[0]
-            skipped = "not an instance (%s: %s)" % (first.code, brief(first.message))
+            skipped = "not an instance (%s: %s)" % (first.code, brief_ids(first.subjects))
         else:
             skipped = None if is_sub_information(target_info, info) else (
                 "not a sub-information (the input lacks its link %s -> %s)"
@@ -288,6 +289,16 @@ def _int(text: str) -> int:
     raise argparse.ArgumentTypeError("invalid int value: %r" % text)
 
 
+def _float(text: str) -> float:
+    """A command-line float: a literal of the one number grammar, read exactly and
+    rounded once; one beyond the float range is refused.  ``float`` alone also
+    takes ``1_0``, padding, non-ASCII digits, ``nan`` and ``inf``."""
+    try:
+        return float(read_fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
+
+
 def _guard(text: str) -> int:
     """A ``--guard`` value: an int of at least 0."""
     guard = _int(text)
@@ -347,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="Shannon entropy of a probability vector")
     p.add_argument("--probs", required=True, help="comma separated probabilities")
-    p.add_argument("--base", type=float, default=2.0)
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--base", type=_float, default=2.0)
+    p.add_argument("--k", type=_float, default=1.0)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("hartley", help="log-count information of n symbols over s")
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--s", type=_int, required=True)
-    p.add_argument("--base", type=float, default=2.0)
+    p.add_argument("--base", type=_float, default=2.0)
     p.set_defaults(func=cmd_hartley)
 
     p = sub.add_parser("demo", help="demonstrations")
@@ -372,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--media", type=_int, default=defaults.media)
     p.add_argument("--tick-span", type=_int, default=defaults.tick_span)
     p.add_argument("--replication", type=_int, default=defaults.replication)
-    p.add_argument("--aggregation", type=float, default=defaults.aggregation)
+    p.add_argument("--aggregation", type=_float, default=defaults.aggregation)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -765,14 +765,18 @@ def preimage(info: Information, reflection_ids: Iterable[str]) -> frozenset:
 
 
 class ReducibilityReport(Frozen):
-    """Whether the relation, read as a function, loses nothing."""
+    """Whether the relation, read as a function, loses nothing: the sorted ids of
+    the states and of the reflections with more than one link, from which the
+    properties ``functional``, ``injective`` and ``reducible`` (its truth) derive."""
 
     __slots__ = ()
 
-    def __new__(cls, functional: bool, injective: bool, reducible: bool,
-                multi_target_states: tuple, multi_source_reflections: tuple):
-        return tuple.__new__(
-            cls, (functional, injective, reducible, multi_target_states, multi_source_reflections))
+    def __new__(cls, multi_target_states: tuple, multi_source_reflections: tuple):
+        return tuple.__new__(cls, (multi_target_states, multi_source_reflections))
+
+    functional = property(lambda self: not self.multi_target_states)
+    injective = property(lambda self: not self.multi_source_reflections)
+    reducible = property(lambda self: self.functional and self.injective)
 
     def __bool__(self):
         return self.reducible
@@ -784,14 +788,7 @@ def is_reducible(info: Information) -> ReducibilityReport:
     Exact lossless reduction (preimage after image is the identity on
     singletons) holds iff the relation is both functional and injective.
     """
-    multi_target = tuple(sorted(a for a, bs in info.successors.items() if len(bs) > 1))
-    multi_source = tuple(sorted(b for b, xs in info.predecessors.items() if len(xs) > 1))
-    functional = not multi_target
-    injective = not multi_source
     return ReducibilityReport(
-        functional=functional,
-        injective=injective,
-        reducible=functional and injective,
-        multi_target_states=multi_target,
-        multi_source_reflections=multi_source,
+        tuple(sorted(a for a, bs in info.successors.items() if len(bs) > 1)),
+        tuple(sorted(b for b, xs in info.predecessors.items() if len(xs) > 1)),
     )

@@ -30,23 +30,24 @@ class WeightVectorError(OitError):
 class SemanticMapping(Frozen):
     """A decoder from reflection records back to claimed state triples.
 
-    The ``preimage`` kind replays the instance's own relation and is
-    therefore perfect by construction; the ``table`` kind looks reflection
-    content triples up in a finite table and must cover every reflection
+    Without a ``table``, its ``kind`` is ``preimage``: it replays the
+    instance's own relation and is therefore perfect by construction.  With
+    one, even an empty one, its ``kind`` is ``table``: it looks reflection
+    content triples up in that finite table and must cover every reflection
     record it is applied to.  ``distance`` names the distance that
     :func:`validity` scores the decoded states with.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, table: Mapping | None = None, distance: str = JACCARD):
-        if kind not in ("preimage", "table"):
-            raise ValueError("decoder kind must be 'preimage' or 'table'")
-        if kind == "table" and table is None:
-            raise ValueError("table decoder needs a table")
+    def __new__(cls, table: Mapping | None = None, distance: str = JACCARD):
+        if table is not None and not isinstance(table, Mapping):
+            raise ValueError("decoder table must be a mapping or None")
         if distance not in (JACCARD, NUMERIC_L1):
             raise ValueError("decoder distance must be %r or %r" % (JACCARD, NUMERIC_L1))
-        return tuple.__new__(cls, (kind, table, distance))
+        return tuple.__new__(cls, (table, distance))
+
+    kind = property(lambda self: "preimage" if self.table is None else "table")
 
     def __hash__(self):
         # A dict cannot be hashed; equal mappings still hash equal on kind and distance.
@@ -54,11 +55,11 @@ class SemanticMapping(Frozen):
 
     @classmethod
     def preimage(cls, distance: str = JACCARD) -> SemanticMapping:
-        return cls("preimage", None, distance)
+        return cls(None, distance)
 
     @classmethod
     def from_table(cls, table: Mapping, distance: str = JACCARD) -> SemanticMapping:
-        return cls("table", dict(table), distance)
+        return cls(dict(table), distance)
 
 
 def decode(info: Information, mapping: SemanticMapping) -> frozenset:

@@ -502,17 +502,16 @@ def instance_digest(info: Information) -> str:
 
 
 def parse_target(text: str) -> RawSextuple:
-    """Parse a document as a demand: its raw sextuple, with well-formed nonvoid
-    components and links that name declared records, but no totality,
-    surjectivity or closure; its ``weights`` member is not read."""
+    """Parse a document as a demand: its raw sextuple, with a nonvoid ontology,
+    states, carrier and reflections, well-formed records and links that name
+    declared records, but no totality, surjectivity or closure.  Its tick sets
+    are its records' ticks, nonvoid with them; its ``weights`` member is not read."""
     diags: list = []
     raw = _raw_from_members(_document_from_text(text, _TARGET_READERS), diags)
     if not diags:
-        # A demand's tick sets are its records' ticks, so they are empty with them.
         model._check_well_formed(
-            (("ontology", raw.entities), ("occurrence_ticks", raw.states),
-             ("states", raw.states), ("carrier", raw.media),
-             ("reflection_ticks", raw.reflections), ("reflections", raw.reflections)),
+            (("ontology", raw.entities), ("states", raw.states), ("carrier", raw.media),
+             ("reflections", raw.reflections)),
             raw.states, raw.reflections, raw.links, diags,
         )
     if diags:

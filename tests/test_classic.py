@@ -13,6 +13,7 @@ from oit import (
     DistributionError,
     hartley_information,
     shannon_entropy,
+    volume,
     volume_entropy_demo,
 )
 
@@ -185,3 +186,15 @@ class TestCodingDemo:
         demo = volume_entropy_demo(dist, n, seed)
         assert demo.volume >= demo.entropy_bound - TOL
         assert demo.volume >= demo.hartley - TOL
+
+    @given(distributions(max_size=5), st.integers(1, 8), st.integers(0, 2**16))
+    @settings(max_examples=60)
+    def test_derived_fields_follow_their_definitions(self, dist, n, seed):
+        assume(len(dist) >= 2)
+        demo = volume_entropy_demo(dist, n, seed)
+        assert demo.dist == Distribution(dist) and demo.seed == seed
+        assert demo.alphabet_size == len(dist)
+        assert demo.length == len(demo.message) == n
+        assert demo.volume == volume(demo.info) == n * (len(dist) - 1).bit_length()
+        assert demo.hartley == hartley_information(n, len(dist))
+        assert demo.entropy_bound == n * shannon_entropy(dist)

@@ -82,6 +82,42 @@ def write_generated(work: Path) -> None:
                           ("decoder_clash_first", [clash] + decoder["entries"]),
                           ("decoder_repeat", decoder["entries"] + decoder["entries"][:1])):
         dump(name + ".json", dict(decoder, entries=entries))
+    dump("decoder_partial.json", dict(decoder, entries=decoder["entries"][:1]))
+    integers = json.loads(json.dumps(doc))
+    for rec, value in zip(integers["state_records"] + integers["reflection_records"],
+                          (1, 2, 3, 1, 23, 1)):
+        rec["value"] = value
+    dump("integers.json", integers)
+
+    def entry(media, tick, value, entities, state_tick, state_value):
+        return {"reflection": {"media": media, "tick": tick, "value": value},
+                "state": {"entities": entities, "tick": state_tick, "value": state_value}}
+
+    dump("decoder_l1_table.json", {"version": 1, "kind": "table", "distance": "numeric-l1",
+                                   "entries": [entry(["m1"], 4, 1, ["a"], 1, 1),
+                                               entry(["m2"], 3, 23, ["a", "b"], 3, 3),
+                                               entry(["m3"], 4, 1, ["b"], 2, 3)]})
+    dump("weights_uncovered.json", {"weights": {"entities": {"a": "0.5"}}})
+    dump("weights_overflow.json", {"weights": {"entities": {"a": "1e400", "b": "1"}}})
+    dump("weights_digits.json", {"weights": {"entities": {"a": "9e4299", "b": "9e4299"}}})
+    # With fixtures/ex1_s1r1.json, s1 is split between two operands; with ex1, s1's
+    # content is also held by s0.
+    dump("split.json", dict(doc, entities=["a"], media=["m3"],
+                            state_records=doc["state_records"][:1],
+                            reflection_records=doc["reflection_records"][2:],
+                            links=[{"from": "s1", "to": "r3"}]))
+    renamed = json.loads(json.dumps(doc))
+    renamed["state_records"][0]["id"] = "s0"
+    for link in renamed["links"]:
+        if link["from"] == "s1":
+            link["from"] = "s0"
+    dump("renamed.json", renamed)
+    values = json.loads(json.dumps(doc))
+    for rec, value in zip(values["state_records"] + values["reflection_records"],
+                          ({"b64": "AAE="}, {"rational": "1/3"}, 7, 7, {"b64": "AAE="},
+                           {"rational": "-2/4"})):
+        rec["value"] = value
+    dump("values.json", values)
 
 
 def corpus() -> list:
@@ -170,6 +206,48 @@ def corpus() -> list:
         ["entropy", "--probs", "\u0661"],
         suit + ["0", "0", "0", "1_0", "0", "0"],
         suit + ["0", "0", "0", "\u0661", "0", "0"],
+    ]
+    # Floats that float() reads but the one number grammar does not, and one that
+    # the grammar reads but no float holds.
+    for head in (["entropy", "--probs", "0.5,0.5", "--base"],
+                 ["entropy", "--probs", "0.5,0.5", "--k"],
+                 ["hartley", "--n", "4", "--s", "10", "--base"],
+                 ["gen", "--seed", "0", "-o", "-", "--aggregation"]):
+        calls += [head + [text] for text in ("1_0", "\u0661", " 1 ", "nan", "1e400")]
+    # Paths that no call above reaches: the input errors of the classic commands and
+    # gen, table decoders that fail or score numbers, weights that a metric cannot
+    # use, the guard's bounds, strict combine's refusals and renames, and values
+    # that are not text.
+    ex1 = _fixture("ex1")
+    calls += [
+        ["entropy", "--probs", "0.5,0.6"],
+        ["entropy", "--probs=-0.5,1.5"],
+        ["entropy", "--probs", ","],
+        ["entropy", "--probs", "0.5,0.5", "--base", "1"],
+        ["entropy", "--probs", "0.5,0.5", "--k", "0"],
+        ["hartley", "--n", "0", "--s", "2"],
+        ["hartley", "--n", "2", "--s", "1"],
+        ["demo", "shannon", "--probs", "1", "--n", "2", "--seed", "0"],
+        ["demo", "shannon", "--probs", "0.5,0.5", "--n", "0", "--seed", "0"],
+        ["gen", "--seed", "0", "--entities", "0", "-o", "-"],
+        ["gen", "--seed", "0", "--replication", "0", "-o", "-"],
+        ["gen", "--seed", "0", "--aggregation", "2", "-o", "-"],
+        ["metrics", ex1, "--decoder", "$WORK/decoder_partial.json"],
+        ["metrics", "$WORK/integers.json", "--decoder", "$WORK/decoder_l1_table.json"],
+        suit + ["0", "0", "0", "0", "0", "0"],
+        suit + ["-1", "1", "1", "0", "0", "0"],
+        ["metrics", ex1, "--weights", "$WORK/weights_uncovered.json"],
+        ["metrics", ex1, "--weights", "$WORK/weights_overflow.json"],
+        ["metrics", ex1, "--weights", "$WORK/weights_digits.json"],
+        ["coverage", ex1, "--target", ex1, "--brute-force", "--guard", "2", "--mode", "union"],
+        ["coverage", ex1, "--target", ex1, "--brute-force", "--guard", "0", "--mode", "replica"],
+        ["combine", _fixture("ex1_s1r1"), "$WORK/split.json", "-o", "-"],
+        ["combine", ex1, "$WORK/foreign.json", "-o", "-"],
+        ["combine", ex1, "$WORK/renamed.json", "-o", "-"],
+        ["combine", "$WORK/values.json", "$WORK/values.json", "-o", "-"],
+        ["atoms", "$WORK/values.json"],
+        ["gen", "--seed", "0", "-o", "$WORK/gen0.json"],
+        ["validate", "$WORK/gen0.json"],
     ]
     return calls
 

@@ -154,21 +154,18 @@ class TestValueClasses:
         (RawSextuple, dict(entities=("a",), media=("m1",), states=(_STATE,),
                            reflections=(_REFLECTION,), links=(("s1", "r1"),))),
         (Atom, dict(state=_STATE, reflection=_REFLECTION)),
-        (ReducibilityReport, dict(functional=True, injective=False, reducible=False,
-                                  multi_target_states=(), multi_source_reflections=("r1",))),
-        (SemanticMapping, dict(kind="table", table={(frozenset({"m1"}), 4, "v1"):
-                                                    (frozenset({"a"}), 1, "v1")},
+        (ReducibilityReport, dict(multi_target_states=(), multi_source_reflections=("r1",))),
+        (SemanticMapping, dict(table={(frozenset({"m1"}), 4, "v1"): (frozenset({"a"}), 1, "v1")},
                                distance="numeric-l1")),
         (Distribution, dict(probabilities=(0.25, 0.75))),
-        (CodingDemo, dict(alphabet_size=2, length=1, seed=7, message=(0,), info=_INFO, volume=1,
-                          hartley=1.0, entropy_bound=0.8)),
+        (CodingDemo, dict(dist=Distribution((0.25, 0.75)), seed=7, message=(0,), info=_INFO)),
         (Profile, dict(entities=2, media=3, tick_span=4, replication=1, aggregation=0.5)),
         (StateRecord, dict(id="s1", entities=frozenset({"a"}), tick=1, value="v1")),
         (ReflectionRecord, dict(id="r1", media=frozenset({"m1"}), tick=4, value=Fraction(1, 3))),
     ]
     DEFAULTS = [
         (Diagnostic, dict(subjects=()), ("c", "m")),
-        (SemanticMapping, dict(table=None, distance="jaccard"), ("preimage",)),
+        (SemanticMapping, dict(table=None, distance="jaccard"), ()),
         (Profile, dict(entities=4, media=4, tick_span=8, replication=2, aggregation=0.25), ()),
     ]
 
@@ -829,6 +826,12 @@ class TestReducibility:
         assert report.functional
         assert not report.injective
         assert not report.reducible
+
+    def test_properties_derive_from_the_two_id_lists(self):
+        assert ReducibilityReport((), ()).reducible and ReducibilityReport((), ())
+        one_to_two = ReducibilityReport(("s1",), ())
+        assert not one_to_two.functional and one_to_two.injective
+        assert not one_to_two.reducible and not one_to_two
 
 
 class TestProperties:
