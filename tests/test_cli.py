@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,9 +25,11 @@ from oit import (
     emit_instance,
     example_instance,
     generate_synthetic,
+    hartley_information,
     parse_instance,
     restrict_links,
     run_cli,
+    shannon_entropy,
 )
 from oit.model import LISTED_IDS
 
@@ -619,6 +622,24 @@ class TestClassicCommands:
         assert (code, out) == (1, "")
         assert err == ("error: n * log(s) is too large for a float: "
                        "n=100000000000000000...0000000000000000000, s=%s\n" % s)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["entropy", "--probs", "0.5,0.5", "--base", "nan"], "log base must exceed 1, got nan"),
+        (["entropy", "--probs", "0.5,0.5", "--base", "inf"], "log base must exceed 1, got inf"),
+        (["entropy", "--probs", "0.5,0.5", "--k", "nan"], "scale k must be positive, got nan"),
+        (["entropy", "--probs", "0.5,0.5", "--k", "inf"], "scale k must be positive, got inf"),
+        (["hartley", "--n", "3", "--s", "2", "--base", "nan"], "log base must exceed 1, got nan"),
+    ])
+    def test_non_finite_parameters_rejected(self, capsys, argv, message):
+        """The number grammar refuses nan and inf as usage errors, ahead of the
+        library's own check, which still names the fault for the same value."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(": invalid float value: %r" % argv[-1])
+        command = {"entropy": lambda **kw: shannon_entropy([0.5, 0.5], **kw),
+                   "hartley": lambda **kw: hartley_information(3, 2, **kw)}[argv[0]]
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            command(**{argv[-2].lstrip("-"): float(argv[-1])})
 
     def test_demo_shannon(self, capsys):
         code, out, _ = run(

@@ -65,7 +65,7 @@ class TestDecode:
     @pytest.mark.parametrize("args, message", [
         (("preimage",), "decoder table must be a mapping or None"),
         (({}, "cosine"), "decoder distance must be 'jaccard' or 'numeric-l1'"),
-    ])
+    ], ids=["not-a-table", "bad-distance"])
     def test_each_bad_argument_names_its_fault(self, args, message):
         with pytest.raises(ValueError, match=message):
             SemanticMapping(*args)
