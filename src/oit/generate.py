@@ -150,7 +150,7 @@ def identity_relay(info: Information, media_map: dict, tick_shift: int = 0) -> I
     states = []
     reflections = []
     links = []
-    for rec_id, media, tick, value, _ in sorted(info.reflections, key=itemgetter(0)):
+    for rec_id, media, tick, value in sorted(info.reflections, key=itemgetter(0)):
         sid = "t_%s" % rec_id
         rid = "y_%s" % rec_id
         states.append(StateRecord(sid, media, tick, value))

@@ -17,6 +17,7 @@ from .model import (
     Information,
     OitError,
     _id_order,
+    _within_digits,
     brief_ids,
     brief_repr,
     read_fraction,
@@ -41,7 +42,7 @@ def _read_weight(raw) -> Fraction:
         raise ValueError("weight must be a number or numeric string")
     if isinstance(raw, (int, Fraction)):
         w = Fraction(raw)
-        if max(abs(w.numerator), w.denominator) >= 10**MAX_LITERAL_DIGITS:
+        if not _within_digits(w):
             raise ValueError("weight exceeds %d digits" % MAX_LITERAL_DIGITS)
     else:
         # NaN and Infinity have no exact reading and fail like any bad literal.

@@ -79,9 +79,7 @@ class Frozen(tuple):
     set.  Two values are equal, and hash equal, when they are of one class with
     equal fields.  A subclass without ``__slots__ = ()`` gets an instance dict,
     where its ``cached_property`` entries live; copies and pickles leave that
-    dict behind.  ``__new__`` may keep items
-    derived from the fields after them: they take part in equality and
-    hashing, and copies and pickles rebuild them from the fields.
+    dict behind.
     """
 
     __slots__ = ()
@@ -107,7 +105,7 @@ class Frozen(tuple):
     __delattr__ = __setattr__
 
     def __getnewargs__(self):
-        return self[:len(self._fields)]
+        return tuple(self)
 
     def __getstate__(self):
         return None  # cached entries are rebuilt on use, not copied or pickled
@@ -141,6 +139,16 @@ def brief_repr(value) -> str:
 
 # The default limit on the digits of an int read from or written as text.
 MAX_LITERAL_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_LITERAL_DIGITS
+
+
+def _within_digits(number) -> bool:
+    """Whether an int, or a ``Fraction``'s numerator and denominator, has at most
+    ``MAX_LITERAL_DIGITS`` digits, so that it can be written as text; anything
+    else passes."""
+    if type(number) is Fraction:
+        return _within_digits(number.numerator) and _within_digits(number.denominator)
+    return type(number) is not int or -_DIGIT_BOUND < number < _DIGIT_BOUND
 
 
 # The one number grammar of weights, rationals and command-line numbers, in ASCII
@@ -197,19 +205,18 @@ UNWRITABLE_RECORD = "unwritable-record"
 MALFORMED_LINK = "malformed-link"
 
 
-class StateRecord(Frozen):
-    """A valued observation of a nonempty entity set at one tick.
+_ID, _IDENTITY = itemgetter(0), itemgetter(slice(1, 4))  # a record's id and content triple
 
-    Its tuple is ``(id, entities, tick, value, identity)``: ``identity``, the
-    content triple (token set, tick, value), is built once, with the record.
-    """
+
+class StateRecord(Frozen):
+    """A valued observation of a nonempty entity set at one tick; ``identity``
+    is its content triple."""
 
     __slots__ = ()
-    identity = property(itemgetter(4))
+    identity = property(_IDENTITY)
 
     def __new__(cls, id: str, entities, tick: int, value: Value):
-        entities = frozenset(entities)
-        return tuple.__new__(cls, (id, entities, tick, value, (entities, tick, value)))
+        return tuple.__new__(cls, (id, frozenset(entities), tick, value))
 
 
 class ReflectionRecord(Frozen):
@@ -217,11 +224,10 @@ class ReflectionRecord(Frozen):
     tuple is laid out as a state record's."""
 
     __slots__ = ()
-    identity = property(itemgetter(4))
+    identity = property(_IDENTITY)
 
     def __new__(cls, id: str, media, tick: int, value: Value):
-        media = frozenset(media)
-        return tuple.__new__(cls, (id, media, tick, value, (media, tick, value)))
+        return tuple.__new__(cls, (id, frozenset(media), tick, value))
 
 
 def _token_union(records) -> frozenset:
@@ -314,13 +320,14 @@ class Information(Frozen):
     def reflection_id_by_identity(self) -> dict:
         return {rec.identity: rec.id for rec in self.reflections}
 
+    # From the maps' keys, so that both indexes share one triple per record.
     @cached_property
     def state_identities(self) -> frozenset:
-        return frozenset(rec.identity for rec in self.states)
+        return frozenset(self.state_id_by_identity)
 
     @cached_property
     def reflection_identities(self) -> frozenset:
-        return frozenset(rec.identity for rec in self.reflections)
+        return frozenset(self.reflection_id_by_identity)
 
     @cached_property
     def link_identities(self) -> frozenset:
@@ -469,9 +476,13 @@ _SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 def _writable(ids, tokens, ticks, values) -> bool:
     """Whether an instance document can hold records with these parts: nonempty
     string ids, string tokens, integer ticks, and text, integer, byte or rational
-    values, with no surrogate pair in any id, token or text."""
+    values, with no surrogate pair in any id, token or text and no tick or number
+    beyond ``MAX_LITERAL_DIGITS`` digits."""
+    value_types = set(map(type, values))
     if not ("" not in ids and set(map(type, chain(ids, tokens))) <= {str}
-            and set(map(type, ticks)) <= {int} and set(map(type, values)) <= VALUE_TYPES):
+            and set(map(type, ticks)) <= {int} and value_types <= VALUE_TYPES
+            and _within_digits(min(ticks, default=0)) and _within_digits(max(ticks, default=0))
+            and (value_types <= {str, bytes} or all(map(_within_digits, values)))):
         return False
     # NUL between the parts, so that no pair spans two of them.
     texts = "\0".join(chain(ids, tokens, (v for v in values if type(v) is str)))
@@ -643,9 +654,6 @@ def restrict_links(parent: Information, link_ids: Iterable[LinkPair]) -> Informa
     return _induced(parent, selected)
 
 
-_ID, _IDENTITY = itemgetter(0), itemgetter(4)
-
-
 def _merge_record_class(recs_a, recs_b, label: str) -> tuple:
     """The records of both operands, one per content triple with the smallest id
     winning, and the renames: each losing id -> its winner's id.  The smallest id
@@ -659,7 +667,8 @@ def _merge_record_class(recs_a, recs_b, label: str) -> tuple:
     merged = dict(zip(map(_IDENTITY, records), records))
     renames = {}
     if len(merged) < len(records):
-        renames = {rec[0]: merged[rec[4]][0] for rec in records if merged[rec[4]] is not rec}
+        renames = {rec[0]: merged[_IDENTITY(rec)][0] for rec in records
+                   if merged[_IDENTITY(rec)] is not rec}
     return merged.values(), renames
 
 

@@ -154,7 +154,8 @@ def suitability(
     except ValueError as exc:
         raise WeightVectorError("bad suitability weight: %s" % exc) from None
     if len(ws) != 6 or sum(ws) != 1:
-        raise WeightVectorError("weight vector not normalized: (%s)" % brief_ids(ws))
+        raise WeightVectorError("weight vector not normalized: (%s)"
+                                % brief_ids([str(w) for w in ws]))
     components = (
         jaccard_distance(info.ontology, target.entities),
         jaccard_distance(info.occurrence_ticks, {rec.tick for rec in target.states}),

@@ -51,6 +51,7 @@ from .model import (
     ReflectionRecord,
     StateRecord,
     ValidationError,
+    _within_digits,
     brief,
     brief_repr,
     read_fraction,
@@ -437,6 +438,18 @@ def _columns(records):
             map(_TICK, records), map(value_text, map(_VALUE, records)))
 
 
+def _weight_table(universe, table: Mapping) -> dict:
+    """A weight table's keys and weights as the texts that read back as them, else
+    ``ValueError``, in the reader's wording where it has one."""
+    if universe not in UNIVERSES:
+        raise ValueError("unknown universe")
+    if universe == "ticks" and not all(type(k) is int and _within_digits(k) for k in table):
+        raise ValueError("tick keys must be integers")
+    if universe != "ticks" and not all(type(k) is str for k in table):
+        raise ValueError("weight keys must be strings")
+    return {str(k): str(_read_weight(w)) for k, w in table.items()}
+
+
 def _instance_chunks(info: Information, weights: Mapping | None):
     """The canonical text of an instance, written straight from its records."""
     yield '{\n  "entities": %s,\n  "links": ' % _tokens_text(info.ontology, "  ")
@@ -448,8 +461,7 @@ def _instance_chunks(info: Information, weights: Mapping | None):
     yield from _record_list(_STATE, chain.from_iterable(zip(tokens, ids, ticks, values)))
     yield ',\n  "version": %d' % SCHEMA_VERSION
     if weights:
-        tables = {universe: {str(k): str(_read_weight(w)) for k, w in table.items()}
-                  for universe, table in weights.items()}
+        tables = {universe: _weight_table(universe, table) for universe, table in weights.items()}
         text = json.dumps(tables, indent=2, sort_keys=True)
         yield ',\n  "weights": ' + text.replace("\n", "\n  ")
     yield "\n}\n"

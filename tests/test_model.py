@@ -97,9 +97,8 @@ class TestRecords:
     KINDS = [(StateRecord, "entities"), (ReflectionRecord, "media")]
 
     @pytest.mark.parametrize("cls, tokens", KINDS)
-    def test_identity_is_the_content_triple_built_once(self, cls, tokens):
+    def test_identity_is_the_content_triple(self, cls, tokens):
         rec = cls("x", ["a", "b"], 1, "v")
-        assert rec.identity is rec.identity
         assert rec.identity == (frozenset("ab"), 1, "v")
         assert rec.identity[0] is getattr(rec, tokens)
         with pytest.raises(AttributeError):
@@ -135,6 +134,15 @@ class TestRecords:
             tokens = rec.identity[0]
             assert shared.setdefault(tokens, tokens) is tokens
         assert len(shared) < len(records) / 2
+
+    def test_identity_indexes_share_one_triple_per_record(self):
+        info, _ = parse_document(emit_instance(generate_synthetic(3)))
+        for identities, by_identity in (
+            (info.state_identities, info.state_id_by_identity),
+            (info.reflection_identities, info.reflection_id_by_identity),
+        ):
+            assert identities == by_identity.keys()
+            assert {id(key) for key in identities} == {id(key) for key in by_identity}
 
 
 _STATE, _REFLECTION = StateRecord("s1", {"a"}, 1, "v1"), ReflectionRecord("r1", {"m1"}, 4, "v1")
@@ -176,6 +184,11 @@ class TestValueClasses:
         assert value == same and not value != same and hash(value) == hash(same)
         assert {name: getattr(value, name) for name in fields} == fields
         assert value != tuple(fields.values()) and tuple(fields.values()) != value
+
+    @pytest.mark.parametrize("cls, fields", VALUES)
+    def test_the_tuple_holds_the_fields_and_nothing_more(self, cls, fields):
+        value = cls(**fields)
+        assert tuple(value) == tuple(getattr(value, name) for name in cls._fields)
 
     @pytest.mark.parametrize("cls, fields", VALUES)
     def test_no_field_can_be_set(self, cls, fields):
@@ -369,6 +382,27 @@ class TestValidate:
             "state record %s has an id, token, tick or value that no instance document can hold"
             % state.id
         )
+
+    # Writing an int of more than 4300 digits as text raises, so no document holds one.
+    @pytest.mark.parametrize("tick, value", [
+        (10**5000, "v"), (-(10**4300), "v"), (1, 10**5000), (1, -(10**4300)),
+        (1, Fraction(1, 10**5000)), (1, Fraction(10**4300 + 1, 3)),
+    ], ids=["tick-1e5000", "tick--1e4300", "1e5000", "-1e4300", "1/1e5000", "(1e4300+1)/3"])
+    def test_numbers_beyond_the_digit_limit_are_unwritable(self, tick, value):
+        with pytest.raises(ValidationError) as exc:
+            Information([StateRecord("s1", {"a"}, tick, value)],
+                        [ReflectionRecord("r1", {"m"}, 1, "x")], [("s1", "r1")])
+        assert [(d.code, d.subjects) for d in exc.value.diagnostics] == [
+            (model.UNWRITABLE_RECORD, ("s1",))]
+
+    @pytest.mark.parametrize("tick, value", [
+        (10**4300 - 1, 10**4300 - 1), (-(10**4300 - 1), -(10**4300 - 1)),
+        (1, Fraction(1, 10**4300 - 1)), (1, Fraction(-(10**4300 - 1), 3)),
+    ], ids=["1e4300-1", "-(1e4300-1)", "1/(1e4300-1)", "-(1e4300-1)/3"])
+    def test_numbers_at_the_digit_limit_round_trip(self, tick, value):
+        info = Information([StateRecord("s1", {"a"}, tick, "v")],
+                           [ReflectionRecord("r1", {"m"}, 1, value)], [("s1", "r1")])
+        assert parse_document(emit_instance(info)) == (info, {})
 
     def test_surrogates_that_form_no_pair_round_trip(self):
         odd = chr(0xDC00) + chr(0xD800) + "\0" + chr(0xDC00)
@@ -662,6 +696,12 @@ class TestCompose:
         with pytest.raises(ValidationError) as exc:
             identity_relay(ex1, media_map, tick_shift)
         assert [tuple(d) for d in exc.value.diagnostics] == outcome
+
+    def test_relay_ticks_beyond_the_digit_limit_are_refused(self, ex1):
+        with pytest.raises(ValidationError) as exc:
+            identity_relay(ex1, self.MEDIA_MAP, tick_shift=10**5000)
+        assert [(d.code, d.subjects) for d in exc.value.diagnostics] == [
+            (model.UNWRITABLE_RECORD, (rid,)) for rid in ("y_r1", "y_r2", "y_r3")]
 
     def test_relay_of_an_unmapped_medium_raises_key_error(self, ex1):
         with pytest.raises(KeyError, match="m2"):

@@ -586,6 +586,26 @@ class TestWeights:
         with pytest.raises(ValueError, match="^weight must be nonnegative$"):
             emit_instance(ex1, {"entities": {"a": -1}})
 
+    # Each table is one the reader would refuse, or read back as another table.
+    @pytest.mark.parametrize("weights, message", [
+        ({"colour": {"a": 1}}, "unknown universe"),
+        ({"colour": {}}, "unknown universe"),
+        ({"ticks": {"x": 1}}, "tick keys must be integers"),
+        ({"ticks": {"1": 1}}, "tick keys must be integers"),
+        ({"ticks": {True: 1}}, "tick keys must be integers"),
+        ({"ticks": {10**4300: 1}}, "tick keys must be integers"),
+        ({"entities": {1: 1}}, "weight keys must be strings"),
+        ({"state_records": {("s1",): 1}}, "weight keys must be strings"),
+    ], ids=["universe", "empty-universe", "text-tick", "digit-tick", "bool-tick", "long-tick",
+            "int-entity", "tuple-record"])
+    def test_tables_the_reader_would_not_read_back_are_refused(self, ex1, weights, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            emit_instance(ex1, weights)
+
+    def test_tick_keys_at_the_digit_limit_round_trip(self, ex1):
+        weights = {"ticks": {10**4300 - 1: 1, -(10**4300 - 1): 2}}
+        assert parse_document(emit_instance(ex1, weights)) == (ex1, weights)
+
     def test_negative_weight_rejected(self, ex1):
         doc = json.loads(emit_instance(ex1))
         doc["weights"] = {"entities": {"a": "-1"}}
