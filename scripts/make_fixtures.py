@@ -55,6 +55,7 @@ def main() -> None:
     )
 
     weights = {
+        "version": 1,
         "weights": {
             "entities": {"a": "0.5", "b": "2"},
             "media": {"m1": "100", "m2": "50", "m3": "100"},

@@ -62,6 +62,9 @@ SCHEMA_VERSION = 1
 
 MALFORMED = "malformed-json"
 SCHEMA = "schema"
+# What the weights reader says of a value that is no weights member, or no table.
+_NOT_UNIVERSES = "expected an object keyed by universe"
+_NOT_TABLE = "expected a token-to-weight object"
 
 
 def _schema(path, message) -> Diagnostic:
@@ -185,14 +188,14 @@ def _weights_from_json(raw, diags) -> dict:
     if raw is None:
         return tables
     if not isinstance(raw, dict):
-        _diag(diags, "weights", "expected an object keyed by universe")
+        _diag(diags, "weights", _NOT_UNIVERSES)
         return tables
     for universe, table in raw.items():
         if universe not in UNIVERSES:
             _diag(diags, "weights.%s" % brief(universe), "unknown universe")
             continue
         if not isinstance(table, dict):
-            _diag(diags, "weights.%s" % universe, "expected a token-to-weight object")
+            _diag(diags, "weights.%s" % universe, _NOT_TABLE)
             continue
         parsed = {}
         for token, value in table.items():
@@ -275,11 +278,11 @@ def _past(s: str, end: int, char: str) -> int:
 
 
 def _members_from_text(text: str, readers: dict) -> dict:
-    """The reader front of every document: JSON whose top level must be an
-    object, each member read as soon as it is decoded.  A member with a reader
-    becomes (what its reader made of it, the reader's diagnostics), and equal
-    token lists in any member share one token set; a member without one is kept
-    as json decoded it.  Malformed or too deep JSON is a diagnostic."""
+    """The reader front of every document: a JSON object whose ``version`` is
+    the JSON integer 1, each member read as soon as it is decoded.  A member
+    with a reader becomes (what its reader made of it, its diagnostics), and
+    equal token lists in any member share one token set; a member without one
+    is kept as json decoded it.  Malformed or too deep JSON is a diagnostic."""
     shared: dict = {}
 
     def read(name, value):
@@ -299,15 +302,8 @@ def _members_from_text(text: str, readers: dict) -> dict:
             ())]) from None
     if not isinstance(doc, dict):
         raise ValidationError([_schema("$", "top level must be an object")])
-    return doc
-
-
-def _document_from_text(text: str, readers: dict) -> dict:
-    """The members of an instance, target or decoder document, which must be of
-    version 1."""
-    doc = _members_from_text(text, readers)
     version = doc.get("version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true == 1.0 == 1
         raise ValidationError(
             [_schema("version", "unsupported document version %s" % brief_repr(version))]
         )
@@ -346,7 +342,7 @@ def parse_document(text: str):
     Schema diagnostics come first, in member order, then the model's, from its
     one validation.  The text is dropped once its members are read.
     """
-    members = _document_from_text(text, _INSTANCE_READERS)
+    members = _members_from_text(text, _INSTANCE_READERS)
     del text
     diags: list = []
     raw = _raw_from_members(members, diags)
@@ -443,6 +439,8 @@ def _weight_table(universe, table: Mapping) -> dict:
     ``ValueError``, in the reader's wording where it has one."""
     if universe not in UNIVERSES:
         raise ValueError("unknown universe")
+    if not isinstance(table, Mapping):
+        raise ValueError(_NOT_TABLE)
     if universe == "ticks" and not all(type(k) is int and _within_digits(k) for k in table):
         raise ValueError("tick keys must be integers")
     if universe != "ticks" and not all(type(k) is str for k in table):
@@ -473,6 +471,8 @@ def emit_instance(info: Information, weights: Mapping | None = None) -> str:
     Without weights the text is also kept on the instance, for
     :func:`instance_digest` to hash instead of writing it again.
     """
+    if weights is not None and not isinstance(weights, Mapping):
+        raise ValueError(_NOT_UNIVERSES)
     text = "".join(_instance_chunks(info, weights))
     if not weights:
         info.__dict__[_TEXT] = text
@@ -519,7 +519,7 @@ def parse_target(text: str) -> RawSextuple:
     declared records, but no totality, surjectivity or closure.  Its tick sets
     are its records' ticks, nonvoid with them; its ``weights`` member is not read."""
     diags: list = []
-    raw = _raw_from_members(_document_from_text(text, _TARGET_READERS), diags)
+    raw = _raw_from_members(_members_from_text(text, _TARGET_READERS), diags)
     if not diags:
         model._check_well_formed(
             (("ontology", raw.entities), ("states", raw.states), ("carrier", raw.media),
@@ -534,7 +534,7 @@ def parse_target(text: str) -> RawSextuple:
 def parse_decoder(text: str) -> SemanticMapping:
     """Parse a decoder document into its mapping, which carries the document's distance."""
     diags: list = []
-    doc = _document_from_text(text, {})
+    doc = _members_from_text(text, {})
     kind = doc.get("kind")
     distance = doc.get("distance", JACCARD)
     if distance not in (JACCARD, NUMERIC_L1):
@@ -573,10 +573,10 @@ def parse_decoder(text: str) -> SemanticMapping:
 
 
 def parse_weights_file(text: str) -> dict:
-    """Parse a standalone weights document into per-universe weight tables."""
-    diags: list = []
-    doc = _members_from_text(text, {})
-    tables = _weights_from_json(doc.get("weights", doc), diags)
+    """Parse a weights document, ``{"version": 1, "weights": {...}}``, with the
+    instance's own ``weights`` reader: ``null`` gives no tables, a missing member is refused."""
+    members = _members_from_text(text, {"weights": _INSTANCE_READERS["weights"]})
+    tables, diags = members.get("weights", ({}, [_schema("weights", _NOT_UNIVERSES)]))
     if diags:
         raise ValidationError(diags)
     return tables

@@ -43,7 +43,8 @@ TOP_LEVELS = ("[%s]", "[]", '"text"', "5", "null", "{}", "", " \n", "%s %s")
 
 def base_members() -> list:
     """The (name, value) members of the instance and decoder fixtures, of ex1
-    with weights, and of a weights file without its ``weights`` wrapper."""
+    with weights, and of the weights fixture's bare table, which no document
+    reader accepts but which stays as a plain JSON seed."""
     docs = [json.loads((FIXTURES / name).read_text()) for name in (
         "ex1.json", "ex1_s1r1.json", "decoder_const_s1.json", "decoder_preimage.json")]
     weights = json.loads((FIXTURES / "weights_ex1.json").read_text())

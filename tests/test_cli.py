@@ -209,7 +209,7 @@ class TestSchemaDiagnostics:
          "schema: entries: expected a list"),
         ("--decoder", {"version": 1, "kind": "table", "entries": [1]},
          "schema: entries[0]: expected {reflection, state} objects"),
-        ("--weights", {"weights": {"media": {"m1": "x"}}},
+        ("--weights", {"version": 1, "weights": {"media": {"m1": "x"}}},
          "schema: weights.media.m1: invalid weight literal 'x'"),
     ])
     def test_side_document(self, capsys, tmp_path, ex1_path, flag, doc, line):
@@ -754,7 +754,8 @@ class TestArithmeticErrors:
     ])
     def test_ends_in_one_diagnostic(self, capsys, tmp_path, ex1_path, argv):
         weights = tmp_path / "huge_weight.json"
-        weights.write_text(json.dumps({"weights": {"entities": {"a": "1e400", "b": "1"}}}))
+        weights.write_text(json.dumps(
+            {"version": 1, "weights": {"entities": {"a": "1e400", "b": "1"}}}))
         argv = [arg.format(ex1=ex1_path, weights=weights) for arg in argv]
         code, out, err = run(capsys, *argv)
         assert code in (1, 2)
@@ -766,7 +767,8 @@ class TestArithmeticErrors:
     @pytest.mark.parametrize("out", ["json", "table"])
     def test_a_metric_with_no_float_reading_names_itself(self, capsys, tmp_path, ex1_path, out):
         weights = tmp_path / "huge_weight.json"
-        weights.write_text(json.dumps({"weights": {"entities": {"a": "1e400", "b": "1"}}}))
+        weights.write_text(json.dumps(
+            {"version": 1, "weights": {"entities": {"a": "1e400", "b": "1"}}}))
         code, stdout, err = run(capsys, "metrics", ex1_path, "--weights", str(weights), "--out", out)
         assert (code, stdout, err) == (1, "", "error: scope is too large for a float approximation\n")
 
@@ -774,7 +776,8 @@ class TestArithmeticErrors:
     def test_a_metric_beyond_the_digit_limit_names_itself(self, capsys, tmp_path, ex1_path, out):
         # Each weight can be written, but scope, their sum, has 4301 digits.
         weights = tmp_path / "huge_weights.json"
-        weights.write_text(json.dumps({"weights": {"entities": {"a": "9e4299", "b": "9e4299"}}}))
+        weights.write_text(json.dumps(
+            {"version": 1, "weights": {"entities": {"a": "9e4299", "b": "9e4299"}}}))
         code, stdout, err = run(capsys, "metrics", ex1_path, "--weights", str(weights), "--out", out)
         assert (code, stdout, err) == (1, "", "error: scope exceeds 4300 digits\n")
 
@@ -791,7 +794,7 @@ class TestArithmeticErrors:
             doc["state_records"][0]["value"] = {"rational": "1e100000000"}
             argv = ["validate", str(path)]
         elif where == "weight":
-            doc = {"weights": {"entities": {"a": "1e100000000", "b": "1"}}}
+            doc = {"version": 1, "weights": {"entities": {"a": "1e100000000", "b": "1"}}}
             argv = ["metrics", ex1_path, "--weights", str(path)]
         else:
             argv = ["metrics", ex1_path, "--target", ex1_path,
@@ -824,7 +827,7 @@ class TestLibraryErrors:
         decoder = tmp_path / "empty_table.json"
         decoder.write_text(json.dumps({"version": 1, "kind": "table", "entries": []}))
         weights = tmp_path / "no_entity_weights.json"
-        weights.write_text(json.dumps({"weights": {"entities": {}}}))
+        weights.write_text(json.dumps({"version": 1, "weights": {"entities": {}}}))
         return str(decoder), str(weights)
 
     @pytest.mark.parametrize("case, prefix", [

@@ -71,7 +71,8 @@ def write_generated(work: Path) -> None:
     dump("decoder_bad_tick.json", {"version": 1, "kind": "table", "entries": [
         {"reflection": {"media": ["m1"], "tick": "4", "value": "v1"},
          "state": {"entities": ["a"], "tick": 1, "value": "v1"}}]})
-    dump("weights_grammar.json", {"weights": {"entities": {"a": "1_0", "b": "\u0661"}}})
+    dump("weights_grammar.json",
+         {"version": 1, "weights": {"entities": {"a": "1_0", "b": "\u0661"}}})
     rational = json.loads(json.dumps(doc))
     rational["state_records"][0]["value"] = {"rational": "1_0/3"}
     dump("rational_grammar.json", rational)
@@ -97,9 +98,20 @@ def write_generated(work: Path) -> None:
                                    "entries": [entry(["m1"], 4, 1, ["a"], 1, 1),
                                                entry(["m2"], 3, 23, ["a", "b"], 3, 3),
                                                entry(["m3"], 4, 1, ["b"], 2, 3)]})
-    dump("weights_uncovered.json", {"weights": {"entities": {"a": "0.5"}}})
-    dump("weights_overflow.json", {"weights": {"entities": {"a": "1e400", "b": "1"}}})
-    dump("weights_digits.json", {"weights": {"entities": {"a": "9e4299", "b": "9e4299"}}})
+    dump("weights_uncovered.json", {"version": 1, "weights": {"entities": {"a": "0.5"}}})
+    dump("weights_overflow.json", {"version": 1, "weights": {"entities": {"a": "1e400", "b": "1"}}})
+    dump("weights_digits.json",
+         {"version": 1, "weights": {"entities": {"a": "9e4299", "b": "9e4299"}}})
+    # Weights documents outside the one envelope, and an instance with its own weights.
+    weights = json.loads((FIXTURES / "weights_ex1.json").read_text())
+    for name, value in (("weights_bare", weights["weights"]),
+                        ("weights_unversioned", {"weights": weights["weights"]}),
+                        ("weights_v99", dict(weights, version=99)),
+                        ("weights_missing", {"version": 1}),
+                        ("weights_true", dict(weights, version=True)),
+                        ("weights_float", dict(weights, version=1.0)),
+                        ("weighted", dict(doc, weights=weights["weights"]))):
+        dump(name + ".json", value)
     # With fixtures/ex1_s1r1.json, s1 is split between two operands; with ex1, s1's
     # content is also held by s0.
     dump("split.json", dict(doc, entities=["a"], media=["m3"],
@@ -222,6 +234,9 @@ def corpus() -> list:
     calls += [
         ["entropy", "--probs", "0.5,0.6"],
         ["entropy", "--probs=-0.5,1.5"],
+        # argparse takes a separate value that starts with "-" and is no plain
+        # negative number for an option: a usage error.
+        ["entropy", "--probs", "-0.5,1.5"],
         ["entropy", "--probs", ","],
         ["entropy", "--probs", "0.5,0.5", "--base", "1"],
         ["entropy", "--probs", "0.5,0.5", "--k", "0"],
@@ -236,6 +251,7 @@ def corpus() -> list:
         ["metrics", "$WORK/integers.json", "--decoder", "$WORK/decoder_l1_table.json"],
         suit + ["0", "0", "0", "0", "0", "0"],
         suit + ["-1", "1", "1", "0", "0", "0"],
+        suit + ["-1/6", "1", "1", "0", "0", "0"],
         ["metrics", ex1, "--weights", "$WORK/weights_uncovered.json"],
         ["metrics", ex1, "--weights", "$WORK/weights_overflow.json"],
         ["metrics", ex1, "--weights", "$WORK/weights_digits.json"],
@@ -249,6 +265,11 @@ def corpus() -> list:
         ["gen", "--seed", "0", "-o", "$WORK/gen0.json"],
         ["validate", "$WORK/gen0.json"],
     ]
+    # A weights file is {"version": 1, "weights": {...}}, and nothing else.
+    for name in ("weights_bare", "weights_unversioned", "weights_v99", "weights_missing",
+                 "weights_true", "weights_float", "weighted"):
+        calls.append(["metrics", ex1, "--weights", "$WORK/%s.json" % name])
+    calls.append(["metrics", ex1, "--weights", ex1])
     return calls
 
 

@@ -596,8 +596,17 @@ class TestWeights:
         ({"ticks": {10**4300: 1}}, "tick keys must be integers"),
         ({"entities": {1: 1}}, "weight keys must be strings"),
         ({"state_records": {("s1",): 1}}, "weight keys must be strings"),
+        ({"entities": None}, "expected a token-to-weight object"),
+        ({"entities": ["a"]}, "expected a token-to-weight object"),
+        ({"media": 3}, "expected a token-to-weight object"),
+        ({"entities": [("a", 1)]}, "expected a token-to-weight object"),
+        (["a"], "expected an object keyed by universe"),
+        (3, "expected an object keyed by universe"),
+        ([("entities", {"a": 1})], "expected an object keyed by universe"),
+        ([], "expected an object keyed by universe"),
     ], ids=["universe", "empty-universe", "text-tick", "digit-tick", "bool-tick", "long-tick",
-            "int-entity", "tuple-record"])
+            "int-entity", "tuple-record", "null-table", "list-table", "int-table", "pair-table",
+            "list-weights", "int-weights", "pair-weights", "empty-list-weights"])
     def test_tables_the_reader_would_not_read_back_are_refused(self, ex1, weights, message):
         with pytest.raises(ValueError, match="^%s$" % message):
             emit_instance(ex1, weights)
@@ -642,10 +651,12 @@ class TestWeights:
     @pytest.mark.parametrize("key", ["+1", " 1", "1 ", "01", "1_0", "-0", "\uff11"])
     def test_tick_keys_are_canonical_integers(self, key):
         with pytest.raises(ValidationError) as exc:
-            parse_weights_file(json.dumps({"ticks": {"1": "1", key: "5"}}))
+            parse_weights_file(
+                json.dumps({"version": 1, "weights": {"ticks": {"1": "1", key: "5"}}}))
         (diag,) = exc.value.diagnostics
         assert diag.message == "weights.ticks.%s: tick keys must be integers" % key
-        tables = parse_weights_file(json.dumps({"ticks": {"-3": 1, "0": 1, "10": 2}}))
+        tables = parse_weights_file(
+            json.dumps({"version": 1, "weights": {"ticks": {"-3": 1, "0": 1, "10": 2}}}))
         assert tables == {"ticks": {-3: 1, 0: 1, 10: 2}}
 
     def test_standalone_weights_file(self, ex1, fixtures_dir):
@@ -656,7 +667,15 @@ class TestWeights:
         doc = json.loads(emit_instance(ex1))
         doc["weights"] = None
         assert parse_document(json.dumps(doc)) == (ex1, {})
-        assert parse_weights_file('{"weights": null}') == {}
+        assert parse_weights_file('{"version": 1, "weights": null}') == {}
+
+    @pytest.mark.parametrize("text", ['{"version": 1}', (FIXTURES / "ex1.json").read_text()],
+                             ids=["version-only", "ex1"])
+    def test_a_weights_file_without_its_member_is_refused(self, text):
+        with pytest.raises(ValidationError) as exc:
+            parse_weights_file(text)
+        assert [d.message for d in exc.value.diagnostics] == [
+            "weights: expected an object keyed by universe"]
 
 
 class TestSideDocuments:
@@ -747,6 +766,20 @@ class TestSideDocuments:
         with pytest.raises(ValidationError) as exc:
             parse("[]")
         assert [d.message for d in exc.value.diagnostics] == ["$: top level must be an object"]
+
+    @pytest.mark.parametrize("parse, name", [
+        (parse_document, "ex1"), (parse_target, "ex1_s1"), (parse_decoder, "decoder_preimage"),
+        (parse_weights_file, "weights_ex1")])
+    @pytest.mark.parametrize("version, echo", [
+        (True, "True"), (1.0, "1.0"), ("1", "'1'"), (None, "None"), (99, "99")],
+        ids=["true", "float", "text", "null", "99"])
+    def test_version_must_be_the_json_integer_1(self, parse, name, version, echo):
+        doc = json.loads((FIXTURES / (name + ".json")).read_text())
+        parse(json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            parse(json.dumps(dict(doc, version=version)))
+        assert [d.message for d in exc.value.diagnostics] == [
+            "version: unsupported document version " + echo]
 
     def test_decoder_version_uses_the_document_wording(self):
         with pytest.raises(ValidationError) as exc:
