@@ -70,6 +70,9 @@ def shannon_entropy(dist, base: float = 2.0, k: float = 1.0) -> float:
 
 def hartley_information(n: int, s: int, base: float = 2.0) -> float:
     """n * log_base(s): the log count of length-n words over s symbols."""
+    if type(n) is not int or type(s) is not int:  # NaN would pass both bounds below
+        raise ValueError("n and s must be integers, got n=%s, s=%s"
+                         % (brief_repr(n), brief_repr(s)))
     if n < 1:
         raise ValueError("word length n must be >= 1, got %r" % n)
     if s < 2:
@@ -116,6 +119,8 @@ def volume_entropy_demo(dist, n: int, seed: int) -> CodingDemo:
     s = len(dist)
     if s < 2:
         raise DistributionError("demo needs an alphabet of size >= 2")
+    if type(n) is not int:
+        raise ValueError("message length n must be an integer, got %s" % brief_repr(n))
     if n < 1:
         raise ValueError("message length n must be >= 1, got %r" % n)
     rng = random.Random(seed)

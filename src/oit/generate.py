@@ -36,6 +36,8 @@ class Profile(Frozen):
 
     def __new__(cls, entities: int = 4, media: int = 4, tick_span: int = 8,
                 replication: int = 2, aggregation: float = 0.25):
+        if {type(entities), type(media), type(tick_span), type(replication)} != {int}:
+            raise DegenerateProfile("entity, media, tick-span and replication counts must be ints")
         if entities < 1 or media < 1 or tick_span < 1:
             raise DegenerateProfile("entity, media and tick-span counts must be >= 1")
         if replication < 1:

@@ -273,8 +273,8 @@ class Information(Frozen):
     def __new__(cls, states: Iterable[StateRecord], reflections: Iterable[ReflectionRecord],
                 links: Iterable[LinkPair]):
         states, reflections = tuple(states), tuple(reflections)
-        return build(RawSextuple.of(_token_union(states), _token_union(reflections), states,
-                                    reflections, links))
+        return build(RawSextuple(_token_union(states), _token_union(reflections), states,
+                                 reflections, links))
 
     def __repr__(self):
         return "Information(states=%d, reflections=%d, links=%d)" % (
@@ -348,23 +348,14 @@ class Information(Frozen):
 
 
 class RawSextuple(Frozen):
-    """An unchecked sextuple description, the input to :func:`validate`."""
+    """An unchecked sextuple description, the input to :func:`validate` and the
+    form of a demand.  Each part is held as a tuple, and so is a link given as a list."""
 
     __slots__ = ()
 
-    def __new__(cls, entities: tuple, media: tuple, states: tuple, reflections: tuple,
-                links: tuple):
-        return tuple.__new__(cls, (entities, media, states, reflections, links))
-
-    @classmethod
-    def of(cls, entities, media, states, reflections, links) -> RawSextuple:
-        return cls(
-            tuple(entities),
-            tuple(media),
-            tuple(states),
-            tuple(reflections),
-            tuple(tuple(p) if isinstance(p, list) else p for p in links),
-        )
+    def __new__(cls, entities, media, states, reflections, links):
+        return tuple.__new__(cls, (tuple(entities), tuple(media), tuple(states), tuple(reflections),
+                                   tuple(tuple(p) if isinstance(p, list) else p for p in links)))
 
 
 def _hashable(item) -> bool:
@@ -429,19 +420,20 @@ def _is_pair(link) -> bool:
     return isinstance(link, tuple) and len(link) == 2 and _hashable(link)
 
 
-def _check_well_formed(components, states, reflections, links, diags: list):
-    """The checks instances and demand sextuples share: each named component
-    is nonvoid, then the two record sets, then every link is a pair whose
-    endpoints name declared records.  Returns the declared state and
-    reflection ids and the links whose two endpoints are declared.
+def _check_well_formed(raw: RawSextuple, diags: list, nonvoid: int = 5):
+    """The checks instances and demands share: the first ``nonvoid`` components
+    are nonvoid (a demand's links may be empty), then the two record sets, then
+    every link is a pair whose endpoints name declared records.  Returns the
+    declared state and reflection ids and the links whose endpoints are declared.
     """
-    for name, component in components:
+    names = ("entities", "media", "state records", "reflection records", "links")
+    for name, component in zip(names[:nonvoid], raw):
         if not component:
             diags.append(Diagnostic(EMPTY_COMPONENT, "component %r is empty" % name, (name,)))
-    state_ids = _check_records(states, "entities", "state", diags)
-    reflection_ids = _check_records(reflections, "media", "reflection", diags)
+    state_ids = _check_records(raw.states, "entities", "state", diags)
+    reflection_ids = _check_records(raw.reflections, "media", "reflection", diags)
     good_links = set()
-    for link in links:
+    for link in raw.links:
         if not _is_pair(link):
             message = "malformed link %s: expected a pair of record ids" % brief_repr(link)
             diags.append(Diagnostic(MALFORMED_LINK, message))
@@ -502,11 +494,7 @@ def validate(raw: RawSextuple) -> list:
     this module.
     """
     diags: list = []
-    state_ids, reflection_ids, good_links = _check_well_formed(
-        (("entities", raw.entities), ("media", raw.media), ("state records", raw.states),
-         ("reflection records", raw.reflections), ("links", raw.links)),
-        raw.states, raw.reflections, raw.links, diags,
-    )
+    state_ids, reflection_ids, good_links = _check_well_formed(raw, diags)
 
     linked_sources = {a for a, _ in good_links}
     linked_targets = {b for _, b in good_links}

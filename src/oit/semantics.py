@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .measures import _read_weight
-from .model import Frozen, Information, OitError, RawSextuple, _id_order, brief, brief_ids
+from .model import (Frozen, Information, OitError, RawSextuple, _id_order, brief, brief_ids,
+                    brief_repr)
 
 JACCARD = "jaccard"
 NUMERIC_L1 = "numeric-l1"
@@ -149,6 +150,11 @@ def suitability(
     normalized set (Jaccard) distance.  A weighted sum of metrics is again a
     metric on the product space.
     """
+    try:
+        weights = iter(weights)
+    except TypeError:
+        raise WeightVectorError("suitability weights must be iterable, got %s"
+                                % brief_repr(weights)) from None
     try:
         ws = tuple(_read_weight(w) for w in weights)
     except ValueError as exc:

@@ -234,7 +234,8 @@ class _MemberReader(JSONDecoder):
     ``{name: read(name, value)}``, the last of a repeated name winning, as in
     json's own objects.  Text the loop does not take cleanly, such as a top level
     that is not an object or a syntax error between members, is decoded whole by
-    ``JSONDecoder.decode``, so that every value and every error message is json's.
+    ``JSONDecoder.decode``, so that every value and every error message is json's;
+    the only object such text holds is the empty one, which has no member to read.
     """
 
     def __init__(self, read):
@@ -245,10 +246,7 @@ class _MemberReader(JSONDecoder):
         try:
             return self._members(s)
         except _NotTaken:
-            doc = super().decode(s)
-        if type(doc) is not dict:
-            return doc
-        return {name: self.read(name, value) for name, value in doc.items()}
+            return super().decode(s)
 
     def _members(self, s) -> dict:
         members = {}
@@ -514,18 +512,15 @@ def instance_digest(info: Information) -> str:
 
 
 def parse_target(text: str) -> RawSextuple:
-    """Parse a document as a demand: its raw sextuple, with a nonvoid ontology,
-    states, carrier and reflections, well-formed records and links that name
-    declared records, but no totality, surjectivity or closure.  Its tick sets
-    are its records' ticks, nonvoid with them; its ``weights`` member is not read."""
+    """Parse a document as a demand: its raw sextuple, with nonvoid entities,
+    media, state records and reflection records, well-formed records and links
+    that name declared records, but no totality, surjectivity or closure, each
+    worded as :func:`oit.model.validate` words it.  Its tick sets are its records'
+    ticks, nonvoid with them; its ``weights`` member is not read."""
     diags: list = []
     raw = _raw_from_members(_members_from_text(text, _TARGET_READERS), diags)
     if not diags:
-        model._check_well_formed(
-            (("ontology", raw.entities), ("states", raw.states), ("carrier", raw.media),
-             ("reflections", raw.reflections)),
-            raw.states, raw.reflections, raw.links, diags,
-        )
+        model._check_well_formed(raw, diags, nonvoid=4)  # all components but the links
     if diags:
         raise ValidationError(diags)
     return raw

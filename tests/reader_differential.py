@@ -3,13 +3,15 @@
 ``serialize`` reads every document, instance, target, decoder or weights, one
 top-level member at a time, and leaves every text its loop does not take
 cleanly to json's own decoder.  On any text the two must agree: the same
-value, or the same error type and message.  json's messages differ between
-CPython versions, so this check runs under each of them, and it needs no
-pytest.  From the repository root::
+value, or the same error type and message.  The reader reads no member of a
+text it leaves to json, so json must decode no such text to an object with
+members.  json's messages differ between CPython versions, so this check runs
+under each of them, and it needs no pytest.  From the repository root::
 
     PYTHONPATH=src python -m tests.reader_differential [COUNT]
 
-It names every text that differs and exits 1 if any does.
+It names every text that differs or that json decodes to an object with
+members the loop did not take, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -97,6 +99,18 @@ def taken(text: str) -> bool:
     return True
 
 
+def untaken_object(text: str) -> bool:
+    """Whether json decodes ``text`` to an object with members although the
+    member loop does not take it, so that the reader would read none of them."""
+    if taken(text):
+        return False
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return False
+    return type(doc) is dict and bool(doc)
+
+
 def outcome(decode, text: str) -> tuple:
     """What ``decode(text)`` gives: ("value", its repr), or the error's type and message."""
     try:
@@ -108,7 +122,7 @@ def outcome(decode, text: str) -> tuple:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     count = int(argv[0]) if argv else 10000
-    bases, differ, read = base_members(), 0, 0
+    bases, differ, read, untaken = base_members(), 0, 0, 0
     for seed in range(count):
         text = mutated_text(random.Random(seed), bases)
         read += taken(text)
@@ -116,9 +130,13 @@ def main(argv=None) -> int:
         if got != expected:
             differ += 1
             print("seed %d: json.loads gives %.80r, the member reader %.80r" % (seed, expected, got))
+        if untaken_object(text):
+            untaken += 1
+            print("seed %d: an object with members left to json: %.80r" % (seed, text))
     print("%d texts read member by member" % read)
+    print("%d untaken texts decode to a non-empty object" % untaken)
     print("%d of %d texts differ" % (differ, count))
-    return 1 if differ else 0
+    return 1 if differ or untaken else 0
 
 
 if __name__ == "__main__":

@@ -116,6 +116,21 @@ class TestHartley:
         with pytest.raises(ValueError):
             hartley_information(3, 2, base=1.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: hartley_information(math.nan, 3), "n and s must be integers, got n=nan, s=3"),
+        (lambda: hartley_information(4, math.nan), "n and s must be integers, got n=4, s=nan"),
+        (lambda: hartley_information(3.0, 2), "n and s must be integers, got n=3.0, s=2"),
+        (lambda: hartley_information(True, 2), "n and s must be integers, got n=True, s=2"),
+        (lambda: volume_entropy_demo((0.5, 0.5), math.nan, 1),
+         "message length n must be an integer, got nan"),
+        (lambda: volume_entropy_demo((0.5, 0.5), 2.0, 1),
+         "message length n must be an integer, got 2.0"),
+    ])
+    def test_integer_parameters_must_be_ints(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("base", [math.nan, math.inf])
     def test_non_finite_base_rejected(self, base):
         with pytest.raises(ValueError, match="^log base must exceed 1, got %r$" % base):

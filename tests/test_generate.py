@@ -33,7 +33,7 @@ def test_different_seeds_differ():
 def test_every_seed_validates():
     for seed in range(50):
         info = generate_synthetic(seed)
-        raw = RawSextuple.of(
+        raw = RawSextuple(
             info.ontology, info.carrier, info.states, info.reflections, info.links
         )
         assert validate(raw) == []
@@ -79,6 +79,10 @@ def test_aggregation_creates_merged_reflections():
         {"replication": 0},
         {"aggregation": 1.5},
         {"aggregation": -0.1},
+        {"entities": 2.5},
+        {"media": float("nan")},
+        {"tick_span": "8"},
+        {"replication": True},
     ],
 )
 def test_degenerate_profiles_rejected(kwargs):

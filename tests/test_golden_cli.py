@@ -1,38 +1,47 @@
 """Golden CLI outputs: the exit code, stdout and stderr of a fixed corpus of calls.
 
 ``tests/golden_cli.json`` maps each call, written with fixture paths relative
-to the repository root and generated inputs under ``$WORK/``, to its exit
-code, the sha256 of its stdout and the sha256 of its stderr, in which the
-work directory is written as ``$WORK``.  Reports and diagnostics must stay
-byte-identical, so any difference fails.  The check needs no pytest; run from
-the repository root::
+to the repository root and generated inputs under ``$WORK/``, to its ``exit``
+code and the text of its ``stdout`` and ``stderr``, each a list of lines that
+keep their line ends, in which the work directory is written as ``$WORK``.
+Reports and diagnostics must stay byte-identical, so any difference fails.
+The check needs no pytest; run from the repository root::
 
     PYTHONPATH=src python -m tests.test_golden_cli --check
 
-It names every call that differs and exits 1 if any does.  Without ``--check``
-the same command pins the corpus again, against the commit whose outputs are
-the reference.
+It names every call that differs, shows a unified diff of the first few, and
+exits 1 if any does.  Without ``--check`` the same command pins the corpus
+again, against the commit whose outputs are the reference.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
+import difflib
 import io
 import itertools
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
 
-from oit import emit_instance, example_instance, identity_relay, run_cli
+from oit import emit_instance, example_instance, identity_relay, model, run_cli, serialize
 
 from .paths import FIXTURES, REPO_ROOT
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 INSTANCES = ("ex1", "ex1_s1", "ex1_s1r1", "ex1_s1r1_s2r2")
 DECODERS = ("decoder_const_s1", "decoder_preimage")
+# Generated edits of ex1, each causing one diagnostic code and nothing else.
+DIAGNOSED = ("empty_record_tokens", "duplicate_record_id", "duplicate_record_content",
+             "unlinked_state", "closure_mismatch")
+# The diagnostic codes that no document can cause, so that no call prints them.
+LIBRARY_ONLY = {
+    model.UNWRITABLE_RECORD: "the reader refuses every record part no document can hold",
+    model.MALFORMED_LINK: "the reader reads every link as a pair of strings",
+}
 
 
 def _fixture(name: str) -> str:
@@ -130,6 +139,16 @@ def write_generated(work: Path) -> None:
                            {"rational": "-2/4"})):
         rec["value"] = value
     dump("values.json", values)
+    edits = {name: json.loads(json.dumps(doc)) for name in DIAGNOSED}
+    s1 = doc["state_records"][0]
+    edits["empty_record_tokens"]["state_records"][1]["entities"] = []
+    edits["duplicate_record_id"]["state_records"].append(dict(s1, tick=5, value="v5"))
+    edits["duplicate_record_content"]["state_records"].append(dict(s1, id="s4"))
+    edits["duplicate_record_content"]["links"].append({"from": "s4", "to": "r1"})
+    edits["unlinked_state"]["links"].remove({"from": "s2", "to": "r2"})
+    edits["closure_mismatch"]["entities"].append("c")
+    for name, edited in edits.items():
+        dump(name + ".json", edited)
 
 
 def corpus() -> list:
@@ -270,16 +289,16 @@ def corpus() -> list:
                  "weights_true", "weights_float", "weighted"):
         calls.append(["metrics", ex1, "--weights", "$WORK/%s.json" % name])
     calls.append(["metrics", ex1, "--weights", ex1])
+    for name in DIAGNOSED:
+        calls += [["validate", "$WORK/%s.json" % name], ["metrics", "$WORK/%s.json" % name]]
+    # A demand with no component but its links names them as an instance's diagnostics do.
+    calls.append(["metrics", ex1, "--target", _fixture("weights_ex1")])
     return calls
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def run_corpus(work: Path) -> dict:
-    """Run every corpus call in-process; map each call to
-    [exit code, stdout sha256, stderr sha256]."""
+    """Run every corpus call in-process; map each call to its exit code and the
+    lines of its stdout and stderr."""
     write_generated(work)
     results = {}
     for argv in corpus():
@@ -288,21 +307,66 @@ def run_corpus(work: Path) -> dict:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_cli(real)
-        results[" ".join(argv)] = [
-            code, _sha256(out.getvalue()), _sha256(err.getvalue().replace(str(work), "$WORK"))]
+        results[" ".join(argv)] = {
+            "exit": code,
+            "stdout": out.getvalue().splitlines(keepends=True),
+            "stderr": err.getvalue().replace(str(work), "$WORK").splitlines(keepends=True),
+        }
     return results
 
 
 def differences(results: dict, golden: dict) -> list:
     """The calls, in order, whose results differ from the pinned ones or that only
-    one of the two holds."""
+    one of the two holds.  Lines keep their ends, so equal lines are equal bytes."""
     return sorted(call for call in results.keys() | golden.keys()
                   if results.get(call) != golden.get(call))
 
 
+# How much of the differences a report shows: a diff for the first calls, each cut short.
+DIFFED_CALLS = 10
+DIFF_LINES = 30
+
+
+def report(changed: list, results: dict, golden: dict) -> str:
+    """Every differing call by name, and a unified diff, pinned against new, of
+    the first ``DIFFED_CALLS`` of them, at most ``DIFF_LINES`` lines each."""
+    lines = []
+    for i, call in enumerate(changed):
+        lines.append("differs: %s" % call)
+        got, pinned = results.get(call), golden.get(call)
+        if i >= DIFFED_CALLS:
+            continue
+        if got is None or pinned is None:
+            lines.append("  pinned only" if got is None else "  not pinned")
+            continue
+        diff = [] if got["exit"] == pinned["exit"] else [
+            "  exit %d, pinned %d" % (got["exit"], pinned["exit"])]
+        for stream in ("stdout", "stderr"):
+            diff += ("  " + line.rstrip("\n") for line in difflib.unified_diff(
+                pinned[stream], got[stream], "pinned " + stream, "new " + stream))
+        lines += diff[:DIFF_LINES]
+        if len(diff) > DIFF_LINES:
+            lines.append("  ... %d more lines" % (len(diff) - DIFF_LINES))
+    return "".join(line + "\n" for line in lines)
+
+
 def test_cli_outputs_match_the_golden_corpus(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert differences(run_corpus(tmp_path), golden) == []
+    results = run_corpus(tmp_path)
+    changed = differences(results, golden)
+    assert not changed, report(changed, results, golden)
+
+
+def test_every_diagnostic_code_is_pinned_or_library_only():
+    """Each code constant of ``oit.model`` and ``oit.serialize`` starts a line of
+    some pinned stderr, unless no document can cause it."""
+    codes = set()
+    for module in (model, serialize):
+        text = Path(module.__file__).read_text(encoding="utf-8")
+        codes.update(re.findall(r'^[A-Z][A-Z_]* = "([a-z-]+)"$', text, re.M))
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    printed = {line.split(": ", 1)[0] for entry in golden.values() for line in entry["stderr"]}
+    assert codes - printed == LIBRARY_ONLY.keys()
 
 
 def main(argv=None) -> int:
@@ -313,12 +377,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         results = run_corpus(Path(work))
     if args.check:
-        changed = differences(results, json.loads(GOLDEN.read_text(encoding="utf-8")))
-        for call in changed:
-            sys.stdout.write("differs: %s\n" % call)
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        changed = differences(results, golden)
+        sys.stdout.write(report(changed, results, golden))
         sys.stdout.write("%d of %d calls differ\n" % (len(changed), len(results)))
         return 1 if changed else 0
-    GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
+                      encoding="utf-8")
     sys.stdout.write("pinned %d calls in %s\n" % (len(results), GOLDEN))
     return 0
 

@@ -69,7 +69,7 @@ def renamed(info: Information, prefix: str) -> Information:
 
 
 def raw_of(info: Information) -> RawSextuple:
-    return RawSextuple.of(
+    return RawSextuple(
         info.ontology, info.carrier, info.states, info.reflections, info.links
     )
 
@@ -253,9 +253,9 @@ class TestConstruction:
         lambda info: (sorted(info.states), sorted(info.reflections), sorted(info.links)))))
     def test_construction_validates_as_build_does(self, parts):
         states, reflections, links = parts
-        raw = RawSextuple.of({t for rec in states for t in rec.entities},
-                             {t for rec in reflections for t in rec.media},
-                             states, reflections, links)
+        raw = RawSextuple({t for rec in states for t in rec.entities},
+                          {t for rec in reflections for t in rec.media},
+                          states, reflections, links)
         diagnostics = validate(raw)
         if diagnostics:
             with pytest.raises(ValidationError) as caught:
@@ -278,7 +278,7 @@ class TestValidate:
 
     def test_dangling_link_source(self, ex1):
         raw = raw_of(ex1)
-        bad = RawSextuple.of(
+        bad = RawSextuple(
             raw.entities, raw.media, raw.states, raw.reflections,
             list(raw.links) + [("s9", "r1")],
         )
@@ -287,7 +287,7 @@ class TestValidate:
 
     def test_missing_reflection_gives_dangling_target_and_closure(self, ex1):
         raw = raw_of(ex1)
-        bad = RawSextuple.of(
+        bad = RawSextuple(
             raw.entities, raw.media, raw.states,
             [r for r in raw.reflections if r.id != "r3"],
             raw.links,
@@ -298,7 +298,7 @@ class TestValidate:
 
     def test_closure_mismatch_shows_non_string_tokens_unquoted(self, ex1):
         raw = raw_of(ex1)
-        bad = RawSextuple.of(
+        bad = RawSextuple(
             set(raw.entities) | {1}, raw.media, raw.states, raw.reflections, raw.links
         )
         [diag] = validate(bad)
@@ -306,14 +306,14 @@ class TestValidate:
         assert "(declared-only: [1]; record-only: none)" in diag.message
 
     def test_empty_components(self):
-        diags = validate(RawSextuple.of([], [], [], [], []))
+        diags = validate(RawSextuple([], [], [], [], []))
         assert {d.code for d in diags} == {model.EMPTY_COMPONENT}
         assert len(diags) == 5
 
     def test_duplicate_id_is_identity_clash(self, ex1):
         raw = raw_of(ex1)
         extra = StateRecord("s1", {"b"}, 5, "other")
-        bad = RawSextuple.of(
+        bad = RawSextuple(
             raw.entities, raw.media, list(raw.states) + [extra],
             raw.reflections, raw.links,
         )
@@ -323,7 +323,7 @@ class TestValidate:
     def test_duplicate_content_triple(self, ex1):
         raw = raw_of(ex1)
         clone = StateRecord("s9", {"a"}, 1, "v1")
-        bad = RawSextuple.of(
+        bad = RawSextuple(
             raw.entities, raw.media, list(raw.states) + [clone],
             raw.reflections, list(raw.links) + [("s9", "r1")],
         )
@@ -334,8 +334,8 @@ class TestValidate:
                              ids=["one", "text", "three", "unhashable", "not-iterable"])
     def test_malformed_link(self, ex1, link):
         raw = raw_of(ex1)
-        bad = RawSextuple.of(raw.entities, raw.media, raw.states, raw.reflections,
-                             [*raw.links, link])
+        bad = RawSextuple(raw.entities, raw.media, raw.states, raw.reflections,
+                          [*raw.links, link])
         expected = Diagnostic(model.MALFORMED_LINK, "malformed link %s: expected a pair of "
                               "record ids" % model.brief_repr(link))
         assert validate(bad) == [expected]
@@ -345,13 +345,13 @@ class TestValidate:
 
     def test_a_listed_link_is_a_pair(self, ex1):
         raw = raw_of(ex1)
-        assert build(RawSextuple.of(raw.entities, raw.media, raw.states, raw.reflections,
-                                    [list(link) for link in raw.links])) == ex1
+        assert build(RawSextuple(raw.entities, raw.media, raw.states, raw.reflections,
+                                 [list(link) for link in raw.links])) == ex1
 
     def test_unlinked_records(self):
         states = [StateRecord("s1", {"a"}, 1, "x"), StateRecord("s2", {"a"}, 2, "y")]
         refl = [ReflectionRecord("r1", {"m"}, 3, "x"), ReflectionRecord("r2", {"m"}, 3, "y")]
-        raw = RawSextuple.of({"a"}, {"m"}, states, refl, [("s1", "r1")])
+        raw = RawSextuple({"a"}, {"m"}, states, refl, [("s1", "r1")])
         codes = {d.code for d in validate(raw)}
         assert codes == {model.UNLINKED_STATE, model.UNLINKED_REFLECTION}
 
@@ -372,7 +372,7 @@ class TestValidate:
     ])
     def test_build_accepts_only_what_a_document_can_hold(self, state):
         reflection = ReflectionRecord("r", {"m"}, 1, "v")
-        raw = RawSextuple.of(state.entities, {"m"}, [state], [reflection], [(state.id, "r")])
+        raw = RawSextuple(state.entities, {"m"}, [state], [reflection], [(state.id, "r")])
         with pytest.raises(ValidationError) as exc:
             delay(build(raw))
         assert [(d.code, d.subjects) for d in exc.value.diagnostics] == [
@@ -412,8 +412,8 @@ class TestValidate:
 
     def test_ids_that_are_no_strings_are_reported_not_raised(self):
         states = [StateRecord("s1", {"a"}, 1, "x"), StateRecord(2, {"a"}, 2, "y")]
-        raw = RawSextuple.of({"a"}, {"m"}, states, [ReflectionRecord("r1", {"m"}, 3, "x")],
-                             [(9, ("r", 1)), ("s0", "r1")])
+        raw = RawSextuple({"a"}, {"m"}, states, [ReflectionRecord("r1", {"m"}, 3, "x")],
+                          [(9, ("r", 1)), ("s0", "r1")])
         assert [d.message for d in validate(raw)] == [
             "dangling link source: 9 is not a declared state record",
             "dangling link target: ('r', 1) is not a declared reflection record",
@@ -434,8 +434,8 @@ class TestValidate:
     def test_unhashable_ids_ticks_and_values_are_reported_not_raised(self, state):
         """A record whose id is hashable still declares it, so only the record is
         reported; one whose id is not declares none, so its link dangles too."""
-        raw = RawSextuple.of(["a"], ["m"], [state], [ReflectionRecord("r1", ["m"], 1, "v")],
-                             [("s1", "r1")])
+        raw = RawSextuple(["a"], ["m"], [state], [ReflectionRecord("r1", ["m"], 1, "v")],
+                          [("s1", "r1")])
         expected = [] if isinstance(state.id, str) else [
             "dangling link source: s1 is not a declared state record",
             "surjectivity violation: reflection record r1 has no link",
@@ -454,8 +454,8 @@ class TestValidate:
         parts = {"entities": ["a"], "media": ["m"]}
         (induced,) = parts[component]
         parts[component] = [token]
-        raw = RawSextuple.of(parts["entities"], parts["media"], [StateRecord("s1", ["a"], 1, "v")],
-                             [ReflectionRecord("r1", ["m"], 1, "v")], [("s1", "r1")])
+        raw = RawSextuple(parts["entities"], parts["media"], [StateRecord("s1", ["a"], 1, "v")],
+                          [ReflectionRecord("r1", ["m"], 1, "v")], [("s1", "r1")])
         assert validate(raw) == [Diagnostic(
             model.CLOSURE_MISMATCH,
             "canonical closure violated for %s (declared-only: [%s]; record-only: [%r])"
@@ -466,8 +466,8 @@ class TestValidate:
             build(raw)
 
     def test_an_unhashable_token_beside_declared_ones_is_declared_only(self):
-        raw = RawSextuple.of(["a", ["x"]], ["m"], [StateRecord("s1", ["a"], 1, "v")],
-                             [ReflectionRecord("r1", ["m"], 1, "v")], [("s1", "r1")])
+        raw = RawSextuple(["a", ["x"]], ["m"], [StateRecord("s1", ["a"], 1, "v")],
+                          [ReflectionRecord("r1", ["m"], 1, "v")], [("s1", "r1")])
         assert ["%s: %s" % (d.code, d.message) for d in validate(raw)] == [
             "closure-mismatch: canonical closure violated for entities "
             "(declared-only: [['x']]; record-only: none)"
@@ -485,8 +485,8 @@ class TestValidate:
             rec = records[i]
             records[i] = type(rec)(*(part if f == field else getattr(rec, f) for f in rec._fields))
         parts = {"states": info.states, "reflections": info.reflections, kind: records}
-        raw = RawSextuple.of(info.ontology, info.carrier, parts["states"], parts["reflections"],
-                             info.links)
+        raw = RawSextuple(info.ontology, info.carrier, parts["states"], parts["reflections"],
+                          info.links)
         unwritable = [d.subjects for d in validate(raw) if d.code == model.UNWRITABLE_RECORD]
         assert unwritable == [(records[i].id,) for i in sorted(broken)]
         with pytest.raises(ValidationError):
@@ -495,7 +495,7 @@ class TestValidate:
     def test_empty_record_tokens(self):
         states = [StateRecord("s1", frozenset(), 1, "x")]
         refl = [ReflectionRecord("r1", {"m"}, 1, "x")]
-        raw = RawSextuple.of([], {"m"}, states, refl, [("s1", "r1")])
+        raw = RawSextuple([], {"m"}, states, refl, [("s1", "r1")])
         codes = {d.code for d in validate(raw)}
         assert model.EMPTY_RECORD_TOKENS in codes
 
@@ -834,7 +834,7 @@ class TestBoundedMessages:
         raw = raw_of(ex1)
         links = list(raw.links) + [("x" * length + str(i), "r1") for i in range(count)]
         with pytest.raises(ValidationError) as exc:
-            build(RawSextuple.of(raw.entities, raw.media, raw.states, raw.reflections, links))
+            build(RawSextuple(raw.entities, raw.media, raw.states, raw.reflections, links))
         assert len(exc.value.diagnostics) == count
         assert len(str(exc.value)) < MESSAGE_BOUND
 

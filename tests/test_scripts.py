@@ -33,21 +33,35 @@ def test_proposition_sweep_runs_clean():
     assert "ok" in result.stdout
 
 
+def _run(python: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python -m <args>`` from the repository root, with ``env`` added to the environment."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", **env)
+    return subprocess.run([python, "-m", *args], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def _run_under(version: str, *args: str) -> subprocess.CompletedProcess:
     """``python -m <args>`` from the repository root under pyenv's CPython ``version``."""
     root = pathlib.Path(os.environ.get("PYENV_ROOT", pathlib.Path.home() / ".pyenv")) / "versions"
     found = sorted(root.glob("%s.*/bin/python%s" % (version, version)))
     if not found:
         pytest.skip("no CPython %s under %s" % (version, root))
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([str(found[-1]), "-m", *args], cwd=REPO_ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    return _run(str(found[-1]), *args)
 
 
 @pytest.mark.parametrize("version", OTHER_VERSIONS)
 def test_the_golden_corpus_holds_under_other_interpreters(version):
     """``python -m tests.test_golden_cli --check`` under pyenv's CPython ``version``."""
     result = _run_under(version, "tests.test_golden_cli", "--check")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert re.search(r"^0 of [1-9]\d* calls differ$", result.stdout, re.M), result.stdout
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_the_golden_corpus_holds_under_fixed_hash_seeds(seed):
+    """``python -m tests.test_golden_cli --check`` in a child of this interpreter
+    under ``PYTHONHASHSEED=seed``, so that no output follows set or dict order."""
+    result = _run(sys.executable, "tests.test_golden_cli", "--check", PYTHONHASHSEED=seed)
     assert result.returncode == 0, result.stdout + result.stderr
     assert re.search(r"^0 of [1-9]\d* calls differ$", result.stdout, re.M), result.stdout
 
@@ -59,6 +73,7 @@ def test_the_member_reader_decodes_as_json_under_other_interpreters(version):
     result = _run_under(version, "tests.reader_differential")
     assert result.returncode == 0, result.stdout + result.stderr
     assert re.search(r"^0 of [1-9]\d* texts differ$", result.stdout, re.M), result.stdout
+    assert "\n0 untaken texts decode to a non-empty object\n" in result.stdout
 
 
 @pytest.mark.parametrize("version", OTHER_VERSIONS)

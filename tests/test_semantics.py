@@ -175,6 +175,12 @@ class TestSuitability:
             suitability(ex1, demand(ex1), weights)
         assert str(exc.value) == "bad suitability weight: " + message
 
+    @pytest.mark.parametrize("weights", [None, 5])
+    def test_weights_must_be_iterable(self, ex1, weights):
+        with pytest.raises(WeightVectorError) as exc:
+            suitability(ex1, demand(ex1), weights)
+        assert str(exc.value) == "suitability weights must be iterable, got %r" % weights
+
     def test_custom_weights(self, ex1):
         target = demand(restrict(ex1, lambda s, r: s.id == "s1"))
         # all weight on the carrier component
@@ -207,7 +213,7 @@ class TestDemand:
         doc["state_records"], doc["links"] = [], []
         with pytest.raises(ValidationError) as exc:
             parse_target(json.dumps(doc))
-        assert [d.message for d in exc.value.diagnostics] == ["component 'states' is empty"]
+        assert [d.message for d in exc.value.diagnostics] == ["component 'state records' is empty"]
 
     def test_dangling_link_uses_model_wording(self, ex1):
         doc = json.loads(emit_instance(ex1))

@@ -281,6 +281,7 @@ class TestMemberReader:
         text = differential.mutated_text(rng, BASE_MEMBERS)
         assert (differential.outcome(differential.read_members, text)
                 == differential.outcome(json.loads, text))
+        assert not differential.untaken_object(text)
 
     @given(st.randoms(use_true_random=True))
     @settings(max_examples=150)
