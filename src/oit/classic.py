@@ -14,7 +14,7 @@ import math
 import random
 from . import measures
 from .model import (Frozen, Information, OitError, ReflectionRecord, StateRecord, _information,
-                    brief_ids, brief_repr)
+                    _is_real, brief_ids, brief_repr)
 
 PROB_TOL = 1e-9
 
@@ -32,8 +32,9 @@ class Distribution(Frozen):
         probs = tuple(probabilities)
         if not probs:
             raise DistributionError("distribution is empty")
-        if not all(math.isfinite(p) for p in probs):
-            raise DistributionError("probabilities must be finite numbers: (%s)" % brief_ids(probs))
+        if not all(_is_real(p) and math.isfinite(p) for p in probs):
+            raise DistributionError("probabilities must be finite numbers: (%s)"
+                                    % brief_ids(probs, quote=repr))
         bad = [p for p in probs if p < 0]
         if bad:
             raise DistributionError("negative probabilities: [%s]" % brief_ids(bad))
@@ -53,10 +54,10 @@ def _as_distribution(dist) -> Distribution:
 def shannon_entropy(dist, base: float = 2.0, k: float = 1.0) -> float:
     """-k * sum(p * log_base(p)) with the 0 log 0 = 0 convention."""
     dist = _as_distribution(dist)
-    if not 1 < base < math.inf:
-        raise ValueError("log base must exceed 1, got %r" % base)
-    if not 0 < k < math.inf:
-        raise ValueError("scale k must be positive, got %r" % k)
+    if not _is_real(base) or not 1 < base < math.inf:
+        raise ValueError("log base must exceed 1, got %s" % brief_repr(base))
+    if not _is_real(k) or not 0 < k < math.inf:
+        raise ValueError("scale k must be positive, got %s" % brief_repr(k))
     log_base = math.log(base)
     # 0.0 - x, not -x: a certain outcome has entropy 0.0, never -0.0.
     value = 0.0 - k * sum(
@@ -77,8 +78,8 @@ def hartley_information(n: int, s: int, base: float = 2.0) -> float:
         raise ValueError("word length n must be >= 1, got %r" % n)
     if s < 2:
         raise ValueError("alphabet size s must be >= 2, got %r" % s)
-    if not 1 < base < math.inf:
-        raise ValueError("log base must exceed 1, got %r" % base)
+    if not _is_real(base) or not 1 < base < math.inf:
+        raise ValueError("log base must exceed 1, got %s" % brief_repr(base))
     try:
         value = n * math.log(s) / math.log(base)
     except OverflowError:  # n beyond the float range

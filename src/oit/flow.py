@@ -12,6 +12,11 @@ Coverage ships in two modes because the two natural readings disagree:
 Two sub-informations are synonymous when they render the same state
 records, possibly on different carriers, so the class of a target is the
 set of link subsets whose induced state set equals the target's.
+
+Both brute-force walks are exhaustive: ``guard`` bounds the links they
+choose among (the target states' links for ``union``, each medium's records
+for ``replica``), since the walk visits 2^guard subsets at worst.  The union
+walk pools each member's media as it is found and builds no member.
 """
 
 from __future__ import annotations
@@ -48,10 +53,29 @@ def _target_state_ids(info: Information, target: Information) -> frozenset:
     )
 
 
+def _check_guard(guard) -> None:
+    if type(guard) is not int or guard < 0:  # NaN and inf would lift the bound
+        raise ValueError("guard must be an int of at least 0, got %s" % brief_repr(guard))
+
+
 def _nonempty_subsets(items):
     items = list(items)
     for size in range(1, len(items) + 1):
         yield from combinations(items, size)
+
+
+def _member_links(info: Information, wanted: frozenset, guard: int):
+    """Yield the link subset of each synonymy-class member of the ``wanted``
+    states, one at a time, in the order ``synonymy_class`` lists them."""
+    relevant = [(a, b) for a in sorted(wanted) for b in info.successors[a]]
+    if len(relevant) > guard:
+        raise EnumerationGuardExceeded(
+            "instance too large for exhaustive synonymy (%d links over guard %d)"
+            % (len(relevant), guard)
+        )
+    for subset in _nonempty_subsets(relevant):
+        if {a for a, _ in subset} == wanted:
+            yield subset
 
 
 def synonymy_class(
@@ -60,21 +84,13 @@ def synonymy_class(
     """Every sub-information of ``info`` that renders the target's states.
 
     Exhaustive over link subsets; only links leaving a target state can
-    appear in a member, so the enumeration is limited to those.  The target
-    itself is always a member.
+    appear in a member, so the enumeration is limited to those, and more
+    than ``guard`` of them raise :class:`EnumerationGuardExceeded`.  The
+    target itself is always a member.
     """
+    _check_guard(guard)
     wanted = _target_state_ids(info, target)
-    relevant = [(a, b) for a in sorted(wanted) for b in info.successors[a]]
-    if len(relevant) > guard:
-        raise EnumerationGuardExceeded(
-            "instance too large for exhaustive synonymy (%d links over guard %d)"
-            % (len(relevant), guard)
-        )
-    members = []
-    for subset in _nonempty_subsets(relevant):
-        if {a for a, _ in subset} == wanted:
-            members.append(restrict_links(info, subset))
-    return members
+    return [restrict_links(info, s) for s in _member_links(info, wanted, guard)]
 
 
 def _union_media_fast(info: Information, wanted: frozenset) -> frozenset:
@@ -84,11 +100,15 @@ def _union_media_fast(info: Information, wanted: frozenset) -> frozenset:
     )
 
 
-def _union_media_brute(info: Information, target: Information, guard: int) -> frozenset:
+def _union_media_brute(info: Information, wanted: frozenset, guard: int) -> set:
+    """The carriers of the synonymy class pooled: each member's carrier is the
+    media of its reflection records, read as the walk yields the member."""
+    reflection_by_id = info.reflection_by_id
     media: set = set()
-    for member in synonymy_class(info, target, guard=guard):
-        media |= member.carrier
-    return frozenset(media)
+    for subset in _member_links(info, wanted, guard):
+        for _, b in subset:
+            media.update(reflection_by_id[b].media)
+    return media
 
 
 def _replica_media(info: Information, wanted: frozenset) -> set:
@@ -146,11 +166,12 @@ def coverage(
     """
     if mode not in COVERAGE_MODES:
         raise ValueError("coverage mode must be 'union' or 'replica', got %s" % brief_repr(mode))
+    _check_guard(guard)
     wanted = _target_state_ids(info, target)
     denominator = len(info.carrier)
     if mode == UNION:
         if brute_force:
-            media = _union_media_brute(info, target, guard)
+            media = _union_media_brute(info, wanted, guard)
         else:
             media = _union_media_fast(info, wanted)
         return Fraction(len(media), denominator)

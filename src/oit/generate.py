@@ -20,6 +20,7 @@ from .model import (
     ReflectionRecord,
     StateRecord,
     _information,
+    _is_real,
     _token_union,
     _writable,
 )
@@ -42,7 +43,7 @@ class Profile(Frozen):
             raise DegenerateProfile("entity, media and tick-span counts must be >= 1")
         if replication < 1:
             raise DegenerateProfile("replication factor must be >= 1")
-        if not 0.0 <= aggregation <= 1.0:
+        if not _is_real(aggregation) or not 0.0 <= aggregation <= 1.0:
             raise DegenerateProfile("aggregation probability must lie in [0, 1]")
         return tuple.__new__(cls, (entities, media, tick_span, replication, aggregation))
 

@@ -151,6 +151,11 @@ def _within_digits(number) -> bool:
     return type(number) is not int or -_DIGIT_BOUND < number < _DIGIT_BOUND
 
 
+def _is_real(value) -> bool:
+    """Whether a library number parameter is an int, float or ``Fraction``, not a bool."""
+    return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+
+
 # The one number grammar of weights, rationals and command-line numbers, in ASCII
 # digits: a decimal with an optional exponent, or ``p/q``.  ``Fraction`` alone
 # would also read ``1_0`` from 3.11 on, padding, and any Unicode digit.

@@ -61,6 +61,8 @@ class TestShannonEntropy:
     def test_scale_and_base(self):
         assert shannon_entropy((0.5, 0.5), base=4.0) == pytest.approx(0.5, abs=TOL)
         assert shannon_entropy((0.5, 0.5), k=3.0) == pytest.approx(3.0, abs=TOL)
+        assert shannon_entropy((0.5, 0.5), base=Fraction(4), k=Fraction(3)) == pytest.approx(
+            1.5, abs=TOL)
 
     def test_parameter_domains(self):
         with pytest.raises(ValueError):
@@ -104,6 +106,7 @@ class TestHartley:
 
     def test_log_identity(self):
         assert hartley_information(1, 7, base=7.0) == pytest.approx(1.0, abs=TOL)
+        assert hartley_information(1, 7, base=Fraction(7)) == pytest.approx(1.0, abs=TOL)
 
     def test_decimal_alphabet(self):
         assert hartley_information(4, 10) == pytest.approx(13.287712379549449, abs=TOL)
@@ -144,6 +147,25 @@ class TestHartley:
             assert shannon_entropy(uniform) == pytest.approx(
                 hartley_information(n, s), abs=TOL
             )
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: hartley_information(4, 10, base="2"), ValueError, "log base must exceed 1, got '2'"),
+    (lambda: hartley_information(4, 10, base=True), ValueError, "log base must exceed 1, got True"),
+    (lambda: shannon_entropy((0.5, 0.5), base=None), ValueError,
+     "log base must exceed 1, got None"),
+    (lambda: shannon_entropy((0.5, 0.5), k="1"), ValueError, "scale k must be positive, got '1'"),
+    (lambda: shannon_entropy((0.5, 0.5), k=True), ValueError, "scale k must be positive, got True"),
+    (lambda: shannon_entropy(("0.5", "0.5")), DistributionError,
+     "probabilities must be finite numbers: ('0.5', '0.5')"),
+    (lambda: shannon_entropy((True, False)), DistributionError,
+     "probabilities must be finite numbers: (True, False)"),
+])
+def test_number_parameters_of_another_type_are_refused(call, error, message):
+    """Only an int, float or ``Fraction`` is a number parameter or a probability."""
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestCodingDemo:

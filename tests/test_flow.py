@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from oit import (
     synonymy_class,
 )
 
+from . import small_scope
 from .paths import REPO_ROOT, load_script
 from .strategies import informations_with_sublinks
 
@@ -81,6 +84,8 @@ class TestSynonymy:
         target = restrict_links(ex1, [("s1", "r1")])
         with pytest.raises(EnumerationGuardExceeded, match="too large for exhaustive"):
             synonymy_class(ex1, target, guard=1)
+        with pytest.raises(EnumerationGuardExceeded, match="too large for exhaustive"):
+            coverage(ex1, target, "union", brute_force=True, guard=1)
 
     def test_non_sub_target_rejected(self, ex1):
         foreign = Information(
@@ -90,6 +95,26 @@ class TestSynonymy:
         )
         with pytest.raises(ValueError, match="not a sub-information"):
             synonymy_class(ex1, foreign)
+        with pytest.raises(ValueError, match="not a sub-information"):
+            coverage(ex1, foreign, "union", brute_force=True)
+
+    @pytest.mark.parametrize("call", [
+        lambda info, target, guard: synonymy_class(info, target, guard),
+        lambda info, target, guard: coverage(info, target, "union", True, guard),
+        lambda info, target, guard: coverage(info, target, "union", False, guard),
+        lambda info, target, guard: coverage(info, target, "replica", True, guard),
+        lambda info, target, guard: coverage(info, target, "replica", False, guard),
+    ], ids=["synonymy_class", "union_brute", "union", "replica_brute", "replica"])
+    @pytest.mark.parametrize("guard, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), ("3", "'3'"), (None, "None"), (2.5, "2.5"),
+        (True, "True"), (-1, "-1"),
+    ], ids=["nan", "inf", "str", "None", "float", "bool", "negative"])
+    def test_guard_must_be_an_int_of_at_least_0(self, ex1, call, guard, shown):
+        """A guard of another type would lift the bound, or fail inside the walk."""
+        target = restrict_links(ex1, [("s1", "r1")])
+        with pytest.raises(ValueError) as exc:
+            call(ex1, target, guard)
+        assert str(exc.value) == "guard must be an int of at least 0, got %s" % shown
 
 
 class TestCoverage:
@@ -133,6 +158,26 @@ class TestCoverage:
         with pytest.raises(ValueError, match="coverage mode must be 'union' or 'replica'"):
             coverage(ex1, ex1, mode)
 
+    def test_union_brute_force_holds_one_member_at_a_time(self):
+        """Seven target states of two links each: 3^7 = 2,187 members among
+        2^14 - 1 subsets, none of which the walk keeps."""
+        info = Information(
+            [StateRecord("s%d" % i, {"e%d" % i}, i, i) for i in range(7)],
+            [ReflectionRecord("r%d_%d" % (i, j), {"m%d" % j}, i, i)
+             for i in range(7) for j in range(2)],
+            [("s%d" % i, "r%d_%d" % (i, j)) for i in range(7) for j in range(2)],
+        )
+        target = restrict_links(info, [("s%d" % i, "r%d_0" % i) for i in range(7)])
+        assert coverage(info, target, "union") == 1  # builds the instance's indexes
+        tracemalloc.start()
+        try:
+            value = coverage(info, target, "union", brute_force=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1
+        assert peak < 2**20
+
     @given(informations_with_sublinks(max_states=3, max_reflections=3))
     @settings(max_examples=60)
     def test_union_fast_path_equals_brute_force(self, case):
@@ -141,6 +186,8 @@ class TestCoverage:
         fast = coverage(info, target, "union")
         brute = coverage(info, target, "union", brute_force=True, guard=20)
         assert fast == brute
+        pooled = set().union(*(m.carrier for m in synonymy_class(info, target, guard=20)))
+        assert brute == Fraction(len(pooled), len(info.carrier))
 
     @given(informations_with_sublinks(max_states=4, max_reflections=4))
     @settings(max_examples=80)
@@ -154,6 +201,13 @@ class TestCoverage:
         assert fast == brute
         assert fast == oracle.coverage(oracle.Doc.load(emit_instance(info)),
                                        oracle.Doc.load(emit_instance(target)), "replica")
+
+
+def test_small_scope_check_finds_no_mismatch():
+    """Every target of ex1 and of the small profile's seeded instances."""
+    n_instances, n_targets, found = small_scope.check()
+    assert (n_instances, n_targets) == (small_scope.SEEDS + 1, 9271)
+    assert found == []
 
 
 class TestReplicaMonotonicity:

@@ -83,6 +83,9 @@ def test_aggregation_creates_merged_reflections():
         {"media": float("nan")},
         {"tick_span": "8"},
         {"replication": True},
+        {"aggregation": "0.5"},
+        {"aggregation": True},
+        {"aggregation": None},
     ],
 )
 def test_degenerate_profiles_rejected(kwargs):
