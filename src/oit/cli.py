@@ -144,11 +144,7 @@ def cmd_metrics(args) -> int:
             }))
         else:
             sys.stderr.write("note: target is %s; coverage skipped\n" % skipped)
-        suit_weights = (
-            tuple(_fraction(w) for w in args.suit_weights)
-            if args.suit_weights
-            else EQUAL_WEIGHTS
-        )
+        suit_weights = tuple(args.suit_weights or EQUAL_WEIGHTS)
         last.append(_entry("suitability", suitability(info, target, suit_weights), {
             "weights": [str(w) for w in suit_weights],
             "distance": JACCARD,
@@ -299,6 +295,14 @@ def _float(text: str) -> float:
         raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
 
 
+def _number(text: str) -> Fraction:
+    """A command-line exact number: a literal of the one number grammar."""
+    try:
+        return read_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid number value: %r" % text) from None
+
+
 def _guard(text: str) -> int:
     """A ``--guard`` value: an int of at least 0."""
     guard = _int(text)
@@ -324,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="weights document (overrides the instance's)")
     p.add_argument("--target", help="target instance for coverage and suitability")
     p.add_argument("--decoder", help="decoder document for validity")
-    p.add_argument("--suit-weights", nargs=6, metavar="W", help="six suitability weights")
+    p.add_argument("--suit-weights", nargs=6, metavar="W", type=_number,
+                   help="six suitability weights")
     p.add_argument("--coverage-mode", choices=COVERAGE_MODES, default=REPLICA)
     p.add_argument("--brute-force", action="store_true")
     p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)

@@ -35,8 +35,9 @@ class SemanticMapping(Frozen):
     instance's own relation and is therefore perfect by construction.  With
     one, even an empty one, its ``kind`` is ``table``: it looks reflection
     content triples up in that finite table and must cover every reflection
-    record it is applied to.  ``distance`` names the distance that
-    :func:`validity` scores the decoded states with.
+    record it is applied to; the mapping holds its own copy of the table.
+    ``distance`` names the distance that :func:`validity` scores the decoded
+    states with.
     """
 
     __slots__ = ()
@@ -46,7 +47,7 @@ class SemanticMapping(Frozen):
             raise ValueError("decoder table must be a mapping or None")
         if distance not in (JACCARD, NUMERIC_L1):
             raise ValueError("decoder distance must be %r or %r" % (JACCARD, NUMERIC_L1))
-        return tuple.__new__(cls, (table, distance))
+        return tuple.__new__(cls, (None if table is None else dict(table), distance))
 
     kind = property(lambda self: "preimage" if self.table is None else "table")
 
@@ -60,7 +61,7 @@ class SemanticMapping(Frozen):
 
     @classmethod
     def from_table(cls, table: Mapping, distance: str = JACCARD) -> SemanticMapping:
-        return cls(dict(table), distance)
+        return cls(table, distance)
 
 
 def decode(info: Information, mapping: SemanticMapping) -> frozenset:

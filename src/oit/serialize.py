@@ -20,6 +20,7 @@ encodes the whole text.
 Every document is read one top-level member at a time, through one front: a
 member with a reader is turned into records, and its JSON tree freed, before
 the next member is decoded; a member without one is kept as json decoded it.
+Each kind of object declares its members: a name repeated or undeclared is refused.
 
 Record values are JSON strings (text), JSON integers, ``{"b64": ...}`` for
 byte strings, or ``{"rational": "p/q"}`` for exact rationals.  Floats are
@@ -75,25 +76,67 @@ def _diag(diags, path, message):
     diags.append(_schema(path, message))
 
 
+class _Repeated(dict):
+    """A JSON object, read as json reads it, whose member ``name`` is repeated."""
+
+
+def _object_from_pairs(pairs) -> dict:
+    """The object of ``pairs``; a :class:`_Repeated` if a name is repeated."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj, seen = _Repeated(obj), set()
+        obj.name = next(name for name, _ in pairs if name in seen or seen.add(name))
+    return obj
+
+
+def _object(raw, path: str, i, names, diags, expected: str) -> bool:
+    """Whether ``raw`` is a JSON object naming each member once, all in ``names``
+    unless it is None.  Else each fault is a diagnostic: ``expected``, the repeated
+    name, or each unknown one at its own path.  ``path % i`` is the object's JSON
+    path, ``$`` for the top level; it is built only for a diagnostic."""
+    if type(raw) is dict and (names is None or raw.keys() <= names):
+        return True
+    where = path % i
+    if not isinstance(raw, dict):
+        _diag(diags, where, expected)
+        return False
+    if type(raw) is _Repeated:
+        _diag(diags, where, "repeated member %s" % brief_repr(raw.name))
+    for name in () if names is None else raw:
+        if name not in names:
+            _diag(diags, brief(name) if where == "$" else where + "." + brief(name),
+                  "unknown member")
+    return False
+
+
+# The members of each object below a document's top level, and two shapes' wording.
+_LINK_MEMBERS, _TAGS = frozenset(("from", "to")), frozenset(("b64", "rational"))
+_ENTRY_SIDES = {"reflection": frozenset(("media", "tick", "value")),
+                "state": frozenset(("entities", "tick", "value"))}
+_VALUE_SHAPE = "value must be text, integer, {\"b64\": ...} or {\"rational\": ...}"
+_LINK_SHAPE = "expected {\"from\": state id, \"to\": reflection id}"
+
+
 def _tagged_value(raw, path, i, diags):
     """A record value given as ``{"b64": ...}`` or ``{"rational": ...}``, else None
-    with a diagnostic at ``path % i``."""
-    if type(raw) is dict and len(raw) == 1:
+    with a diagnostic at ``path % i + ".value"``."""
+    path += ".value"
+    if not _object(raw, path, i, _TAGS, diags, _VALUE_SHAPE):
+        return None
+    if len(raw) == 1:
         if type(raw.get("b64")) is str:
             try:
                 return base64.b64decode(raw["b64"], validate=True)
             except ValueError:
-                _diag(diags, path % i + ".value", "invalid base64 payload")
+                _diag(diags, path % i, "invalid base64 payload")
                 return None
         if type(raw.get("rational")) is str:
             try:
                 return read_fraction(raw["rational"])
             except (ValueError, ZeroDivisionError):
-                _diag(diags, path % i + ".value",
-                      "invalid rational literal %s" % brief_repr(raw["rational"]))
+                _diag(diags, path % i, "invalid rational literal %s" % brief_repr(raw["rational"]))
                 return None
-    _diag(diags, path % i + ".value",
-          "value must be text, integer, {\"b64\": ...} or {\"rational\": ...}")
+    _diag(diags, path % i, _VALUE_SHAPE)
     return None
 
 
@@ -153,9 +196,9 @@ def _records(raw_records, shared: dict, diags, member: str, token_field: str, cl
         _diag(diags, member, "expected a list of record objects")
         return ()
     path = member + "[%d]"
+    names = frozenset(("id", token_field, "tick", "value"))
     for i, raw in enumerate(raw_records):
-        if type(raw) is not dict:
-            _diag(diags, path % i, "expected a record object")
+        if not _object(raw, path, i, names, diags, "expected a record object"):
             continue
         rid = raw.get("id")
         if type(rid) is not str or not rid:
@@ -174,28 +217,24 @@ def _links(raw_links, diags) -> tuple:
         _diag(diags, "links", "expected a list of {from, to} objects")
         raw_links = ()
     for i, raw in enumerate(raw_links):
-        if type(raw) is dict:
+        if _object(raw, "links[%d]", i, _LINK_MEMBERS, diags, _LINK_SHAPE):
             a, b = raw.get("from"), raw.get("to")
             if type(a) is str and type(b) is str:
                 links[a, b] = None
-                continue
-        _diag(diags, "links[%d]" % i, "expected {\"from\": state id, \"to\": reflection id}")
+            else:
+                _diag(diags, "links[%d]" % i, _LINK_SHAPE)
     return tuple(links)
 
 
 def _weights_from_json(raw, diags) -> dict:
     tables: dict = {}
-    if raw is None:
-        return tables
-    if not isinstance(raw, dict):
-        _diag(diags, "weights", _NOT_UNIVERSES)
+    if raw is None or not _object(raw, "weights", (), None, diags, _NOT_UNIVERSES):
         return tables
     for universe, table in raw.items():
         if universe not in UNIVERSES:
             _diag(diags, "weights.%s" % brief(universe), "unknown universe")
             continue
-        if not isinstance(table, dict):
-            _diag(diags, "weights.%s" % universe, _NOT_TABLE)
+        if not _object(table, "weights.%s", universe, None, diags, _NOT_TABLE):
             continue
         parsed = {}
         for token, value in table.items():
@@ -231,15 +270,17 @@ class _MemberReader(JSONDecoder):
     """Decodes a top-level object one member at a time, handing each member's
     value to ``read(name, value)`` as soon as json's C scanner has decoded it, so
     that no member's JSON tree outlives its reading.  ``decode`` returns
-    ``{name: read(name, value)}``, the last of a repeated name winning, as in
-    json's own objects.  Text the loop does not take cleanly, such as a top level
-    that is not an object or a syntax error between members, is decoded whole by
+    ``{name: read(name, value)}``.  Every object, the top level too, is built by
+    one hook: as json builds it, the last of a repeated name winning, but as a
+    :class:`_Repeated` that names the repetition, which every reader refuses.
+    Text the loop does not take cleanly, such as a top level that is not an
+    object or a syntax error between members, is decoded whole by
     ``JSONDecoder.decode``, so that every value and every error message is json's;
     the only object such text holds is the empty one, which has no member to read.
     """
 
     def __init__(self, read):
-        super().__init__()
+        super().__init__(object_pairs_hook=_object_from_pairs)
         self.read = read
 
     def decode(self, s):
@@ -249,7 +290,7 @@ class _MemberReader(JSONDecoder):
             return super().decode(s)
 
     def _members(self, s) -> dict:
-        members = {}
+        members = []
         end, sep = _past(s, 0, "{"), ","
         while sep == ",":
             try:
@@ -257,13 +298,13 @@ class _MemberReader(JSONDecoder):
                 value, end = self.scan_once(s, _WHITESPACE(s, _past(s, end, ":")).end())
             except (StopIteration, ValueError, RecursionError):
                 raise _NotTaken from None
-            members[name] = self.read(name, value)
+            members.append((name, self.read(name, value)))
             del value  # so that this member's tree is freed before the next is decoded
             end = _WHITESPACE(s, end).end() + 1
             sep = s[end - 1:end]
         if sep != "}" or _WHITESPACE(s, end).end() != len(s):
             raise _NotTaken
-        return members
+        return _object_from_pairs(members)
 
 
 def _past(s: str, end: int, char: str) -> int:
@@ -279,8 +320,10 @@ def _members_from_text(text: str, readers: dict) -> dict:
     """The reader front of every document: a JSON object whose ``version`` is
     the JSON integer 1, each member read as soon as it is decoded.  A member
     with a reader becomes (what its reader made of it, its diagnostics), and
-    equal token lists in any member share one token set; a member without one
-    is kept as json decoded it.  Malformed or too deep JSON is a diagnostic."""
+    equal token lists in any member share one token set; a member whose reader
+    is None is kept as json decoded it, and one not in ``readers`` is refused,
+    after the version, as a repeated name is before it.  Malformed or too deep
+    JSON is a diagnostic."""
     shared: dict = {}
 
     def read(name, value):
@@ -298,20 +341,23 @@ def _members_from_text(text: str, readers: dict) -> dict:
         raise ValidationError([Diagnostic(
             MALFORMED, "malformed JSON: an integer literal exceeds %d digits" % MAX_LITERAL_DIGITS,
             ())]) from None
-    if not isinstance(doc, dict):
-        raise ValidationError([_schema("$", "top level must be an object")])
+    diags: list = []
+    if not _object(doc, "$", (), None, diags, "top level must be an object"):
+        raise ValidationError(diags)
     version = doc.get("version")
     if type(version) is not int or version != SCHEMA_VERSION:  # true == 1.0 == 1
         raise ValidationError(
             [_schema("version", "unsupported document version %s" % brief_repr(version))]
         )
+    if not _object(doc, "$", (), readers.keys(), diags, ""):
+        raise ValidationError(diags)
     return doc
 
 
 # The members of a demand's raw sextuple, in the order their diagnostics are
 # reported, each with its reader: (JSON value, shared token sets, diagnostics)
-# -> the sextuple's part.  An instance document adds its weight tables.
-_TARGET_READERS = {
+# -> the sextuple's part.
+_SEXTUPLE_READERS = {
     "entities": partial(_declared_tokens, member="entities"),
     "media": partial(_declared_tokens, member="media"),
     "state_records": partial(_records, member="state_records", token_field="entities",
@@ -320,14 +366,19 @@ _TARGET_READERS = {
                                   cls=ReflectionRecord),
     "links": lambda raw, shared, diags: _links(raw, diags),
 }
+# Each document kind's members, each with its reader, or None for a member kept
+# as json decoded it.  A target holds an instance's members but reads no weights.
+_TARGET_READERS = dict(_SEXTUPLE_READERS, version=None, weights=None)
 _INSTANCE_READERS = dict(_TARGET_READERS,
                          weights=lambda raw, shared, diags: _weights_from_json(raw, diags))
+_DECODER_READERS = dict.fromkeys(("version", "kind", "distance", "entries"))
+_WEIGHTS_READERS = {"version": None, "weights": _INSTANCE_READERS["weights"]}
 
 
 def _raw_from_members(members: dict, diags) -> RawSextuple:
     """The raw sextuple of a document's read members; an absent member is empty."""
     parts = []
-    for name in _TARGET_READERS:
+    for name in _SEXTUPLE_READERS:
         part, found = members.get(name, ((), ()))
         parts.append(part)
         diags.extend(found)
@@ -529,7 +580,7 @@ def parse_target(text: str) -> RawSextuple:
 def parse_decoder(text: str) -> SemanticMapping:
     """Parse a decoder document into its mapping, which carries the document's distance."""
     diags: list = []
-    doc = _members_from_text(text, {})
+    doc = _members_from_text(text, _DECODER_READERS)
     kind = doc.get("kind")
     distance = doc.get("distance", JACCARD)
     if distance not in (JACCARD, NUMERIC_L1):
@@ -545,21 +596,19 @@ def parse_decoder(text: str) -> SemanticMapping:
     first: dict = {}  # reflection triple -> the index of its first entry
     shared: dict = {}
     for i, raw in enumerate(entries):
-        path = "entries[%d]" % i
-        if not isinstance(raw, dict) or "reflection" not in raw or "state" not in raw:
-            _diag(diags, path, "expected {reflection, state} objects")
-            continue
-        not_objects = [side for side in ("reflection", "state") if not isinstance(raw[side], dict)]
-        for side in not_objects:
-            _diag(diags, "%s.%s" % (path, side), "expected an object")
-        if not_objects:
+        if not _object(raw, "entries[%d]", i, _ENTRY_SIDES.keys(), diags,
+                       "expected {reflection, state} objects"):
             continue
         errors = len(diags)
+        for side, names in _ENTRY_SIDES.items():
+            _object(raw.get(side), "entries[%d]." + side, i, names, diags, "expected an object")
+        if len(diags) > errors:
+            continue
         key = _triple(raw["reflection"], "entries[%d].reflection", i, "media", shared, diags)
         value = _triple(raw["state"], "entries[%d].state", i, "entities", shared, diags)
         if len(diags) == errors:
             if table.setdefault(key, value) != value:
-                _diag(diags, path + ".reflection",
+                _diag(diags, "entries[%d].reflection" % i,
                       "already mapped to a different state by entries[%d]" % first[key])
             first.setdefault(key, i)
     if diags:
@@ -570,7 +619,7 @@ def parse_decoder(text: str) -> SemanticMapping:
 def parse_weights_file(text: str) -> dict:
     """Parse a weights document, ``{"version": 1, "weights": {...}}``, with the
     instance's own ``weights`` reader: ``null`` gives no tables, a missing member is refused."""
-    members = _members_from_text(text, {"weights": _INSTANCE_READERS["weights"]})
+    members = _members_from_text(text, _WEIGHTS_READERS)
     tables, diags = members.get("weights", ({}, [_schema("weights", _NOT_UNIVERSES)]))
     if diags:
         raise ValidationError(diags)

@@ -3,15 +3,20 @@
 ``serialize`` reads every document, instance, target, decoder or weights, one
 top-level member at a time, and leaves every text its loop does not take
 cleanly to json's own decoder.  On any text the two must agree: the same
-value, or the same error type and message.  The reader reads no member of a
-text it leaves to json, so json must decode no such text to an object with
-members.  json's messages differ between CPython versions, so this check runs
-under each of them, and it needs no pytest.  From the repository root::
+value, or the same error type and message.  Only for a text that names a
+member twice in one object is the rule narrowed: the value is still json's, the
+last of a repeated name winning, but the reader must mark each such object,
+and only those, as repeating that name, for the document readers to refuse.
+The reader reads no member of a text it leaves to json, so json must decode no
+such text to an object with members.  json's messages differ between CPython
+versions, so this check runs under each of them, and it needs no pytest.  From
+the repository root::
 
     PYTHONPATH=src python -m tests.reader_differential [COUNT]
 
-It names every text that differs or that json decodes to an object with
-members the loop did not take, and exits 1 if any does.
+It names every text that differs, whose repeated names are marked otherwise
+than json reads them, or that json decodes to an object with members the loop
+did not take, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 import random
 import sys
 
-from oit.serialize import _MemberReader, _NotTaken
+from oit.serialize import _MemberReader, _NotTaken, _Repeated
 
 from .paths import FIXTURES
 
@@ -111,6 +116,50 @@ def untaken_object(text: str) -> bool:
     return type(doc) is dict and bool(doc)
 
 
+def json_repeats(text: str) -> list:
+    """The first repeated name of each object that json reads from ``text`` and
+    that names a member twice, sorted; none for a text json does not decode."""
+    found = []
+
+    def pairs(members):
+        seen = set()
+        for name, _ in members:
+            if name in seen:
+                found.append(name)
+                break
+            seen.add(name)
+        return dict(members)
+
+    try:
+        json.loads(text, object_pairs_hook=pairs)
+    except (ValueError, RecursionError):
+        return []
+    return sorted(found)
+
+
+def marked_repeats(value) -> list:
+    """The names that the objects in a decoded ``value`` are marked as repeating, sorted."""
+    found, stack = [], [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            if type(value) is _Repeated:
+                found.append(value.name)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return sorted(found)
+
+
+def repeats_differ(text: str) -> bool:
+    """Whether the member reader marks other repeated names in ``text`` than json reads."""
+    try:
+        marked = marked_repeats(read_members(text))
+    except (ValueError, RecursionError):
+        marked = []
+    return marked != json_repeats(text)
+
+
 def outcome(decode, text: str) -> tuple:
     """What ``decode(text)`` gives: ("value", its repr), or the error's type and message."""
     try:
@@ -122,18 +171,24 @@ def outcome(decode, text: str) -> tuple:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     count = int(argv[0]) if argv else 10000
-    bases, differ, read, untaken = base_members(), 0, 0, 0
+    bases, differ, read, untaken, repeating = base_members(), 0, 0, 0, 0
     for seed in range(count):
         text = mutated_text(random.Random(seed), bases)
         read += taken(text)
+        repeating += bool(json_repeats(text))
         expected, got = outcome(json.loads, text), outcome(read_members, text)
         if got != expected:
             differ += 1
             print("seed %d: json.loads gives %.80r, the member reader %.80r" % (seed, expected, got))
+        elif repeats_differ(text):
+            differ += 1
+            print("seed %d: repeated names %r, marked %r" % (
+                seed, json_repeats(text), marked_repeats(read_members(text))))
         if untaken_object(text):
             untaken += 1
             print("seed %d: an object with members left to json: %.80r" % (seed, text))
     print("%d texts read member by member" % read)
+    print("%d texts name a member twice in one object" % repeating)
     print("%d untaken texts decode to a non-empty object" % untaken)
     print("%d of %d texts differ" % (differ, count))
     return 1 if differ or untaken else 0

@@ -726,6 +726,19 @@ class TestUsageErrors:
             assert err.splitlines()[-1].endswith(": invalid float value: %r" % value)
         assert run(capsys, *[a.format("1/2") for a in argv])[0] != 2
 
+    @pytest.mark.parametrize("target", [False, True], ids=["alone", "with-target"])
+    def test_suit_weights_are_literals_of_the_one_number_grammar(self, capsys, ex1_path, target):
+        """Read before any document, and whether or not a target uses them; a
+        negative or unnormalised vector is the library's to refuse."""
+        head = ["metrics", ex1_path, *(["--target", ex1_path] if target else []), "--suit-weights"]
+        for value in ("1/0", "1_0", " 1 ", "\u0661", "nan", "1e100000000", ""):
+            code, out, err = run(capsys, *head, value, "0", "0", "0", "0", "0")
+            assert (code, out) == (2, ""), value
+            assert err.splitlines()[-1] == (
+                "oit metrics: error: argument --suit-weights: invalid number value: %r" % value)
+        for value in ("-1", "2"):
+            assert run(capsys, *head, value, "0", "0", "0", "0", "0")[0] == (1 if target else 0)
+
     def test_a_short_message_is_kept(self, capsys):
         code, _, err = run(capsys, "hartley", "--n", "x", "--s", "2")
         assert code == 2
@@ -749,7 +762,7 @@ class TestArithmeticErrors:
     @pytest.mark.parametrize("argv", [
         ["entropy", "--probs", "1/0"],
         ["entropy", "--probs", "1e400"],
-        ["metrics", "{ex1}", "--target", "{ex1}", "--suit-weights", "1/0", "1", "1", "1", "1", "1"],
+        ["entropy", "--probs", "0.5,0.5", "--k", "1e308", "--base", "1.0000001"],
         ["metrics", "{ex1}", "--weights", "{weights}"],
     ])
     def test_ends_in_one_diagnostic(self, capsys, tmp_path, ex1_path, argv):
@@ -785,7 +798,8 @@ class TestArithmeticErrors:
     @pytest.mark.parametrize("where, message", [
         ("value", "schema: state_records[0].value: invalid rational literal '1e100000000'"),
         ("weight", "schema: weights.entities.a: invalid weight literal '1e100000000'"),
-        ("suit-weights", "error: invalid number '1e100000000'"),
+        ("suit-weights",
+         "oit metrics: error: argument --suit-weights: invalid number value: '1e100000000'"),
     ])
     def test_a_huge_exponent_ends_quickly(self, capsys, tmp_path, ex1_path, where, message):
         doc = json.loads(emit_instance(example_instance()))
@@ -803,7 +817,9 @@ class TestArithmeticErrors:
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1
-        assert (code, out, err.splitlines()[0]) == (1, "", message)
+        # A usage error's message follows the usage; a diagnostic comes first.
+        expected, line = (2, -1) if where == "suit-weights" else (1, 0)
+        assert (code, out, err.splitlines()[line]) == (expected, "", message)
 
 
 class TestLibraryErrors:

@@ -149,6 +149,21 @@ def write_generated(work: Path) -> None:
     edits["closure_mismatch"]["entities"].append("c")
     for name, edited in edits.items():
         dump(name + ".json", edited)
+    # A repeated or unknown member name in each kind of object a reader takes.
+    text = (FIXTURES / "ex1.json").read_text()
+    (work / "repeated_tick.json").write_text(
+        text.replace('"tick": 1,', '"tick": 1,\n      "tick": 7,', 1))
+    colour, weight = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+    colour["state_records"][0]["colour"] = "red"
+    weight["links"][0]["weight"] = 1
+    dump("unknown_colour.json", colour)
+    dump("unknown_weight.json", weight)
+    misspelt = dict(doc)
+    misspelt["stat_records"] = misspelt.pop("state_records")
+    dump("misspelt_member.json", misspelt)
+    dump("decoder_distanse.json", {"version": 1, "kind": "preimage", "distanse": "numeric-l1"})
+    (work / "weights_repeated.json").write_text(
+        '{"version": 1, "weights": {"entities": {"a": 1, "a": 2}}}\n')
 
 
 def corpus() -> list:
@@ -293,6 +308,15 @@ def corpus() -> list:
         calls += [["validate", "$WORK/%s.json" % name], ["metrics", "$WORK/%s.json" % name]]
     # A demand with no component but its links names them as an instance's diagnostics do.
     calls.append(["metrics", ex1, "--target", _fixture("weights_ex1")])
+    # Each document declares its members once: a repeated or unknown name is refused.
+    for name in ("repeated_tick", "unknown_colour", "unknown_weight", "misspelt_member"):
+        calls += [["validate", "$WORK/%s.json" % name], ["metrics", "$WORK/%s.json" % name]]
+    calls += [["metrics", ex1, "--target", "$WORK/repeated_tick.json"],
+              ["metrics", ex1, "--decoder", "$WORK/decoder_distanse.json"],
+              ["metrics", ex1, "--weights", "$WORK/weights_repeated.json"]]
+    # Suitability weights are read as the one number grammar, with or without a target.
+    calls += [["metrics", ex1, "--suit-weights", w, "0", "0", "0", "0", "0"]
+              for w in ("1/0", "1_0")]
     return calls
 
 

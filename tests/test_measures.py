@@ -9,11 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oit import (
+    Profile,
     UncoveredElement,
     ValidationError,
     atoms,
+    combine,
+    compose,
+    delay,
     emit_instance,
+    generate_synthetic,
     granularity,
+    identity_relay,
     parse_document,
     restrict,
     restrict_links,
@@ -212,3 +218,29 @@ class TestOracle:
         want = oracle.metric_values(oracle.Doc(doc), weights=doc.get("weights"))
         for name, metric, universe in MEASURE_METRICS:
             assert metric(info, (weights or {}).get(universe)) == want[name], name
+
+
+class TestMetricLaws:
+    """How the counting metrics behave under lax ``combine``, written ``a ∨ b``,
+    and under ``compose``, on instances of ``LAW_PROFILE``."""
+
+    LAW_PROFILE = Profile(entities=6, media=4, tick_span=6, replication=2)
+
+    @given(st.integers(0, 2**16), st.integers(0, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_metrics_under_lax_combine_and_compose(self, seed, shift, data):
+        info = generate_synthetic(seed, self.LAW_PROFILE)
+        links = sorted(info.links)
+        a, b = (restrict_links(info, data.draw(st.sets(st.sampled_from(links), min_size=1)))
+                for _ in range(2))
+        ab = combine(a, b, "lax")
+        for metric in (scope, sustainability, richness, volume):
+            assert max(metric(a), metric(b)) <= metric(ab) <= metric(a) + metric(b), metric
+        for metric in (granularity, delay):
+            assert metric(ab) == max(metric(a), metric(b)), metric
+        relay = identity_relay(ab, {m: "relay-" + m for m in ab.carrier}, shift)
+        composed = compose(ab, relay)
+        for metric in (scope, sustainability, richness, granularity):
+            assert metric(composed) == metric(ab), metric
+        assert volume(composed) == volume(relay)
+        assert delay(composed) == delay(ab) + shift

@@ -74,6 +74,7 @@ def test_the_member_reader_decodes_as_json_under_other_interpreters(version):
     assert result.returncode == 0, result.stdout + result.stderr
     assert re.search(r"^0 of [1-9]\d* texts differ$", result.stdout, re.M), result.stdout
     assert "\n0 untaken texts decode to a non-empty object\n" in result.stdout
+    assert re.search(r"^[1-9]\d* texts name a member twice in one object$", result.stdout, re.M)
 
 
 @pytest.mark.parametrize("version", OTHER_VERSIONS)

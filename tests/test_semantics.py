@@ -77,6 +77,14 @@ class TestDecode:
         assert {a, b, SemanticMapping.preimage(), SemanticMapping.from_table({})} == {
             a, SemanticMapping.preimage(), SemanticMapping.from_table({})}
 
+    def test_the_mapping_keeps_its_own_table(self, ex1):
+        table = {r.identity: S1 for r in ex1.reflections}
+        mapping = SemanticMapping(table)
+        before = hash(mapping)
+        table.clear()
+        assert validity(ex1, mapping) == Fraction(2, 3)
+        assert hash(mapping) == before and mapping == constant_decoder(ex1, S1)
+
 
 class TestValidity:
     def test_preimage_is_perfect(self, ex1):

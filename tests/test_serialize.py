@@ -30,6 +30,7 @@ from oit import (
     volume,
 )
 from oit import serialize
+from oit.model import brief, brief_repr
 from oit.serialize import (
     MALFORMED,
     SCHEMA,
@@ -282,19 +283,34 @@ class TestMemberReader:
         assert (differential.outcome(differential.read_members, text)
                 == differential.outcome(json.loads, text))
         assert not differential.untaken_object(text)
+        assert not differential.repeats_differ(text)
 
     @given(st.randoms(use_true_random=True))
     @settings(max_examples=150)
     def test_documents_read_as_json_reads_them(self, rng):
         """A text json decodes is read as json's own reading of it, written
-        again: repeated names, whitespace and escapes change nothing."""
+        again: whitespace and escapes change nothing.  A text that names a
+        member twice in one object is refused instead: by every reader, before
+        anything else, at the top level, and by the instance reader, which
+        reads every member, anywhere."""
         text = differential.mutated_text(rng, BASE_MEMBERS)
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=serialize._object_from_pairs)
         except (ValueError, RecursionError):
             return
-        for parse in (parse_document, parse_target, parse_decoder, parse_weights_file):
-            assert parse_outcome(parse, text) == parse_outcome(parse, json.dumps(doc))
+        parses = (parse_document, parse_target, parse_decoder, parse_weights_file)
+        if type(doc) is serialize._Repeated:
+            for parse in parses:
+                with pytest.raises(ValidationError) as exc:
+                    parse(text)
+                assert [d.message for d in exc.value.diagnostics] == [
+                    "$: repeated member %s" % brief_repr(doc.name)]
+        elif differential.json_repeats(text):
+            with pytest.raises(ValidationError):
+                parse_document(text)
+        else:
+            for parse in parses:
+                assert parse_outcome(parse, text) == parse_outcome(parse, json.dumps(doc))
 
     def test_well_formed_documents_are_read_member_by_member(self, monkeypatch):
         texts = [path.read_text() for path in sorted(FIXTURES.glob("*.json"))]
@@ -315,15 +331,19 @@ class TestMemberReader:
             parse(text)
             assert taken == list(json.loads(text)), parse.__name__
 
-    def test_the_last_of_a_repeated_member_wins(self, ex1):
+    @pytest.mark.parametrize("parse", [parse_document, parse_target, parse_decoder,
+                                       parse_weights_file])
+    def test_a_repeated_member_is_refused(self, ex1, parse):
+        """Wherever it stands and whatever either value is, and before the version."""
         text = emit_instance(ex1)
-        first = text.replace("{", '{"state_records": [{"id": 1}],', 1)
-        assert parse_document(first)[0] == ex1
-        last = text[:-3] + ',\n  "state_records": 5' + text[-3:]
-        with pytest.raises(ValidationError) as exc:
-            parse_document(last)
-        assert [d.message for d in exc.value.diagnostics if d.code == SCHEMA] == [
-            "state_records: expected a list of record objects"]
+        for repeated in (text.replace("{", '{"state_records": [{"id": 1}],', 1),
+                         text[:-3] + ',\n  "state_records": 5' + text[-3:],
+                         text.replace("{", '{"state_records": 5,', 1).replace('"version": 1',
+                                                                              '"version": 2')):
+            with pytest.raises(ValidationError) as exc:
+                parse(repeated)
+            assert [(d.code, d.message, d.subjects) for d in exc.value.diagnostics] == [
+                (SCHEMA, "$: repeated member 'state_records'", ("$",))]
 
     def test_parse_holds_one_member_tree_at_a_time(self):
         """Parsing the ingest document allocates little beyond the instance it
@@ -337,6 +357,94 @@ class TestMemberReader:
             tracemalloc.stop()
         assert len(info.links) > 8000
         assert peak - held < 2.5 * 2**20
+
+
+def json_objects(value, path="$"):
+    """Each JSON object in ``value`` with its path, ``$`` for the top level."""
+    if isinstance(value, dict):
+        yield path, value
+        for name, member in value.items():
+            yield from json_objects(member, name if path == "$" else "%s.%s" % (path, name))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_objects(item, "%s[%d]" % (path, i))
+
+
+def text_with_member(value, target, name, extra, at) -> str:
+    """``value`` as JSON text, with the member ``name: extra`` put at index ``at``
+    of the object ``target``, whether or not ``target`` already names it."""
+    def write(value):
+        if isinstance(value, dict):
+            pairs = list(value.items())
+            if value is target:
+                pairs.insert(at, (name, extra))
+            return "{%s}" % ", ".join("%s: %s" % (json.dumps(k), write(v)) for k, v in pairs)
+        if isinstance(value, list):
+            return "[%s]" % ", ".join(map(write, value))
+        return json.dumps(value)
+
+    return write(value)
+
+
+# Every member name of every object an instance, target, decoder or weights document holds.
+DECLARED = frozenset(("version", "entities", "media", "state_records", "reflection_records",
+                      "links", "weights", "id", "tick", "value", "from", "to", "b64", "rational",
+                      "kind", "distance", "entries", "reflection", "state"))
+ENTRY = '{"reflection": {"media": ["m1"], "tick": 4, "value": "v1"}, %s"state": %s}'
+STATE_SIDE = '{"entities": ["a"], "tick": 1, "value": "v1"%s}'
+
+
+class TestDeclaredMembers:
+    """Each kind of object a document holds declares its members once: a name
+    repeated in an object, or outside its members, is refused and named."""
+
+    @given(informations(values=ANY_VALUES), st.data())
+    @settings(max_examples=150)
+    def test_a_repeated_or_unknown_member_is_refused_in_any_object(self, info, data):
+        doc = json.loads(emit_instance(info))
+        path, obj = data.draw(st.sampled_from(list(json_objects(doc))), label="object")
+        if data.draw(st.booleans(), label="repeated"):
+            name = data.draw(st.sampled_from(sorted(obj)), label="name")
+            subject, message = path, "repeated member %s" % brief_repr(name)
+        else:
+            name = data.draw(ANY_NAMES.filter(lambda n: n not in DECLARED), label="name")
+            subject = brief(name) if path == "$" else "%s.%s" % (path, brief(name))
+            message = "unknown member"
+        extra = data.draw(JSON_VALUES, label="value")
+        text = text_with_member(doc, obj, name, extra, data.draw(st.integers(0, len(obj))))
+        with pytest.raises(ValidationError) as exc:
+            parse_document(text)
+        assert (SCHEMA, "%s: %s" % (subject, message), (subject,)) in [
+            (d.code, d.message, d.subjects) for d in exc.value.diagnostics]
+
+    @pytest.mark.parametrize("parse, text, expected", [
+        (parse_decoder, '{"version": 1, "kind": "preimage", "distanse": "numeric-l1"}',
+         ["distanse: unknown member"]),
+        (parse_decoder, '{"version": 1, "kind": "table", "entries": [%s]}'
+         % ENTRY % ('"weight": 1, ', STATE_SIDE % ""), ["entries[0].weight: unknown member"]),
+        (parse_decoder, '{"version": 1, "kind": "table", "entries": [%s]}'
+         % ENTRY % ("", STATE_SIDE % ', "id": "s1"'), ["entries[0].state.id: unknown member"]),
+        (parse_decoder, '{"version": 1, "kind": "table", "entries": [%s]}'
+         % ENTRY % ("", STATE_SIDE % ', "tick": 2'), ["entries[0].state: repeated member 'tick'"]),
+        (parse_decoder, '{"version": 1, "kind": "table", "entries": [{"reflection": {}}]}',
+         ["entries[0].state: expected an object"]),
+        (parse_weights_file, '{"version": 1, "weights": {"entities": {"a": 1, "a": 2}}}',
+         ["weights.entities: repeated member 'a'"]),
+        (parse_weights_file, '{"version": 1, "weights": {"media": {}, "media": {}}}',
+         ["weights: repeated member 'media'"]),
+        (parse_weights_file, '{"version": 1, "weights": {}, "colour": 1}',
+         ["colour: unknown member"]),
+        (parse_target, '{"version": 1, "stat_records": []}', ["stat_records: unknown member"]),
+        (parse_document, '{"version": 1, "stat_records": []}', ["stat_records: unknown member"]),
+        (parse_document, '{"version": 1, "kind": "preimage"}', ["kind: unknown member"]),
+    ], ids=["decoder-distance", "decoder-entry", "decoder-side", "decoder-side-repeat",
+            "decoder-side-missing", "weights-table", "weights-universes", "weights-top",
+            "target-top", "instance-top", "decoder-as-instance"])
+    def test_side_documents_and_top_levels(self, parse, text, expected):
+        with pytest.raises(ValidationError) as exc:
+            parse(text)
+        assert [d.message for d in exc.value.diagnostics] == expected
+        assert {d.code for d in exc.value.diagnostics} == {SCHEMA}
 
 
 class TestValues:
@@ -457,14 +565,15 @@ class TestDiagnostics:
 class TestReaderDiagnostics:
     """The reader's full ordered diagnostics for one bad record or link added to
     the example.  In the messages, ``{r}`` is the added record's JSON path,
-    ``{t}`` its token field and ``{k}`` its kind; ``{unlinked}`` and
+    ``{t}`` its token field, ``{o}`` the other kind's and ``{k}`` its kind; ``{unlinked}`` and
     ``{violation}`` name the kind's totality or surjectivity check."""
 
     KINDS = {
-        "state_records": dict(r="state_records[3]", t="entities", k="state",
+        "state_records": dict(r="state_records[3]", t="entities", o="media", k="state",
                               unlinked="unlinked-state", violation="totality"),
-        "reflection_records": dict(r="reflection_records[3]", t="media", k="reflection",
-                                   unlinked="unlinked-reflection", violation="surjectivity"),
+        "reflection_records": dict(r="reflection_records[3]", t="media", o="entities",
+                                   k="reflection", unlinked="unlinked-reflection",
+                                   violation="surjectivity"),
     }
     MISSING = object()
     SHAPE = '{r}.value: value must be text, integer, {{"b64": ...}} or {{"rational": ...}}'
@@ -494,7 +603,7 @@ class TestReaderDiagnostics:
         ({"value": 0.5}, [(SCHEMA, SHAPE)]),
         ({"value": False}, [(SCHEMA, SHAPE)]),
         ({"value": ["v"]}, [(SCHEMA, SHAPE)]),
-        ({"value": {"hex": "00"}}, [(SCHEMA, SHAPE)]),
+        ({"value": {"hex": "00"}}, [(SCHEMA, "{r}.value.hex: unknown member")]),
         ({"value": {"b64": "AA==", "rational": "1"}}, [(SCHEMA, SHAPE)]),
         ({"value": {"b64": 5}}, [(SCHEMA, SHAPE)]),
         ({"value": {"b64": "!!"}}, [(SCHEMA, "{r}.value: invalid base64 payload")]),
@@ -503,6 +612,12 @@ class TestReaderDiagnostics:
         ({"value": {"rational": "1/0"}}, [(SCHEMA, "{r}.value: invalid rational literal '1/0'")]),
         ({"value": {"rational": "1e1.5"}},
          [(SCHEMA, "{r}.value: invalid rational literal '1e1.5'")]),
+        ({"value": {}}, [(SCHEMA, SHAPE)]),
+        ({"value": {"b64": "AA==", "colour": 1}}, [(SCHEMA, "{r}.value.colour: unknown member")]),
+        ({"colour": "red"}, [(SCHEMA, "{r}.colour: unknown member")]),
+        ({"colour": "red", "weight": 1, "tick": "1"},
+         [(SCHEMA, "{r}.colour: unknown member"), (SCHEMA, "{r}.weight: unknown member")]),
+        ({"{o}": ["a"]}, [(SCHEMA, "{r}.{o}: unknown member")]),
     ]
     LINK = 'links[4]: expected {"from": state id, "to": reflection id}'
 
@@ -521,7 +636,7 @@ class TestReaderDiagnostics:
             record = {"id": "x9", words["t"]: ["a" if words["k"] == "state" else "m1"],
                       "tick": 9, "value": "v9"}
             for member, value in bad.items():
-                member = words["t"] if member == "tokens" else member
+                member = words["t"] if member == "tokens" else member.format(**words)
                 if value is self.MISSING:
                     del record[member]
                 else:
@@ -538,6 +653,11 @@ class TestReaderDiagnostics:
         doc = json.loads(emit_instance(ex1))
         doc["links"].append(link)
         assert self._diagnostics(doc) == [(SCHEMA, self.LINK)]
+
+    def test_a_link_with_an_unknown_member(self, ex1):
+        doc = json.loads(emit_instance(ex1))
+        doc["links"].append({"from": "s1", "to": "r1", "weight": 1})
+        assert self._diagnostics(doc) == [(SCHEMA, "links[4].weight: unknown member")]
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("bad", [5, 0.5, True, False, None, "s1", "", {"id": "s1"}, {}])
@@ -670,13 +790,17 @@ class TestWeights:
         assert parse_document(json.dumps(doc)) == (ex1, {})
         assert parse_weights_file('{"version": 1, "weights": null}') == {}
 
-    @pytest.mark.parametrize("text", ['{"version": 1}', (FIXTURES / "ex1.json").read_text()],
-                             ids=["version-only", "ex1"])
-    def test_a_weights_file_without_its_member_is_refused(self, text):
+    @pytest.mark.parametrize("text, expected", [
+        ('{"version": 1}', ["weights: expected an object keyed by universe"]),
+        ((FIXTURES / "ex1.json").read_text(),
+         ["%s: unknown member" % name for name in ("entities", "links", "media",
+                                                   "reflection_records", "state_records")]),
+    ], ids=["version-only", "ex1"])
+    def test_a_weights_file_without_its_member_is_refused(self, text, expected):
+        """An instance is no weights file: its other members are unknown there."""
         with pytest.raises(ValidationError) as exc:
             parse_weights_file(text)
-        assert [d.message for d in exc.value.diagnostics] == [
-            "weights: expected an object keyed by universe"]
+        assert [d.message for d in exc.value.diagnostics] == expected
 
 
 class TestSideDocuments:
