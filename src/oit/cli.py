@@ -31,7 +31,6 @@ from .model import (
     ValidationError,
     brief,
     brief_ids,
-    brief_repr,
     build,
     combine,
     compose,
@@ -211,20 +210,8 @@ def cmd_coverage(args) -> int:
     return 0
 
 
-def _fraction(text: str) -> Fraction:
-    """A number given on the command line, read exactly."""
-    try:
-        return read_fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("invalid number %s" % brief_repr(text)) from None
-
-
-def _parse_probs(text: str):
-    return tuple(float(_fraction(tok)) for tok in text.split(",") if tok)
-
-
 def cmd_entropy(args) -> int:
-    value = shannon_entropy(_parse_probs(args.probs), base=args.base, k=args.k)
+    value = shannon_entropy(args.probs, base=args.base, k=args.k)
     sys.stdout.write("%r\n" % value)
     return 0
 
@@ -236,7 +223,7 @@ def cmd_hartley(args) -> int:
 
 
 def cmd_demo_shannon(args) -> int:
-    demo = volume_entropy_demo(_parse_probs(args.probs), args.n, args.seed)
+    demo = volume_entropy_demo(args.probs, args.n, args.seed)
     _report(alphabet=demo.alphabet_size, n=demo.length, seed=demo.seed,
             message=list(demo.message), volume=demo.volume, hartley=demo.hartley,
             entropy_bound=demo.entropy_bound, instance=instance_digest(demo.info))
@@ -293,6 +280,11 @@ def _float(text: str) -> float:
         return float(read_fraction(text))
     except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
+
+
+def _probs(text: str) -> tuple:
+    """A ``--probs`` value: comma-separated command-line floats; an empty item is skipped."""
+    return tuple(_float(item) for item in text.split(",") if item)
 
 
 def _number(text: str) -> Fraction:
@@ -362,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("entropy", help="Shannon entropy of a probability vector")
-    p.add_argument("--probs", required=True, help="comma separated probabilities")
+    p.add_argument("--probs", type=_probs, required=True, help="comma separated probabilities")
     p.add_argument("--base", type=_float, default=2.0)
     p.add_argument("--k", type=_float, default=1.0)
     p.set_defaults(func=cmd_entropy)
@@ -376,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="demonstrations")
     demo_sub = p.add_subparsers(dest="demo", required=True)
     q = demo_sub.add_parser("shannon", help="fixed-length coding volume demo")
-    q.add_argument("--probs", required=True)
+    q.add_argument("--probs", type=_probs, required=True)
     q.add_argument("--n", type=_int, required=True)
     q.add_argument("--seed", type=_int, required=True)
     q.set_defaults(func=cmd_demo_shannon)

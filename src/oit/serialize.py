@@ -20,7 +20,9 @@ encodes the whole text.
 Every document is read one top-level member at a time, through one front: a
 member with a reader is turned into records, and its JSON tree freed, before
 the next member is decoded; a member without one is kept as json decoded it.
-Each kind of object declares its members: a name repeated or undeclared is refused.
+Each kind of object declares its members: a name repeated or undeclared is
+refused, and every declared member is read.  Reader faults come in text order
+and any one ends the parse, so the model sees only a document read whole.
 
 Record values are JSON strings (text), JSON integers, ``{"b64": ...}`` for
 byte strings, or ``{"rational": "p/q"}`` for exact rationals.  Floats are
@@ -210,7 +212,7 @@ def _records(raw_records, shared: dict, diags, member: str, token_field: str, cl
     return tuple(records)
 
 
-def _links(raw_links, diags) -> tuple:
+def _links(raw_links, shared: dict, diags) -> tuple:
     """The document's links, in first-seen order, each once."""
     links: dict = {}
     if type(raw_links) is not list:
@@ -226,7 +228,7 @@ def _links(raw_links, diags) -> tuple:
     return tuple(links)
 
 
-def _weights_from_json(raw, diags) -> dict:
+def _weights_from_json(raw, shared: dict, diags) -> dict:
     tables: dict = {}
     if raw is None or not _object(raw, "weights", (), None, diags, _NOT_UNIVERSES):
         return tables
@@ -257,6 +259,31 @@ def _weights_from_json(raw, diags) -> dict:
                 parsed[token] = w
         tables[universe] = parsed
     return tables
+
+
+def _entries(raw_entries, shared: dict, diags) -> dict:
+    """A decoder's table, reflection triple -> state triple, read whatever its ``kind``."""
+    table, first = {}, {}  # first: reflection triple -> the index of its first entry
+    if type(raw_entries) is not list:
+        _diag(diags, "entries", "expected a list")
+        raw_entries = ()
+    for i, raw in enumerate(raw_entries):
+        if not _object(raw, "entries[%d]", i, _ENTRY_SIDES.keys(), diags,
+                       "expected {reflection, state} objects"):
+            continue
+        errors = len(diags)
+        for side, names in _ENTRY_SIDES.items():
+            _object(raw.get(side), "entries[%d]." + side, i, names, diags, "expected an object")
+        if len(diags) > errors:
+            continue
+        key = _triple(raw["reflection"], "entries[%d].reflection", i, "media", shared, diags)
+        value = _triple(raw["state"], "entries[%d].state", i, "entities", shared, diags)
+        if len(diags) == errors:
+            if table.setdefault(key, value) != value:
+                _diag(diags, "entries[%d].reflection" % i,
+                      "already mapped to a different state by entries[%d]" % first[key])
+            first.setdefault(key, i)
+    return table
 
 
 class _NotTaken(Exception):
@@ -317,21 +344,20 @@ def _past(s: str, end: int, char: str) -> int:
 
 
 def _members_from_text(text: str, readers: dict) -> dict:
-    """The reader front of every document: a JSON object whose ``version`` is
-    the JSON integer 1, each member read as soon as it is decoded.  A member
-    with a reader becomes (what its reader made of it, its diagnostics), and
-    equal token lists in any member share one token set; a member whose reader
-    is None is kept as json decoded it, and one not in ``readers`` is refused,
-    after the version, as a repeated name is before it.  Malformed or too deep
-    JSON is a diagnostic."""
+    """The reader front of every document and the one place of its reading rule:
+    a JSON object whose ``version`` is the JSON integer 1, each member read as
+    soon as it is decoded.  A member with a reader becomes what its reader made
+    of it, and equal token lists in any member share one token set; a member
+    whose reader is None is kept as json decoded it, and one not in ``readers``
+    is refused, after the version, as a repeated name is before it.  The readers
+    append their faults to one list, in text order, raised after these checks.
+    Malformed or too deep JSON is a diagnostic."""
     shared: dict = {}
+    faults: list = []
 
     def read(name, value):
         reader = readers.get(name)
-        if reader is None:
-            return value
-        diags: list = []
-        return reader(value, shared, diags), diags
+        return value if reader is None else reader(value, shared, faults)
 
     try:
         doc = json.loads(text, cls=_MemberReader, read=read)
@@ -349,14 +375,13 @@ def _members_from_text(text: str, readers: dict) -> dict:
         raise ValidationError(
             [_schema("version", "unsupported document version %s" % brief_repr(version))]
         )
-    if not _object(doc, "$", (), readers.keys(), diags, ""):
-        raise ValidationError(diags)
+    if not _object(doc, "$", (), readers.keys(), diags, "") or faults:
+        raise ValidationError(diags or faults)
     return doc
 
 
-# The members of a demand's raw sextuple, in the order their diagnostics are
-# reported, each with its reader: (JSON value, shared token sets, diagnostics)
-# -> the sextuple's part.
+# The members of a demand's raw sextuple, in its order, each with its reader:
+# (JSON value, shared token sets, diagnostics) -> the sextuple's part.
 _SEXTUPLE_READERS = {
     "entities": partial(_declared_tokens, member="entities"),
     "media": partial(_declared_tokens, member="media"),
@@ -364,46 +389,33 @@ _SEXTUPLE_READERS = {
                              cls=StateRecord),
     "reflection_records": partial(_records, member="reflection_records", token_field="media",
                                   cls=ReflectionRecord),
-    "links": lambda raw, shared, diags: _links(raw, diags),
+    "links": _links,
 }
 # Each document kind's members, each with its reader, or None for a member kept
-# as json decoded it.  A target holds an instance's members but reads no weights.
-_TARGET_READERS = dict(_SEXTUPLE_READERS, version=None, weights=None)
-_INSTANCE_READERS = dict(_TARGET_READERS,
-                         weights=lambda raw, shared, diags: _weights_from_json(raw, diags))
-_DECODER_READERS = dict.fromkeys(("version", "kind", "distance", "entries"))
-_WEIGHTS_READERS = {"version": None, "weights": _INSTANCE_READERS["weights"]}
+# as json decoded it.  A target is read as an instance.
+_INSTANCE_READERS = dict(_SEXTUPLE_READERS, version=None, weights=_weights_from_json)
+_DECODER_READERS = {"version": None, "kind": None, "distance": None, "entries": _entries}
+_WEIGHTS_READERS = {"version": None, "weights": _weights_from_json}
 
 
-def _raw_from_members(members: dict, diags) -> RawSextuple:
-    """The raw sextuple of a document's read members; an absent member is empty."""
-    parts = []
-    for name in _SEXTUPLE_READERS:
-        part, found = members.get(name, ((), ()))
-        parts.append(part)
-        diags.extend(found)
-    return RawSextuple(*parts)
+def _raw_and_weights(text: str):
+    """The raw sextuple and the weight tables of an instance document the reader
+    took whole; an absent member is empty."""
+    members = _members_from_text(text, _INSTANCE_READERS)
+    return (RawSextuple(*(members.get(name, ()) for name in _SEXTUPLE_READERS)),
+            members.get("weights", {}))
 
 
 def parse_document(text: str):
     """Parse an instance document; returns the instance and its weight tables.
 
-    Schema diagnostics come first, in member order, then the model's, from its
-    one validation.  The text is dropped once its members are read.
+    A reader fault ends the parse, with every such fault in text order; only a
+    document the reader took whole gets the model's diagnostics, from its one
+    validation.  The text is dropped once its members are read.
     """
-    members = _members_from_text(text, _INSTANCE_READERS)
+    raw, weights = _raw_and_weights(text)
     del text
-    diags: list = []
-    raw = _raw_from_members(members, diags)
-    weights, found = members.get("weights", ({}, ()))
-    diags.extend(found)
-    try:
-        info = model.build(raw)
-    except ValidationError as exc:
-        diags.extend(exc.diagnostics)
-    if diags:
-        raise ValidationError(diags)
-    return info, weights
+    return model.build(raw), weights
 
 
 def parse_instance(text: str) -> Information:
@@ -567,11 +579,10 @@ def parse_target(text: str) -> RawSextuple:
     media, state records and reflection records, well-formed records and links
     that name declared records, but no totality, surjectivity or closure, each
     worded as :func:`oit.model.validate` words it.  Its tick sets are its records'
-    ticks, nonvoid with them; its ``weights`` member is not read."""
+    ticks, nonvoid with them; its ``weights`` are read as an instance's, then dropped."""
+    raw, _ = _raw_and_weights(text)
     diags: list = []
-    raw = _raw_from_members(_members_from_text(text, _TARGET_READERS), diags)
-    if not diags:
-        model._check_well_formed(raw, diags, nonvoid=4)  # all components but the links
+    model._check_well_formed(raw, diags, nonvoid=4)  # all components but the links
     if diags:
         raise ValidationError(diags)
     return raw
@@ -579,7 +590,6 @@ def parse_target(text: str) -> RawSextuple:
 
 def parse_decoder(text: str) -> SemanticMapping:
     """Parse a decoder document into its mapping, which carries the document's distance."""
-    diags: list = []
     doc = _members_from_text(text, _DECODER_READERS)
     kind = doc.get("kind")
     distance = doc.get("distance", JACCARD)
@@ -589,38 +599,15 @@ def parse_decoder(text: str) -> SemanticMapping:
         return SemanticMapping.preimage(distance)
     if kind != "table":
         raise ValidationError([_schema("kind", "must be 'preimage' or 'table'")])
-    entries = doc.get("entries")
-    if not isinstance(entries, list):
+    if "entries" not in doc:
         raise ValidationError([_schema("entries", "expected a list")])
-    table = {}
-    first: dict = {}  # reflection triple -> the index of its first entry
-    shared: dict = {}
-    for i, raw in enumerate(entries):
-        if not _object(raw, "entries[%d]", i, _ENTRY_SIDES.keys(), diags,
-                       "expected {reflection, state} objects"):
-            continue
-        errors = len(diags)
-        for side, names in _ENTRY_SIDES.items():
-            _object(raw.get(side), "entries[%d]." + side, i, names, diags, "expected an object")
-        if len(diags) > errors:
-            continue
-        key = _triple(raw["reflection"], "entries[%d].reflection", i, "media", shared, diags)
-        value = _triple(raw["state"], "entries[%d].state", i, "entities", shared, diags)
-        if len(diags) == errors:
-            if table.setdefault(key, value) != value:
-                _diag(diags, "entries[%d].reflection" % i,
-                      "already mapped to a different state by entries[%d]" % first[key])
-            first.setdefault(key, i)
-    if diags:
-        raise ValidationError(diags)
-    return SemanticMapping.from_table(table, distance)
+    return SemanticMapping.from_table(doc["entries"], distance)
 
 
 def parse_weights_file(text: str) -> dict:
     """Parse a weights document, ``{"version": 1, "weights": {...}}``, with the
     instance's own ``weights`` reader: ``null`` gives no tables, a missing member is refused."""
-    members = _members_from_text(text, _WEIGHTS_READERS)
-    tables, diags = members.get("weights", ({}, [_schema("weights", _NOT_UNIVERSES)]))
-    if diags:
-        raise ValidationError(diags)
-    return tables
+    doc = _members_from_text(text, _WEIGHTS_READERS)
+    if "weights" not in doc:
+        raise ValidationError([_schema("weights", _NOT_UNIVERSES)])
+    return doc["weights"]

@@ -377,10 +377,17 @@ class TestMetrics:
         assert "suitability" in {m["name"] for m in json.loads(out)["metrics"]}
         assert err == "note: target is not an instance (unlinked-state: s3); coverage skipped\n"
 
-    def test_unread_target_weights_do_not_skip_coverage(self, capsys, ex1_path, tmp_path):
+    def test_target_weights_are_read_as_an_instance_reads_them(self, capsys, ex1_path, tmp_path):
         target = tmp_path / "target.json"
         doc = json.loads(emit_instance(restrict_links(example_instance(), [("s1", "r1")])))
-        doc["weights"] = {"no-such-universe": {"x": "-1"}}
+        doc["weights"] = {"no-such-universe": {"x": "-1"}, "entities": {"a": "x"}}
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "metrics", ex1_path, "--target", str(target))
+        assert (code, out) == (1, "")
+        assert err == run(capsys, "validate", str(target))[2] == (
+            "schema: weights.no-such-universe: unknown universe\n"
+            "schema: weights.entities.a: invalid weight literal 'x'\n")
+        doc["weights"] = {"entities": {"a": "1/2"}}
         target.write_text(json.dumps(doc))
         code, out, err = run(capsys, "metrics", ex1_path, "--target", str(target))
         assert (code, err) == (0, "")
@@ -739,6 +746,20 @@ class TestUsageErrors:
         for value in ("-1", "2"):
             assert run(capsys, *head, value, "0", "0", "0", "0", "0")[0] == (1 if target else 0)
 
+    @pytest.mark.parametrize("head", [["entropy"], ["demo", "shannon", "--n", "2", "--seed", "0"]])
+    def test_probs_are_literals_of_the_one_number_grammar(self, capsys, head):
+        """Each item is read as a float option is, before the library's checks."""
+        for item in ("1/0", "1e400", "nan", "inf", "1_0", " 1 ", "\u0661"):
+            for value in (item, "0.5," + item):
+                code, out, err = run(capsys, *head, "--probs", value)
+                assert (code, out) == (2, ""), value
+                assert err.splitlines()[-1].endswith(
+                    ": error: argument --probs: invalid float value: %r" % item)
+        for value, message in ((",", "distribution is empty"),
+                               ("-0.5,1.5", "negative probabilities: [-0.5]")):
+            code, out, err = run(capsys, *head, "--probs=" + value)
+            assert (code, out, err) == (1, "", "error: %s\n" % message)
+
     def test_a_short_message_is_kept(self, capsys):
         code, _, err = run(capsys, "hartley", "--n", "x", "--s", "2")
         assert code == 2
@@ -760,8 +781,6 @@ class TestArithmeticErrors:
     """A number with no exact or no float reading ends in one diagnostic, not a traceback."""
 
     @pytest.mark.parametrize("argv", [
-        ["entropy", "--probs", "1/0"],
-        ["entropy", "--probs", "1e400"],
         ["entropy", "--probs", "0.5,0.5", "--k", "1e308", "--base", "1.0000001"],
         ["metrics", "{ex1}", "--weights", "{weights}"],
     ])
@@ -1038,6 +1057,55 @@ class TestContractUnderMutation:
                     json.dump(doc, f)
             for command in self.COMMANDS:
                 argv = [arg.format(**paths) for arg in command]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run_cli(argv)
+                assert code in (0, 1, 2), argv
+                assert code == 0 or err.getvalue(), argv
+                assert all(len(line) < LINE_BOUND for line in err.getvalue().splitlines()), argv
+
+
+# Whole input files of three kinds: any JSON value; a version 1 object with any
+# values under the member names the four document kinds declare; raw bytes.
+_JSON = st.recursive(_ATOMS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+_DECLARED = ("entities", "media", "state_records", "reflection_records", "links", "weights",
+             "kind", "distance", "entries")
+_WHOLE_FILES = st.one_of(
+    _JSON.map(json.dumps),
+    st.fixed_dictionaries({}, optional=dict.fromkeys(_DECLARED, _JSON)).map(
+        lambda members: json.dumps({"version": 1, **members})),
+    st.binary(max_size=64),
+)
+
+
+class TestContractOnWholeFiles:
+    """Every file argument of every command ends in exit 0, 1 or 2 on any file,
+    and explains a failure on stderr in bounded lines."""
+
+    COMMANDS = [
+        ["validate", "{file}"],
+        ["metrics", "{file}"],
+        ["metrics", "{ex1}", "--target", "{file}"],
+        ["metrics", "{ex1}", "--decoder", "{file}"],
+        ["metrics", "{ex1}", "--weights", "{file}"],
+        ["atoms", "{file}"],
+        ["coverage", "{file}", "--target", "{ex1}"],
+        ["coverage", "{ex1}", "--target", "{file}"],
+        ["combine", "{file}", "{ex1}", "-o", "-"],
+        ["compose", "{file}", "{ex1}", "-o", "-"],
+    ]
+
+    @given(_WHOLE_FILES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_file_ends_in_a_known_exit_code(self, content):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "file.json")
+            with open(path, "wb") as f:
+                f.write(content.encode("utf-8", "surrogatepass") if isinstance(content, str)
+                        else content)
+            for command in self.COMMANDS:
+                argv = [arg.format(file=path, ex1=FIXTURES / "ex1.json") for arg in command]
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = run_cli(argv)

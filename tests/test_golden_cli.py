@@ -164,6 +164,12 @@ def write_generated(work: Path) -> None:
     dump("decoder_distanse.json", {"version": 1, "kind": "preimage", "distanse": "numeric-l1"})
     (work / "weights_repeated.json").write_text(
         '{"version": 1, "weights": {"entities": {"a": 1, "a": 2}}}\n')
+    # Every member a document declares is read: a target's weights, and a decoder's
+    # entries whatever its kind, before its distance.
+    dump("target_bad_weights.json", dict(doc, weights={"entities": {"a": "x"}, "colour": 5}))
+    dump("decoder_preimage_entries.json",
+         {"version": 1, "kind": "preimage", "entries": [{"reflection": 5}]})
+    dump("decoder_l2_entries.json", {"version": 1, "kind": "table", "distance": "l2", "entries": 7})
 
 
 def corpus() -> list:
@@ -317,6 +323,11 @@ def corpus() -> list:
     # Suitability weights are read as the one number grammar, with or without a target.
     calls += [["metrics", ex1, "--suit-weights", w, "0", "0", "0", "0", "0"]
               for w in ("1/0", "1_0")]
+    calls += [["metrics", ex1, "--target", "$WORK/target_bad_weights.json"],
+              ["metrics", ex1, "--decoder", "$WORK/decoder_preimage_entries.json"],
+              ["metrics", ex1, "--decoder", "$WORK/decoder_l2_entries.json"]]
+    # Probabilities are read as float options are: one with no float reading is a usage error.
+    calls += [["entropy", "--probs", p] for p in ("1/0", "1e400")]
     return calls
 
 

@@ -21,15 +21,18 @@ from oit import (
     granularity,
     identity_relay,
     parse_document,
+    parse_target,
     restrict,
     restrict_links,
     richness,
     scope,
+    suitability,
     sustainability,
     volume,
 )
 from oit.cli import MEASURE_METRICS
 from oit.measures import _measure
+from oit.semantics import EQUAL_WEIGHTS
 
 from .paths import REPO_ROOT, load_script
 from .strategies import informations, informations_with_sublinks, weight_tables
@@ -244,3 +247,13 @@ class TestMetricLaws:
             assert metric(composed) == metric(ab), metric
         assert volume(composed) == volume(relay)
         assert delay(composed) == delay(ab) + shift
+
+    @given(st.integers(0, 2**16), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_an_instance_is_fully_suitable_to_its_own_text(self, seed, data):
+        """``suitability(i, parse_target(emit_instance(i)))`` is 0 under equal
+        weights, for a drawn instance and for a random restriction of it."""
+        info = generate_synthetic(seed, self.LAW_PROFILE)
+        links = data.draw(st.sets(st.sampled_from(sorted(info.links)), min_size=1))
+        for case in (info, restrict_links(info, links)):
+            assert suitability(case, parse_target(emit_instance(case)), EQUAL_WEIGHTS) == 0

@@ -951,8 +951,11 @@ class TestProperties:
         text = emit_instance(ex1)
         parse_document(text)
         assert len(calls) == 1
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError):  # the reader refuses: the model never sees it
             parse_document(text.replace('"tick": 1', '"tick": "one"'))
+        assert len(calls) == 1
+        with pytest.raises(ValidationError):  # read whole, refused by the model
+            parse_document(text.replace('"to": "r1"', '"to": "r9"'))
         assert len(calls) == 2
 
         sub = restrict_links(ex1, [("s1", "r1"), ("s2", "r2")])
