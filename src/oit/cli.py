@@ -29,12 +29,13 @@ from .model import (
     MAX_LITERAL_DIGITS,
     OitError,
     ValidationError,
+    _NUMBER,
+    _containment,
     brief,
     brief_ids,
     build,
     combine,
     compose,
-    is_sub_information,
     read_fraction,
 )
 from .semantics import EQUAL_WEIGHTS, JACCARD, suitability, validity
@@ -125,9 +126,10 @@ def cmd_metrics(args) -> int:
             first = exc.diagnostics[0]
             skipped = "not an instance (%s: %s)" % (first.code, brief_ids(first.subjects))
         else:
-            skipped = None if is_sub_information(target_info, info) else (
+            lacking = _containment(target_info, info)[1]
+            skipped = None if not lacking else (
                 "not a sub-information (the input lacks its link %s -> %s)"
-                % _lacking_link(target_info, info))
+                % tuple(map(brief, min(lacking))))
         if skipped is None:
             value = coverage(
                 info,
@@ -167,14 +169,6 @@ def cmd_metrics(args) -> int:
     else:
         _report(tool="oit %s" % __version__, instance=instance_digest(info), metrics=entries)
     return 0
-
-
-def _lacking_link(target, info) -> tuple:
-    """The smallest link of ``target`` whose content ``info`` lacks, its ids through ``brief``."""
-    states, reflections = target.state_by_id, target.reflection_by_id
-    a, b = min((a, b) for a, b in target.links
-               if (states[a].identity, reflections[b].identity) not in info.link_identities)
-    return brief(a), brief(b)
 
 
 def cmd_atoms(args) -> int:
@@ -249,7 +243,14 @@ USAGE_BOUND = 400
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors, and its subparsers', stay bounded."""
+    """An argument parser whose usage errors, and its subparsers', stay bounded,
+    and which reads every negative literal of the one number grammar as a value:
+    argparse's own pattern knows only ``-N`` and ``-N.N``, and some patch releases
+    let an option of six values take any other dash argument as one of them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"(?=-)(?:%s)\Z" % _NUMBER.pattern)
 
     def error(self, message):
         if len(message) > USAGE_BOUND:
@@ -301,6 +302,20 @@ def _guard(text: str) -> int:
     if guard < 0:
         raise argparse.ArgumentTypeError("must be at least 0, got %s" % brief(text))
     return guard
+
+
+# The ceiling of ``demo shannon --n``.  A position costs one state record and
+# ceil(log2 S) reflection records, each about 0.75 KB and 10 us (measured at n =
+# 5,000 to 20,000): at the ceiling, about 150 MB and 1.5 s for S = 2.
+DEMO_MAX_N = 10**5
+
+
+def _demo_n(text: str) -> int:
+    """A ``demo shannon --n`` value: an int of at most ``DEMO_MAX_N``."""
+    n = _int(text)
+    if n > DEMO_MAX_N:
+        raise argparse.ArgumentTypeError("must be at most %d, got %s" % (DEMO_MAX_N, brief(text)))
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_sub = p.add_subparsers(dest="demo", required=True)
     q = demo_sub.add_parser("shannon", help="fixed-length coding volume demo")
     q.add_argument("--probs", type=_probs, required=True)
-    q.add_argument("--n", type=_int, required=True)
+    q.add_argument("--n", type=_demo_n, required=True)
     q.add_argument("--seed", type=_int, required=True)
     q.set_defaults(func=cmd_demo_shannon)
 

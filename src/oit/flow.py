@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from .model import Information, OitError, brief_repr, is_sub_information, restrict_links
+from .model import Information, OitError, _containment, brief, brief_repr, restrict_links
 
 DEFAULT_GUARD = 15
 
@@ -46,11 +46,13 @@ def delay(info: Information) -> int:
 
 
 def _target_state_ids(info: Information, target: Information) -> frozenset:
-    if not is_sub_information(target, info):
-        raise ValueError("target is not a sub-information of the instance")
-    return frozenset(
-        info.state_id_by_identity[identity] for identity in target.state_identities
-    )
+    """The ids of ``info``'s states that the target's states map to; a target with a
+    link whose content ``info`` lacks is refused, naming the smallest such link."""
+    states, lacking = _containment(target, info)
+    if lacking:
+        raise ValueError("target is not a sub-information of the instance (the instance "
+                         "lacks its link %s -> %s)" % tuple(map(brief, min(lacking))))
+    return frozenset(states.values())
 
 
 def _check_guard(guard) -> None:

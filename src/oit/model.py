@@ -335,13 +335,6 @@ class Information(Frozen):
         return frozenset(self.reflection_id_by_identity)
 
     @cached_property
-    def link_identities(self) -> frozenset:
-        return frozenset(
-            (self.state_by_id[a].identity, self.reflection_by_id[b].identity)
-            for a, b in self.links
-        )
-
-    @cached_property
     def successors(self) -> dict:
         """State id -> sorted tuple of the reflection ids it links to."""
         return _grouped(self.links)
@@ -579,38 +572,38 @@ def _information(states, reflections, links) -> Information:
     return tuple.__new__(Information, (frozenset(states), frozenset(reflections), frozenset(links)))
 
 
-def is_sub_information(candidate: Information, parent: Information) -> bool:
-    """True when every link of ``candidate`` appears in ``parent`` by content.
-
-    Link containment plus canonical closure implies containment of all six
-    components, so nothing else needs checking.  Each candidate record is
-    mapped to the parent's record of the same content, and each mapped link is
-    looked up among the parent's links.
-    """
+def _containment(candidate: Information, parent: Information) -> tuple:
+    """Map ``candidate``'s records into ``parent`` by content: the parent id of each
+    candidate state (None where the parent has no state of its content), and the
+    candidate's links whose content the parent lacks."""
     state_ids, reflection_ids = parent.state_id_by_identity, parent.reflection_id_by_identity
     states = {rec.id: state_ids.get(rec.identity) for rec in candidate.states}
     reflections = {rec.id: reflection_ids.get(rec.identity) for rec in candidate.reflections}
     links = parent.links
-    return all((states[a], reflections[b]) in links for a, b in candidate.links)
+    return states, [(a, b) for a, b in candidate.links if (states[a], reflections[b]) not in links]
+
+
+def is_sub_information(candidate: Information, parent: Information) -> bool:
+    """True when every link of ``candidate`` appears in ``parent`` by content.
+
+    Link containment plus canonical closure implies containment of all six
+    components, so nothing else needs checking.
+    """
+    return not _containment(candidate, parent)[1]
 
 
 def is_proper_sub_information(candidate: Information, parent: Information) -> bool:
     """True when the containment is strict in at least one of the six components.
 
-    Dropping a link while keeping every record (a replica link between
-    otherwise-covered records) leaves all six components equal, so a strict
-    link subset alone does not make the containment proper.
+    Records of one instance differ in content, so a contained candidate's
+    records map one to one into the parent's, and the four token/tick components
+    follow from the records: the containment is strict exactly when the
+    candidate has fewer state or fewer reflection records.  Dropping a replica
+    link between otherwise-covered records keeps every record, so it is not proper.
     """
-    if not is_sub_information(candidate, parent):
-        return False
-    return (
-        candidate.ontology < parent.ontology
-        or candidate.occurrence_ticks < parent.occurrence_ticks
-        or candidate.state_identities < parent.state_identities
-        or candidate.carrier < parent.carrier
-        or candidate.reflection_ticks < parent.reflection_ticks
-        or candidate.reflection_identities < parent.reflection_identities
-    )
+    return is_sub_information(candidate, parent) and (
+        len(candidate.states) < len(parent.states)
+        or len(candidate.reflections) < len(parent.reflections))
 
 
 def _induced(parent: Information, selected) -> Information:

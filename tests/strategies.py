@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from oit import Information, ReflectionRecord, StateRecord
+from oit import Information, ReflectionRecord, StateRecord, combine, restrict_links
 
 ENTITY_POOL = ["ea", "eb", "ec"]
 MEDIA_POOL = ["ma", "mb", "mc"]
@@ -87,6 +87,49 @@ def informations(draw, max_states=4, max_reflections=4, values=st.sampled_from(V
             source = draw(st.sampled_from([s.id for s in states]))
             links.add((source, rec.id))
     return Information(states, reflections, links)
+
+
+def renamed(info: Information, prefix: str) -> Information:
+    """The same instance with every record id prefixed."""
+    return Information(
+        [StateRecord(prefix + r.id, r.entities, r.tick, r.value) for r in info.states],
+        [ReflectionRecord(prefix + r.id, r.media, r.tick, r.value) for r in info.reflections],
+        [(prefix + a, prefix + b) for a, b in info.links],
+    )
+
+
+@st.composite
+def containment_pairs(draw):
+    """A candidate and a parent, each way round: a restriction; a restriction
+    that drops one replica link and so keeps every record; either of those under
+    other ids; an operand and its lax union with an independent instance; or two
+    independent instances."""
+    parent = draw(informations())
+    kind = draw(st.sampled_from(["restriction", "replica", "union", "foreign"]))
+    if kind == "foreign":
+        candidate = draw(informations())
+    elif kind == "union":
+        candidate, parent = parent, combine(parent, renamed(draw(informations()), "u_"), "lax")
+    else:
+        links = sorted(parent.links)
+        if kind == "replica":
+            successors, predecessors = parent.successors, parent.predecessors
+            droppable = [(a, b) for a, b in links
+                         if len(successors[a]) > 1 and len(predecessors[b]) > 1]
+            if droppable:
+                links.remove(draw(st.sampled_from(droppable)))
+        else:
+            links = draw(st.sets(st.sampled_from(links), min_size=1))
+        candidate = restrict_links(parent, links)
+        if draw(st.booleans()):
+            candidate = renamed(candidate, "z_")
+    return (candidate, parent) if draw(st.booleans()) else (parent, candidate)
+
+
+def link_contents(info: Information) -> frozenset:
+    """Each link of the instance as the content triples of the two records it joins."""
+    states, reflections = info.state_by_id, info.reflection_by_id
+    return frozenset((states[a].identity, reflections[b].identity) for a, b in info.links)
 
 
 @st.composite

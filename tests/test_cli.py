@@ -34,6 +34,7 @@ from oit import (
 from oit.model import LISTED_IDS
 
 from .paths import FIXTURES, REPO_ROOT
+from .strategies import containment_pairs
 
 
 # A diagnostic line lists at most two groups of LISTED_IDS ids, each cut to 40
@@ -491,8 +492,42 @@ class TestCoverage:
         doc["state_records"][0]["value"] = "changed"
         foreign.write_text(json.dumps(doc))
         code, _, err = run(capsys, "coverage", ex1_path, "--target", str(foreign))
-        assert code == 1
-        assert "not a sub-information" in err
+        assert (code, err) == (1, "error: target is not a sub-information of the instance "
+                                  "(the instance lacks its link s1 -> r1)\n")
+
+    @given(containment_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_the_smallest_lacking_target_link_is_named(self, pair):
+        """Coverage's refusal and the metrics note name the smallest target link
+        with no link of the same record contents in the input, found here by
+        brute force; a target with none is covered."""
+        target, info = pair
+        states, reflections = info.state_by_id, info.reflection_by_id
+        lacking = [(a, b) for a, b in sorted(target.links) if not any(
+            states[x].identity == target.state_by_id[a].identity
+            and reflections[y].identity == target.reflection_by_id[b].identity
+            for x, y in info.links)]
+        with tempfile.TemporaryDirectory() as work:
+            paths = []
+            for name, instance in (("info", info), ("target", target)):
+                paths.append(os.path.join(work, name + ".json"))
+                with open(paths[-1], "w", encoding="utf-8") as f:
+                    f.write(emit_instance(instance))
+            results = []
+            for command in ("coverage", "metrics"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    results.append((run_cli([command, paths[0], "--target", paths[1]]),
+                                    err.getvalue()))
+        if not lacking:
+            assert results == [(0, ""), (0, "")]
+            return
+        named = "its link %s -> %s" % lacking[0]
+        assert results == [
+            (1, "error: target is not a sub-information of the instance (the instance lacks "
+                "%s)\n" % named),
+            (0, "note: target is not a sub-information (the input lacks %s); coverage "
+                "skipped\n" % named)]
 
     def brute_union(self, capsys, ex1_path, fixtures_dir, *extra):
         return run(
@@ -743,8 +778,23 @@ class TestUsageErrors:
             assert (code, out) == (2, ""), value
             assert err.splitlines()[-1] == (
                 "oit metrics: error: argument --suit-weights: invalid number value: %r" % value)
-        for value in ("-1", "2"):
+        # Every negative literal is a value, whatever argparse's own notion of one.
+        for value in ("-1", "-.5", "-5.", "-1/6", "-1e-3", "2"):
             assert run(capsys, *head, value, "0", "0", "0", "0", "0")[0] == (1 if target else 0)
+
+    def test_demo_length_has_a_ceiling(self, capsys, monkeypatch):
+        """Checked by the option's type, so that no demo starts; the library keeps none."""
+        monkeypatch.setattr(oit.cli, "volume_entropy_demo", None)
+        ceiling = oit.cli.DEMO_MAX_N
+        assert oit.cli._demo_n(str(ceiling)) == ceiling
+        for n in (ceiling + 1, 10**30):
+            code, out, err = run(capsys, "demo", "shannon", "--probs", "0.5,0.5", "--n", str(n),
+                                 "--seed", "1")
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == (
+                "oit demo shannon: error: argument --n: must be at most %d, got %d" % (ceiling, n))
+        monkeypatch.undo()
+        assert oit.volume_entropy_demo((0.5, 0.5), ceiling + 1, 1).length == ceiling + 1
 
     @pytest.mark.parametrize("head", [["entropy"], ["demo", "shannon", "--n", "2", "--seed", "0"]])
     def test_probs_are_literals_of_the_one_number_grammar(self, capsys, head):

@@ -93,6 +93,7 @@ def write_generated(work: Path) -> None:
                           ("decoder_repeat", decoder["entries"] + decoder["entries"][:1])):
         dump(name + ".json", dict(decoder, entries=entries))
     dump("decoder_partial.json", dict(decoder, entries=decoder["entries"][:1]))
+    dump("decoder_no_entries.json", {"version": 1, "kind": "table"})
     integers = json.loads(json.dumps(doc))
     for rec, value in zip(integers["state_records"] + integers["reflection_records"],
                           (1, 2, 3, 1, 23, 1)):
@@ -274,8 +275,8 @@ def corpus() -> list:
     calls += [
         ["entropy", "--probs", "0.5,0.6"],
         ["entropy", "--probs=-0.5,1.5"],
-        # argparse takes a separate value that starts with "-" and is no plain
-        # negative number for an option: a usage error.
+        # A separate value that starts with "-" and is no literal of the one number
+        # grammar is taken for an option: a usage error.
         ["entropy", "--probs", "-0.5,1.5"],
         ["entropy", "--probs", ","],
         ["entropy", "--probs", "0.5,0.5", "--base", "1"],
@@ -284,10 +285,12 @@ def corpus() -> list:
         ["hartley", "--n", "2", "--s", "1"],
         ["demo", "shannon", "--probs", "1", "--n", "2", "--seed", "0"],
         ["demo", "shannon", "--probs", "0.5,0.5", "--n", "0", "--seed", "0"],
+        ["demo", "shannon", "--probs", "0.5,0.5", "--n", "1" + "0" * 30, "--seed", "1"],
         ["gen", "--seed", "0", "--entities", "0", "-o", "-"],
         ["gen", "--seed", "0", "--replication", "0", "-o", "-"],
         ["gen", "--seed", "0", "--aggregation", "2", "-o", "-"],
         ["metrics", ex1, "--decoder", "$WORK/decoder_partial.json"],
+        ["metrics", ex1, "--decoder", "$WORK/decoder_no_entries.json"],
         ["metrics", "$WORK/integers.json", "--decoder", "$WORK/decoder_l1_table.json"],
         suit + ["0", "0", "0", "0", "0", "0"],
         suit + ["-1", "1", "1", "0", "0", "0"],

@@ -5,6 +5,7 @@ import functools
 import pickle
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -50,22 +51,14 @@ from oit import (
 from oit import model
 from oit.model import LinkRelation
 
-from .strategies import distributions, informations, informations_with_sublinks, record_sets
+from .strategies import (containment_pairs, distributions, informations, informations_with_sublinks,
+                         link_contents, record_sets, renamed)
 
 # Record ids, ticks and values that cannot be hashed.
 UNHASHABLE = st.one_of(
     st.lists(st.text(max_size=2), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
 )
-
-
-def renamed(info: Information, prefix: str) -> Information:
-    """The same instance with every record id prefixed."""
-    return Information(
-        [StateRecord(prefix + r.id, r.entities, r.tick, r.value) for r in info.states],
-        [ReflectionRecord(prefix + r.id, r.media, r.tick, r.value) for r in info.reflections],
-        [(prefix + a, prefix + b) for a, b in info.links],
-    )
 
 
 def raw_of(info: Information) -> RawSextuple:
@@ -474,7 +467,9 @@ class TestValidate:
         ]
 
     @given(informations(), st.data())
-    @settings(max_examples=80)
+    # No deadline: the first in-body draw of UNHASHABLE builds Hypothesis's text
+    # character map inside the timed call, about 1.3 s on a fresh checkout.
+    @settings(max_examples=80, deadline=None)
     def test_records_with_unhashable_parts_give_one_diagnostic_each(self, info, data):
         kind = data.draw(st.sampled_from(["states", "reflections"]))
         records = sorted(getattr(info, kind), key=lambda r: r.id)
@@ -532,14 +527,25 @@ class TestSubInformation:
     @given(informations(), informations(), st.data())
     @settings(max_examples=150)
     def test_link_containment_by_content(self, a, b, data):
-        """Against the whole-instance link identity sets, on independent pairs,
+        """Against the whole-instance link content sets, on independent pairs,
         which are mostly not subs, and on restrictions, which always are."""
         links = data.draw(st.sets(st.sampled_from(sorted(a.links)), min_size=1))
         sub = restrict_links(a, links)
         for candidate, parent in ((a, b), (b, a), (sub, a), (sub, b), (a, sub)):
             assert is_sub_information(candidate, parent) == (
-                candidate.link_identities <= parent.link_identities)
+                link_contents(candidate) <= link_contents(parent))
         assert is_sub_information(sub, a)
+
+    @given(containment_pairs())
+    @settings(max_examples=300)
+    def test_proper_containment_is_the_six_component_comparison(self, pair):
+        """Contained by link content, and strictly smaller in at least one of the six components."""
+        candidate, parent = pair
+        six = attrgetter("ontology", "occurrence_ticks", "state_identities", "carrier",
+                         "reflection_ticks", "reflection_identities")
+        assert is_proper_sub_information(candidate, parent) == (
+            link_contents(candidate) <= link_contents(parent)
+            and any(c < p for c, p in zip(six(candidate), six(parent))))
 
     def test_content_based_comparison_ignores_ids(self, ex1):
         renamed = Information(
@@ -615,13 +621,12 @@ class TestCombine:
 
     def test_restrictions_of_one_instance_combine_without_content_links(self, ex1):
         """No record of one instance's restrictions loses its id, so combine takes
-        both link sets as they are and builds neither operand's content links."""
+        both link sets as they are and builds no index of either operand."""
         a = restrict(ex1, lambda s, r: s.tick <= 2)
         b = restrict(ex1, lambda s, r: s.tick >= 2)
         for mode in ("strict", "lax"):
             assert combine(a, b, mode) == ex1
-        assert "link_identities" not in vars(a)
-        assert "link_identities" not in vars(b)
+        assert not vars(a) and not vars(b)
 
     def test_operands_are_sub_informations(self, ex1):
         a = restrict_links(ex1, [("s1", "r1")])
@@ -756,7 +761,7 @@ class TestAtomsAndInverse:
         assert len(got) == len(info.links)
         for atom in got:
             assert atom.info == restrict_links(info, [atom.link])
-            assert atom.link_identity in info.link_identities
+            assert atom.link_identity in link_contents(info)
 
     def test_atoms_of_restriction_are_contained(self, ex1):
         sub = restrict(ex1, lambda s, r: s.id == "s1")
@@ -903,7 +908,7 @@ class TestProperties:
     def test_lax_combine_of_all_atoms_keeps_every_link(self, info):
         merged = functools.reduce(lambda a, b: combine(a, b, "lax"),
                                   (atom.info for atom in atoms(info)))
-        assert merged.link_identities == info.link_identities
+        assert link_contents(merged) == link_contents(info)
 
     @given(informations())
     def test_image_preimage_round_trips(self, info):
@@ -1049,7 +1054,7 @@ class TestEndpointIndex:
         if prefix:
             b = renamed(b, prefix)
         lax = combine(a, b, "lax")
-        assert lax.link_identities == a.link_identities | b.link_identities
+        assert link_contents(lax) == link_contents(a) | link_contents(b)
         for rec in lax.states | lax.reflections:
             assert rec.id == min(
                 r.id
@@ -1095,7 +1100,7 @@ def split_state(a: Information, b: Information) -> bool:
     """Whether some state has links in both operands and neither operand holds all of them."""
     def successors(info):
         out = {}
-        for state, reflection in info.link_identities:
+        for state, reflection in link_contents(info):
             out.setdefault(state, set()).add(reflection)
         return out
 
@@ -1111,8 +1116,8 @@ class TestCombineLaws:
     def test_lax_is_commutative_and_contains_its_operands(self, operands):
         a, b = operands
         ab = combine(a, b, "lax")
-        assert ab.link_identities == combine(b, a, "lax").link_identities
-        assert ab.link_identities == a.link_identities | b.link_identities
+        assert link_contents(ab) == link_contents(combine(b, a, "lax"))
+        assert link_contents(ab) == link_contents(a) | link_contents(b)
         assert is_sub_information(a, ab) and is_sub_information(b, ab)
 
     @given(overlapping_operands(count=3))
@@ -1120,7 +1125,7 @@ class TestCombineLaws:
         a, b, c = operands
         left = combine(combine(a, b, "lax"), c, "lax")
         right = combine(a, combine(b, c, "lax"), "lax")
-        assert left.link_identities == right.link_identities
+        assert link_contents(left) == link_contents(right)
 
     @given(overlapping_operands())
     def test_strict_is_lax_unless_a_state_is_split(self, operands):

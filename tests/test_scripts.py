@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -40,30 +41,49 @@ def _run(python: str, *args: str, **env: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
+PYENV_VERSIONS = pathlib.Path(
+    os.environ.get("PYENV_ROOT", pathlib.Path.home() / ".pyenv")) / "versions"
+
+
 def _run_under(version: str, *args: str) -> subprocess.CompletedProcess:
     """``python -m <args>`` from the repository root under pyenv's CPython ``version``."""
-    root = pathlib.Path(os.environ.get("PYENV_ROOT", pathlib.Path.home() / ".pyenv")) / "versions"
-    found = sorted(root.glob("%s.*/bin/python%s" % (version, version)))
+    found = sorted(PYENV_VERSIONS.glob("%s.*/bin/python%s" % (version, version)))
     if not found:
-        pytest.skip("no CPython %s under %s" % (version, root))
+        pytest.skip("no CPython %s under %s" % (version, PYENV_VERSIONS))
     return _run(str(found[-1]), *args)
+
+
+def _assert_golden_check(result: subprocess.CompletedProcess) -> None:
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert re.search(r"^0 of [1-9]\d* calls differ$", result.stdout, re.M), result.stdout
 
 
 @pytest.mark.parametrize("version", OTHER_VERSIONS)
 def test_the_golden_corpus_holds_under_other_interpreters(version):
     """``python -m tests.test_golden_cli --check`` under pyenv's CPython ``version``."""
-    result = _run_under(version, "tests.test_golden_cli", "--check")
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert re.search(r"^0 of [1-9]\d* calls differ$", result.stdout, re.M), result.stdout
+    _assert_golden_check(_run_under(version, "tests.test_golden_cli", "--check"))
+
+
+def test_the_golden_corpus_holds_under_the_python3_13_on_path():
+    """The same check under the ``python3.13`` found on PATH, when it is another
+    patch release than pyenv's: argparse's reading of dash arguments changed
+    within 3.13."""
+    found = shutil.which("python3.13")
+    if found is None:
+        pytest.skip("no python3.13 on PATH")
+    release = subprocess.run([found, "-c", "import platform; print(platform.python_version())"],
+                             capture_output=True, text=True, timeout=60).stdout.strip()
+    if (PYENV_VERSIONS / release).is_dir():
+        pytest.skip("the python3.13 on PATH, %s, is pyenv's own %s" % (found, release))
+    _assert_golden_check(_run(found, "tests.test_golden_cli", "--check"))
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
 def test_the_golden_corpus_holds_under_fixed_hash_seeds(seed):
     """``python -m tests.test_golden_cli --check`` in a child of this interpreter
     under ``PYTHONHASHSEED=seed``, so that no output follows set or dict order."""
-    result = _run(sys.executable, "tests.test_golden_cli", "--check", PYTHONHASHSEED=seed)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert re.search(r"^0 of [1-9]\d* calls differ$", result.stdout, re.M), result.stdout
+    _assert_golden_check(_run(sys.executable, "tests.test_golden_cli", "--check",
+                              PYTHONHASHSEED=seed))
 
 
 @pytest.mark.parametrize("version", OTHER_VERSIONS)

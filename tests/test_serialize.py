@@ -438,6 +438,7 @@ class TestDeclaredMembers:
          ["entries[0].reflection: expected an object", "entries[0].state: expected an object"]),
         (parse_decoder, '{"version": 1, "kind": "table", "distance": "l2", "entries": 7}',
          ["entries: expected a list"]),
+        (parse_decoder, '{"version": 1, "kind": "table"}', ["entries: expected a list"]),
         (parse_target, '{"version": 1, "stat_records": []}', ["stat_records: unknown member"]),
         (parse_target, '{"version": 1, "weights": {"entities": {"a": "x"}, "colour": 5}}',
          ["weights.entities.a: invalid weight literal 'x'", "weights.colour: unknown universe"]),
@@ -445,7 +446,8 @@ class TestDeclaredMembers:
         (parse_document, '{"version": 1, "kind": "preimage"}', ["kind: unknown member"]),
     ], ids=["decoder-distance", "decoder-entry", "decoder-side", "decoder-side-repeat",
             "decoder-side-missing", "weights-table", "weights-universes", "weights-top",
-            "decoder-preimage-entries", "decoder-entries-first", "target-top", "target-weights",
+            "decoder-preimage-entries", "decoder-entries-first", "decoder-table-no-entries",
+            "target-top", "target-weights",
             "instance-top", "decoder-as-instance"])
     def test_side_documents_and_top_levels(self, parse, text, expected):
         """Every member a document declares is read, whatever its other members say,
